@@ -32,6 +32,7 @@ from .fuzz import (
     deflator_probes_for,
     instance_rng,
     process_probes,
+    random_polar_composition,
     run_conditional_suite,
     run_market_suite,
     run_polar_closure_suite,
@@ -168,18 +169,9 @@ def _check_polar(inst: Instance, report: Report, args) -> None:
     rng = instance_rng("check-polar", report.seed, 0)
     try:
         pool = sample_polar_elements(c, 4, rng)
-        from .processes import fork_splice, random_nonincreasing_process, random_unit_fraction
-
         bad = 0
-        for i in range(args.count):
-            if rng.random() < 0.5:
-                y = rng.choice(pool)
-                cand = y.pointwise_mul(random_nonincreasing_process(rng, c.tree).process)
-            else:
-                y1, y2, y3 = (rng.choice(pool) for _ in range(3))
-                s = rng.randint(0, c.tree.horizon)
-                w = {n: random_unit_fraction(rng) for n in c.tree.nodes_at(s)}
-                cand = fork_splice(y1, y2, y3, s, w)
+        for _ in range(args.count):
+            cand = random_polar_composition(rng, pool, c.tree)
             if not system.satisfied_by(cand.values):
                 bad += 1
                 report.add(
@@ -313,6 +305,8 @@ _CHECK_DISPATCH = {
 
 
 def cmd_check(args) -> int:
+    if args.count < 0 or args.probes < 0:
+        raise InstanceError("--count and --probes must be nonnegative")
     seed = _resolve_seed(args.seed)
     inst = load_instance(args.instance)
     report = Report(f"check {args.what}", inst.digest, seed)
@@ -407,10 +401,8 @@ def main(argv=None) -> int:
         # an exactness check failed somewhere: a mathematical failure, not bad input
         sys.stderr.write(f"defect: {exc}\n")
         return 1
-    except (InstanceError, PreconditionError, ProcpolarError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (InstanceError, PreconditionError, ProcpolarError, OSError) as exc:
+        # OSError: an unreadable instance or --out path is bad input too
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

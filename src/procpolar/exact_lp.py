@@ -11,6 +11,9 @@ Variable bounds are first-class: nonnegativity is expressed as a lower
 bound of 0 rather than an explicit row, which keeps the tableaus small.
 :meth:`LinearSystem.violations` checks rows and bounds alike, so a system
 "includes" its bounds for every membership purpose.
+
+Rows and objectives are built with :func:`vector` from ``(column, value)``
+pairs and stored dense.
 """
 
 from __future__ import annotations
@@ -58,6 +61,18 @@ def _dot(coeffs: Sequence[Fraction], point: Sequence[Fraction]) -> Fraction:
         if a:
             total += a * x
     return total
+
+
+def vector(
+    num_vars: int, terms: Iterable[tuple[int, Fraction]]
+) -> tuple[Fraction, ...]:
+    """Dense coefficients from ``(column, value)`` pairs; a repeated column
+    sums its values and every other column is ZERO."""
+    out = [ZERO] * num_vars
+    for j, a in terms:
+        # assign the first value: adding it to ZERO costs a Fraction addition
+        out[j] = a if out[j] is ZERO else out[j] + a
+    return tuple(out)
 
 
 def constraint(
@@ -142,11 +157,6 @@ class LinearSystem:
     def satisfied_by(self, point: Sequence[Fraction]) -> bool:
         return not self.violations(point)
 
-    def with_rows(self, extra: Iterable[LinearConstraint]) -> "LinearSystem":
-        return LinearSystem(
-            self.num_vars, self.rows + tuple(extra), self.lower, self.upper, self.var_names
-        )
-
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
@@ -181,10 +191,6 @@ class LpOutcome:
     value: Optional[Fraction] = None
     point: Optional[tuple[Fraction, ...]] = None
     ray: Optional[tuple[Fraction, ...]] = None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is LpStatus.OPTIMAL
 
 
 def maximize(
@@ -281,10 +287,8 @@ class _Standard:
         for j in range(n):
             lo, up = sys_.lower[j], sys_.upper[j]
             if lo is not None and up is not None:
-                kind, col, _ = self.transforms[j]
-                coeffs = [ZERO] * ncols
-                coeffs[col] = ONE
-                rows.append((coeffs, LE, up - lo))
+                col = self.transforms[j][1]
+                rows.append((list(vector(ncols, ((col, ONE),))), LE, up - lo))
 
         obj, _ = self._rewrite(problem.objective, ZERO, ncols)
         self.obj_sign = -1 if problem.sense == "max" else 1
@@ -537,18 +541,15 @@ def feasible_interior_point(
         for row in system.rows
     ]
     for j in strict:
-        coeffs = [ZERO] * (n + 1)
-        coeffs[j] = ONE
-        coeffs[n] = -ONE
-        rows.append(LinearConstraint(tuple(coeffs), GE, ZERO, f"strict[{j}]"))
+        coeffs = vector(n + 1, ((j, ONE), (n, -ONE)))
+        rows.append(LinearConstraint(coeffs, GE, ZERO, f"strict[{j}]"))
     ext = LinearSystem(
         num_vars=n + 1,
         rows=tuple(rows),
         lower=system.lower + (None,),
         upper=system.upper + (None,),
     )
-    objective = [ZERO] * n + [ONE]
-    out = maximize(ext, objective)
+    out = maximize(ext, vector(n + 1, ((n, ONE),)))
     if out.status is LpStatus.INFEASIBLE:
         return None
     if out.status is LpStatus.UNBOUNDED:

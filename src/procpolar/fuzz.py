@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import PostconditionError
-from .exact_lp import LpStatus, maximize
+from .exact_lp import LpStatus, maximize, vector
 from .market import (
     ConsumptionDensity,
     Market,
@@ -528,6 +528,21 @@ class PolarClosureConfig:
     max_generators: int = 3
 
 
+def random_polar_composition(
+    rng: random.Random, pool: list[AdaptedProcess], tree: EventTree
+) -> AdaptedProcess:
+    """A solid multiple of one pool element or a fork-splice of three, drawn
+    at even odds; both stay in any polar the pool lies in."""
+    if rng.random() < 0.5:
+        y = rng.choice(pool)
+        b = random_nonincreasing_process(rng, tree)
+        return y.pointwise_mul(b.process)
+    y1, y2, y3 = (rng.choice(pool) for _ in range(3))
+    s = rng.randint(0, tree.horizon)
+    w = {n: random_unit_fraction(rng) for n in tree.nodes_at(s)}
+    return fork_splice(y1, y2, y3, s, w)
+
+
 def check_polar_closure_instance(
     rng: random.Random, cfg: PolarClosureConfig
 ) -> tuple[int, str]:
@@ -538,15 +553,7 @@ def check_polar_closure_instance(
     system = polar_constraints(c)
     checks = 0
     for _ in range(cfg.compositions_per_instance):
-        if rng.random() < 0.5:
-            y = rng.choice(pool)
-            b = random_nonincreasing_process(rng, tree)
-            candidate = y.pointwise_mul(b.process)
-        else:
-            y1, y2, y3 = (rng.choice(pool) for _ in range(3))
-            s = rng.randint(0, tree.horizon)
-            w = {n: random_unit_fraction(rng) for n in tree.nodes_at(s)}
-            candidate = fork_splice(y1, y2, y3, s, w)
+        candidate = random_polar_composition(rng, pool, tree)
         assert system.satisfied_by(candidate.values), "polar closure violated"
         pool.append(candidate)
         checks += 1
@@ -635,10 +642,11 @@ def wealth_probes_for(
     pairs = sample_consumption_wealth(m, 2, rng)
     probes.extend(w for w, _ in pairs)
     ws = pure_investment_polytope(m, 1)
-    objective = [ZERO] * ws.system.num_vars
-    for n in range(tree.num_nodes):
-        objective[ws.wealth_index(n)] = Fraction(rng.randint(-1, 2))
-    res = maximize(ws.system, objective)
+    terms = [
+        (ws.wealth_index(n), Fraction(rng.randint(-1, 2)))
+        for n in range(tree.num_nodes)
+    ]
+    res = maximize(ws.system, vector(ws.system.num_vars, terms))
     assert res.status is LpStatus.OPTIMAL and res.point is not None
     probes.append(ws.extract_wealth(res.point))
     while len(probes) < count + 3:

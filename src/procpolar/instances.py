@@ -324,7 +324,11 @@ def parse_instance(text: str) -> Instance:
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_instance(text)
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -37,6 +37,7 @@ from .exact_lp import (
     feasible_interior_point,
     maximize,
     minimize,
+    vector,
 )
 from .processes import AdaptedProcess, is_martingale, is_supermartingale
 from .rational import frac
@@ -191,9 +192,6 @@ class EmmPolytope:
     var_nodes: tuple[int, ...]
     interior: Optional[tuple[Fraction, ...]]
 
-    def index(self, node: int) -> int:
-        return self.var_nodes.index(node)
-
     def contains(self, q: Sequence[Fraction]) -> bool:
         return self.system.satisfied_by(q)
 
@@ -221,32 +219,22 @@ def emm_polytope(m: Market) -> EmmPolytope:
     tree = m.tree
     var_nodes = tuple(n for n in range(tree.num_nodes) if tree.parent[n] is not None)
     pos = {n: i for i, n in enumerate(var_nodes)}
+    n_vars = len(var_nodes)
     rows: list[LinearConstraint] = []
     for n in tree.non_terminal_nodes():
         kids = tree.children[n]
-        coeffs = [ZERO] * len(var_nodes)
-        for ch in kids:
-            coeffs[pos[ch]] = ONE
-        rows.append(LinearConstraint(tuple(coeffs), EQ, ONE, f"prob@{tree.labels[n]}"))
+        coeffs = vector(n_vars, ((pos[ch], ONE) for ch in kids))
+        rows.append(LinearConstraint(coeffs, EQ, ONE, f"prob@{tree.labels[n]}"))
         for i in range(m.d):
-            coeffs = [ZERO] * len(var_nodes)
-            for ch in kids:
-                coeffs[pos[ch]] = m.prices[i].values[ch]
+            price = m.prices[i].values
+            coeffs = vector(n_vars, ((pos[ch], price[ch]) for ch in kids))
             rows.append(
-                LinearConstraint(
-                    tuple(coeffs),
-                    EQ,
-                    m.prices[i].values[n],
-                    f"price[{i}]@{tree.labels[n]}",
-                )
+                LinearConstraint(coeffs, EQ, price[n], f"price[{i}]@{tree.labels[n]}")
             )
     system = LinearSystem.make(
-        len(var_nodes),
-        rows,
-        lower=0,
-        var_names=[f"q({tree.labels[n]})" for n in var_nodes],
+        n_vars, rows, lower=0, var_names=[f"q({tree.labels[n]})" for n in var_nodes]
     )
-    interior = feasible_interior_point(system, range(len(var_nodes)))
+    interior = feasible_interior_point(system, range(n_vars))
     return EmmPolytope(system, var_nodes, interior)
 
 
@@ -343,40 +331,19 @@ class WealthSystem:
     budget: Fraction
     with_consumption: bool
     system: LinearSystem
-    nt_rank: tuple[Optional[int], ...]
 
     def wealth_index(self, node: int) -> int:
         return node
 
-    def holding_index(self, node: int, asset: int) -> int:
-        rank = self.nt_rank[node]
-        if rank is None:
-            raise PreconditionError("terminal nodes hold nothing")
-        return self.market.tree.num_nodes + rank * self.market.d + asset
-
     def consumption_index(self, node: int) -> int:
         if not self.with_consumption:
             raise PreconditionError("this system has no consumption variables")
-        nt = sum(1 for r in self.nt_rank if r is not None)
-        return self.market.tree.num_nodes + nt * self.market.d + node
+        # the consumption block comes last
+        return self.system.num_vars - self.market.tree.num_nodes + node
 
     def extract_wealth(self, point: Sequence[Fraction]) -> AdaptedProcess:
         n = self.market.tree.num_nodes
         return AdaptedProcess(self.market.tree, tuple(point[:n]))
-
-    def extract_strategy(self, point: Sequence[Fraction]) -> Strategy:
-        tree = self.market.tree
-        holdings: list[Optional[tuple[Fraction, ...]]] = []
-        for n in range(tree.num_nodes):
-            if tree.is_terminal(n):
-                holdings.append(None)
-            else:
-                holdings.append(
-                    tuple(
-                        point[self.holding_index(n, i)] for i in range(self.market.d)
-                    )
-                )
-        return Strategy(tree, tuple(holdings))
 
     def extract_consumption(self, point: Sequence[Fraction]) -> ConsumptionProcess:
         tree = self.market.tree
@@ -384,64 +351,64 @@ class WealthSystem:
         return ConsumptionProcess(AdaptedProcess(tree, vals))
 
 
+def _holding_columns(m: Market, start: int) -> dict[int, range]:
+    """The columns of the ``d`` holdings at each non-terminal node, laid out
+    node by node from column ``start``."""
+    return {
+        n: range(start + r * m.d, start + (r + 1) * m.d)
+        for r, n in enumerate(m.tree.non_terminal_nodes())
+    }
+
+
+def _decode_strategy(
+    m: Market, columns: dict[int, range], point: Sequence[Fraction]
+) -> Strategy:
+    """The strategy an LP point holds in the given holding columns."""
+    holdings: list[Optional[tuple[Fraction, ...]]] = [None] * m.tree.num_nodes
+    for n, cols in columns.items():
+        holdings[n] = tuple(point[c] for c in cols)
+    return Strategy(m.tree, tuple(holdings))
+
+
 def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> WealthSystem:
     tree = m.tree
-    non_terminal = tree.non_terminal_nodes()
-    nt_rank: list[Optional[int]] = [None] * tree.num_nodes
-    for r, n in enumerate(non_terminal):
-        nt_rank[n] = r
     n_nodes = tree.num_nodes
-    n_hold = len(non_terminal) * m.d
+    hcols = _holding_columns(m, n_nodes)
+    n_hold = len(hcols) * m.d
+    cons = n_nodes + n_hold  # column of C(root)
     n_cons = n_nodes if with_consumption else 0
     n_vars = n_nodes + n_hold + n_cons
 
-    def hidx(node: int, asset: int) -> int:
-        return n_nodes + nt_rank[node] * m.d + asset  # type: ignore[operator]
-
-    rows: list[LinearConstraint] = []
-    coeffs = [ZERO] * n_vars
-    coeffs[0] = ONE
-    rows.append(LinearConstraint(tuple(coeffs), LE, x, "budget"))
+    rows = [LinearConstraint(vector(n_vars, ((0, ONE),)), LE, x, "budget")]
     for ch in range(1, n_nodes):
         par = tree.parent[ch]
         assert par is not None
-        coeffs = [ZERO] * n_vars
-        coeffs[ch] = ONE
-        coeffs[par] -= ONE
-        for i in range(m.d):
-            coeffs[hidx(par, i)] = -m.price_increment(i, ch)
+        terms = [(ch, ONE), (par, -ONE)]
+        terms += ((c, -m.price_increment(i, ch)) for i, c in enumerate(hcols[par]))
         if with_consumption:
-            coeffs[n_nodes + n_hold + ch] = ONE
-            coeffs[n_nodes + n_hold + par] -= ONE
+            terms += ((cons + ch, ONE), (cons + par, -ONE))
         rows.append(
-            LinearConstraint(tuple(coeffs), EQ, ZERO, f"edge@{tree.labels[ch]}")
+            LinearConstraint(vector(n_vars, terms), EQ, ZERO, f"edge@{tree.labels[ch]}")
         )
     if with_consumption:
-        coeffs = [ZERO] * n_vars
-        coeffs[n_nodes + n_hold + 0] = ONE
-        rows.append(LinearConstraint(tuple(coeffs), EQ, ZERO, "consumption-start"))
+        coeffs = vector(n_vars, ((cons, ONE),))
+        rows.append(LinearConstraint(coeffs, EQ, ZERO, "consumption-start"))
         for ch in range(1, n_nodes):
             par = tree.parent[ch]
-            coeffs = [ZERO] * n_vars
-            coeffs[n_nodes + n_hold + ch] = ONE
-            coeffs[n_nodes + n_hold + par] = -ONE
+            coeffs = vector(n_vars, ((cons + ch, ONE), (cons + par, -ONE)))
             rows.append(
-                LinearConstraint(
-                    tuple(coeffs), GE, ZERO, f"nondecreasing@{tree.labels[ch]}"
-                )
+                LinearConstraint(coeffs, GE, ZERO, f"nondecreasing@{tree.labels[ch]}")
             )
 
     lower: list[Optional[Fraction]] = [ZERO] * n_nodes
     lower += [None] * n_hold
     lower += [ZERO] * n_cons
     names = [f"X({lab})" for lab in tree.labels]
-    names += [
-        f"h({tree.labels[n]},{i})" for n in non_terminal for i in range(m.d)
-    ]
+    names += [f"h({tree.labels[n]},{i})" for n in hcols for i in range(m.d)]
     if with_consumption:
         names += [f"C({lab})" for lab in tree.labels]
     system = LinearSystem.make(n_vars, rows, lower=lower, var_names=names)
-    return WealthSystem(m, x, with_consumption, system, tuple(nt_rank))
+    return WealthSystem(m, x, with_consumption, system)
 
 
 def pure_investment_polytope(m: Market, x: int | str | Fraction) -> WealthSystem:
@@ -492,11 +459,12 @@ def _polar_of_wealth_system(ws: WealthSystem, y: AdaptedProcess) -> DeflatorMemb
         return DeflatorMembership(False, reason="initial value above 1")
     n_vars = ws.system.num_vars
     for n in tree.non_terminal_nodes():
-        objective = [ZERO] * n_vars
-        objective[ws.wealth_index(n)] = -y.values[n]
-        for ch in tree.children[n]:
-            objective[ws.wealth_index(ch)] = tree.edge_prob[ch] * y.values[ch]
-        out = maximize(ws.system, objective)
+        terms = [(ws.wealth_index(n), -y.values[n])]
+        terms += (
+            (ws.wealth_index(ch), tree.edge_prob[ch] * y.values[ch])
+            for ch in tree.children[n]
+        )
+        out = maximize(ws.system, vector(n_vars, terms))
         if out.status is LpStatus.UNBOUNDED:
             return DeflatorMembership(
                 False,
@@ -611,46 +579,33 @@ class LiftedDeflatorSystem:
     def y_index(self, node: int) -> int:
         return node
 
-    def r_index(self, child: int) -> int:
-        # one r per non-root node, laid out after the y block
-        return self.market.tree.num_nodes + child - 1
-
 
 def lifted_deflator_system(m: Market) -> LiftedDeflatorSystem:
     tree = m.tree
     n_nodes = tree.num_nodes
     n_vars = n_nodes + (n_nodes - 1)
-    rows: list[LinearConstraint] = []
-    coeffs = [ZERO] * n_vars
-    coeffs[0] = ONE
-    rows.append(LinearConstraint(tuple(coeffs), LE, ONE, "initial"))
+    rows = [LinearConstraint(vector(n_vars, ((0, ONE),)), LE, ONE, "initial")]
 
     def ridx(child: int) -> int:
+        # one r per non-root node, laid out after the y block
         return n_nodes + child - 1
 
     for n in tree.non_terminal_nodes():
         kids = tree.children[n]
-        coeffs = [ZERO] * n_vars
-        for ch in kids:
-            coeffs[ridx(ch)] = ONE
-        coeffs[n] -= ONE
-        rows.append(LinearConstraint(tuple(coeffs), EQ, ZERO, f"mass@{tree.labels[n]}"))
+        coeffs = vector(n_vars, [(ridx(ch), ONE) for ch in kids] + [(n, -ONE)])
+        rows.append(LinearConstraint(coeffs, EQ, ZERO, f"mass@{tree.labels[n]}"))
         for i in range(m.d):
-            coeffs = [ZERO] * n_vars
-            for ch in kids:
-                coeffs[ridx(ch)] = m.prices[i].values[ch]
-            coeffs[n] -= m.prices[i].values[n]
+            price = m.prices[i].values
+            terms = [(ridx(ch), price[ch]) for ch in kids] + [(n, -price[n])]
             rows.append(
                 LinearConstraint(
-                    tuple(coeffs), EQ, ZERO, f"price[{i}]@{tree.labels[n]}"
+                    vector(n_vars, terms), EQ, ZERO, f"price[{i}]@{tree.labels[n]}"
                 )
             )
         for ch in kids:
-            coeffs = [ZERO] * n_vars
-            coeffs[ch] = tree.edge_prob[ch]
-            coeffs[ridx(ch)] = -ONE
+            coeffs = vector(n_vars, ((ch, tree.edge_prob[ch]), (ridx(ch), -ONE)))
             rows.append(
-                LinearConstraint(tuple(coeffs), LE, ZERO, f"dominate@{tree.labels[ch]}")
+                LinearConstraint(coeffs, LE, ZERO, f"dominate@{tree.labels[ch]}")
             )
     names = [f"y({lab})" for lab in tree.labels]
     names += [f"r({tree.labels[ch]})" for ch in range(1, n_nodes)]
@@ -669,19 +624,18 @@ def wealth_bipolar_contains(m: Market, z: AdaptedProcess) -> DeflatorMembership:
         raise PreconditionError("candidate lives on a different tree")
     lifted = lifted_deflator_system(m)
     n_vars = lifted.system.num_vars
-    objective = [ZERO] * n_vars
-    objective[lifted.y_index(0)] = z.initial
-    out = maximize(lifted.system, objective)
+    out = maximize(lifted.system, vector(n_vars, ((lifted.y_index(0), z.initial),)))
     if out.status is LpStatus.UNBOUNDED or (out.value is not None and out.value > 1):
         return DeflatorMembership(
             False, reason="initial product exceeds 1", witness_point=out.point
         )
     for n in tree.non_terminal_nodes():
-        objective = [ZERO] * n_vars
-        objective[lifted.y_index(n)] = -z.values[n]
-        for ch in tree.children[n]:
-            objective[lifted.y_index(ch)] = tree.edge_prob[ch] * z.values[ch]
-        out = maximize(lifted.system, objective)
+        terms = [(lifted.y_index(n), -z.values[n])]
+        terms += (
+            (lifted.y_index(ch), tree.edge_prob[ch] * z.values[ch])
+            for ch in tree.children[n]
+        )
+        out = maximize(lifted.system, vector(n_vars, terms))
         if out.status is LpStatus.UNBOUNDED or (
             out.value is not None and out.value > 0
         ):
@@ -718,35 +672,27 @@ def xc_feasibility(
     x = frac(x)
     if z.initial > x:
         return XcFeasibility(False)
-    non_terminal = tree.non_terminal_nodes()
-    nt_rank = {n: r for r, n in enumerate(non_terminal)}
-    n_hold = len(non_terminal) * m.d
+    hcols = _holding_columns(m, 0)
+    n_hold = len(hcols) * m.d
     n_vars = n_hold + tree.num_nodes  # holdings then cumulative consumption
-    rows: list[LinearConstraint] = []
-    coeffs = [ZERO] * n_vars
-    coeffs[n_hold + 0] = ONE
-    rows.append(LinearConstraint(tuple(coeffs), EQ, ZERO, "consumption-start"))
+    coeffs = vector(n_vars, ((n_hold, ONE),))
+    rows = [LinearConstraint(coeffs, EQ, ZERO, "consumption-start")]
     for ch in range(1, tree.num_nodes):
         par = tree.parent[ch]
         assert par is not None
-        coeffs = [ZERO] * n_vars
-        for i in range(m.d):
-            coeffs[nt_rank[par] * m.d + i] = m.price_increment(i, ch)
-        coeffs[n_hold + ch] = -ONE
-        coeffs[n_hold + par] += ONE
+        terms = [(c, m.price_increment(i, ch)) for i, c in enumerate(hcols[par])]
+        terms += ((n_hold + ch, -ONE), (n_hold + par, ONE))
         rows.append(
             LinearConstraint(
-                tuple(coeffs),
+                vector(n_vars, terms),
                 EQ,
                 z.values[ch] - z.values[par],
                 f"edge@{tree.labels[ch]}",
             )
         )
-        coeffs = [ZERO] * n_vars
-        coeffs[n_hold + ch] = ONE
-        coeffs[n_hold + par] -= ONE
+        coeffs = vector(n_vars, ((n_hold + ch, ONE), (n_hold + par, -ONE)))
         rows.append(
-            LinearConstraint(tuple(coeffs), GE, ZERO, f"nondecreasing@{tree.labels[ch]}")
+            LinearConstraint(coeffs, GE, ZERO, f"nondecreasing@{tree.labels[ch]}")
         )
     lower: list[Optional[Fraction]] = [None] * n_hold + [ZERO] * tree.num_nodes
     system = LinearSystem.make(n_vars, rows, lower=lower)
@@ -754,12 +700,7 @@ def xc_feasibility(
     if out.status is LpStatus.INFEASIBLE:
         return XcFeasibility(False)
     assert out.point is not None
-    holdings: list[Optional[tuple[Fraction, ...]]] = [None] * tree.num_nodes
-    for n in non_terminal:
-        holdings[n] = tuple(
-            out.point[nt_rank[n] * m.d + i] for i in range(m.d)
-        )
-    strategy = Strategy(tree, tuple(holdings))
+    strategy = _decode_strategy(m, hcols, out.point)
     consumption = ConsumptionProcess(
         AdaptedProcess(tree, tuple(out.point[n_hold:]))
     )
@@ -797,9 +738,6 @@ def _terminal_obligation(
         return cum, payout
     if claim.space != terminal_space(tree):
         raise PreconditionError("claim must live on the terminal nodes")
-    vals = [ZERO] * tree.num_nodes
-    for w in claim.space.outcomes:
-        vals[w] = claim[w]
     return ConsumptionProcess.zero(tree), claim
 
 
@@ -920,9 +858,8 @@ def budget_check(
     dual_ok = sh.value <= x
 
     # primal: wealth variables eliminated into (holdings); wealth must stay >= 0
-    non_terminal = tree.non_terminal_nodes()
-    nt_rank = {n: r for r, n in enumerate(non_terminal)}
-    n_vars = len(non_terminal) * m.d
+    hcols = _holding_columns(m, 0)
+    n_vars = len(hcols) * m.d
     measure_rows: list[LinearConstraint] = []
     # wealth at node n equals x + sum of gains - C(n); express gains recursively
     # via path sums: W(n) = x - C(n) + sum_{edges e on path} h(par(e)) . dS(e)
@@ -932,13 +869,14 @@ def budget_check(
         assert par is not None
         paths[ch] = paths[par] + [(par, ch)]
     for n in range(tree.num_nodes):
-        coeffs = [ZERO] * n_vars
-        for par, ch in paths[n]:
-            for i in range(m.d):
-                coeffs[nt_rank[par] * m.d + i] += m.price_increment(i, ch)
+        terms = (
+            (c, m.price_increment(i, ch))
+            for par, ch in paths[n]
+            for i, c in enumerate(hcols[par])
+        )
         measure_rows.append(
             LinearConstraint(
-                tuple(coeffs),
+                vector(n_vars, terms),
                 GE,
                 cum.cumulative.values[n] - x,
                 f"solvency@{tree.labels[n]}",
@@ -960,10 +898,7 @@ def budget_check(
         return BudgetOutcome(False, sh.value, violating_measure=q)
 
     assert out.point is not None
-    holdings: list[Optional[tuple[Fraction, ...]]] = [None] * tree.num_nodes
-    for n in non_terminal:
-        holdings[n] = tuple(out.point[nt_rank[n] * m.d + i] for i in range(m.d))
-    strategy = Strategy(tree, tuple(holdings))
+    strategy = _decode_strategy(m, hcols, out.point)
     if not is_admissible(m, x, strategy, cum):
         raise PostconditionError("primal certificate is not admissible")
     return BudgetOutcome(True, sh.value, strategy=strategy)
@@ -1019,11 +954,11 @@ def sample_consumption_wealth(
     tree = m.tree
     out: list[tuple[AdaptedProcess, ConsumptionProcess]] = []
     for _ in range(count):
-        objective = [ZERO] * ws.system.num_vars
+        terms = []
         for n in range(tree.num_nodes):
-            objective[ws.wealth_index(n)] = Fraction(rng.randint(-2, 3))
-            objective[ws.consumption_index(n)] = Fraction(rng.randint(-2, 2))
-        res = maximize(ws.system, objective)
+            terms.append((ws.wealth_index(n), Fraction(rng.randint(-2, 3))))
+            terms.append((ws.consumption_index(n), Fraction(rng.randint(-2, 2))))
+        res = maximize(ws.system, vector(ws.system.num_vars, terms))
         if res.status is not LpStatus.OPTIMAL:
             raise PostconditionError(
                 "consumption polytope should be bounded in wealth and consumption"

@@ -33,6 +33,7 @@ from .exact_lp import (
     LinearSystem,
     LpStatus,
     maximize,
+    vector,
 )
 from .processes import (
     AdaptedProcess,
@@ -61,17 +62,16 @@ def polar_constraints(c: ProcessSet) -> LinearSystem:
     n_vars = tree.num_nodes
     rows: list[LinearConstraint] = []
     for gi, x in enumerate(c.generators):
-        coeffs = [ZERO] * n_vars
-        coeffs[0] = x.initial
-        rows.append(LinearConstraint(tuple(coeffs), LE, ONE, f"init[gen{gi}]"))
+        coeffs = vector(n_vars, ((0, x.initial),))
+        rows.append(LinearConstraint(coeffs, LE, ONE, f"init[gen{gi}]"))
         for n in tree.non_terminal_nodes():
-            coeffs = [ZERO] * n_vars
-            coeffs[n] = -x.values[n]
-            for ch in tree.children[n]:
-                coeffs[ch] = tree.edge_prob[ch] * x.values[ch]
+            terms = [(n, -x.values[n])]
+            terms += (
+                (ch, tree.edge_prob[ch] * x.values[ch]) for ch in tree.children[n]
+            )
             rows.append(
                 LinearConstraint(
-                    tuple(coeffs), LE, ZERO, f"super[gen{gi}@{tree.labels[n]}]"
+                    vector(n_vars, terms), LE, ZERO, f"super[gen{gi}@{tree.labels[n]}]"
                 )
             )
     return LinearSystem.make(
@@ -123,20 +123,17 @@ def bipolar_contains_lp(
     _require_far_reaching(c, require_far_reaching)
     tree = c.tree
     polar = polar_constraints(c)
+    n_vars = tree.num_nodes
 
-    objective = [ZERO] * tree.num_nodes
-    objective[0] = z.initial
-    bad = _violating_max(polar, objective, ONE, tree)
+    bad = _violating_max(polar, vector(n_vars, ((0, z.initial),)), ONE, tree)
     if bad is not None:
         return ProcessBipolarMembership(
             False, reason="initial product exceeds 1", witness=bad
         )
     for n in tree.non_terminal_nodes():
-        objective = [ZERO] * tree.num_nodes
-        objective[n] = -z.values[n]
-        for ch in tree.children[n]:
-            objective[ch] = tree.edge_prob[ch] * z.values[ch]
-        bad = _violating_max(polar, objective, ZERO, tree)
+        terms = [(n, -z.values[n])]
+        terms += ((ch, tree.edge_prob[ch] * z.values[ch]) for ch in tree.children[n])
+        bad = _violating_max(polar, vector(n_vars, terms), ZERO, tree)
         if bad is not None:
             return ProcessBipolarMembership(
                 False,

@@ -33,6 +33,7 @@ from .exact_lp import (
     LpStatus,
     maximize,
     minimize,
+    vector,
 )
 from .tree import Partition, RandomVariable, cond_exp_partition
 
@@ -109,13 +110,10 @@ def conditional_polar_constraints(c: RvSet) -> LinearSystem:
     rows: list[LinearConstraint] = []
     for gi, f in enumerate(c.generators):
         for bi, block in enumerate(c.partition.blocks):
-            coeffs = [ZERO] * space.size
-            for w in block:
-                i = space.index(w)
-                coeffs[i] = space.probs[i] * f.values[i]
+            terms = ((i, space.probs[i] * f.values[i]) for i in map(space.index, block))
             rows.append(
                 LinearConstraint(
-                    tuple(coeffs),
+                    vector(space.size, terms),
                     LE,
                     c.partition.block_prob(block),
                     f"gen[{gi}]*block[{bi}]",
@@ -245,10 +243,7 @@ def conditional_bipolar_contains(c: RvSet, h: RandomVariable) -> BipolarMembersh
 
 
 def _embed_block(space, idx: Sequence[int], local: Sequence[Fraction]) -> RandomVariable:
-    vals = [ZERO] * space.size
-    for i, v in zip(idx, local):
-        vals[i] = v
-    return RandomVariable(space, tuple(vals))
+    return RandomVariable(space, vector(space.size, zip(idx, local)))
 
 
 # ---------------------------------------------------------------------------

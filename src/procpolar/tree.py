@@ -358,11 +358,6 @@ class RandomVariable:
         self._same_space(other)
         return all(a >= b for a, b in zip(self.values, other.values))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(
-            w for w, v in zip(self.space.outcomes, self.values) if v > 0
-        )
-
     def _same_space(self, other: "RandomVariable") -> None:
         if self.space != other.space:
             raise PreconditionError("random variables live on different spaces")
@@ -405,18 +400,8 @@ class Partition:
     def trivial(cls, space: SampleSpace) -> "Partition":
         return cls(space, (tuple(space.outcomes),))
 
-    @classmethod
-    def singletons(cls, space: SampleSpace) -> "Partition":
-        return cls(space, tuple((w,) for w in space.outcomes))
-
     def block_prob(self, block: tuple[int, ...]) -> Fraction:
         return sum((self.space.prob(w) for w in block), ZERO)
-
-    def block_of(self, outcome: int) -> tuple[int, ...]:
-        for block in self.blocks:
-            if outcome in block:
-                return block
-        raise PreconditionError(f"outcome {outcome} not in the partition")
 
     def is_measurable(self, rv: RandomVariable) -> bool:
         """True iff ``rv`` is constant on every block."""
@@ -427,16 +412,6 @@ class Partition:
             if len(vals) > 1:
                 return False
         return True
-
-    def refines(self, coarser: "Partition") -> bool:
-        return all(
-            any(set(b) <= set(cb) for cb in coarser.blocks) for b in self.blocks
-        )
-
-
-def atom_partition(tree: EventTree, t: int) -> Partition:
-    """Partition of the terminal space by the time-``t`` atoms."""
-    return Partition.from_blocks(terminal_space(tree), atoms_at_time(tree, t))
 
 
 def level_partition(tree: EventTree, level_t: int, atom_t: int) -> Partition:

@@ -40,9 +40,18 @@ def test_decimal_rejected_with_code_2(tmp_path, capsys):
     assert "exact rationals required" in err
 
 
-def test_missing_file_code_2(capsys):
-    code, _, err = run(capsys, "check", "tree", "no/such/file.instance")
-    assert code == 2
+def test_missing_file_code_2(tmp_path, capsys):
+    binary = tmp_path / "binary.instance"
+    binary.write_bytes(b"version 1\n\xc0\xff\n")
+    for argv in (
+        ("check", "tree", "no/such/file.instance"),
+        ("check", "tree", str(tmp_path)),  # a directory
+        ("check", "tree", str(binary)),  # not UTF-8
+        ("check", "tree", T1, "--out", str(tmp_path)),  # unwritable --out
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:"), argv
 
 
 def test_check_supermartingale(capsys):
@@ -129,6 +138,13 @@ def test_fuzz_commands(capsys):
 def test_fuzz_count_zero_rejected(capsys):
     code, _, err = run(capsys, "fuzz", "cbt", "--count", "0")
     assert code == 2
+
+
+def test_check_negative_counts_rejected(capsys):
+    for flag in ("--count", "--probes"):
+        code, out, _ = run(capsys, "check", "polar", T1, flag, "-3")
+        assert code == 2, flag
+        assert "compositions stayed in" not in out
 
 
 def test_fuzz_determinism(capsys):

@@ -17,6 +17,7 @@ from procpolar.exact_lp import (
     maximize,
     minimize,
     solve,
+    vector,
     verify_outcome,
 )
 
@@ -83,6 +84,13 @@ def test_duplicate_rows_are_dropped():
     rows = [constraint([1], LE, 1), constraint([1], LE, 1)]
     out = maximize(LinearSystem.make(1, rows, lower=0), [1])
     assert out.value == 1
+
+
+def test_vector_sums_repeated_columns():
+    v = vector(4, [(2, F(1, 2)), (0, F(3)), (2, F(1, 3)), (0, F(-3))])
+    assert v == (0, 0, F(5, 6), 0)
+    assert all(type(a) is F for a in v)
+    assert vector(3, []) == (F(0),) * 3
 
 
 def test_degenerate_cycling_guard():
