@@ -6,8 +6,9 @@
 
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from procpolar.market import (  # noqa: E402
     ConsumptionDensity,

@@ -9,8 +9,9 @@ A heavier, configurable version of what the acceptance tests pin down:
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from procpolar.fuzz import (  # noqa: E402
     ConditionalFuzzConfig,
@@ -24,13 +25,21 @@ from procpolar.fuzz import (  # noqa: E402
 )
 
 
+def positive(text: str) -> int:
+    """An instance count: a suite of none would pass vacuously."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--conditional", type=int, default=200)
-    parser.add_argument("--process", type=int, default=100)
-    parser.add_argument("--closure", type=int, default=25)
-    parser.add_argument("--market", type=int, default=40)
+    parser.add_argument("--conditional", type=positive, default=200)
+    parser.add_argument("--process", type=positive, default=100)
+    parser.add_argument("--closure", type=positive, default=25)
+    parser.add_argument("--market", type=positive, default=40)
     args = parser.parse_args()
 
     runs = (

@@ -1,11 +1,30 @@
 """Exact rational linear programming.
 
-A small two-phase simplex over ``fractions.Fraction`` with Bland's rule.
-Instances here are desk-scale (at most a few hundred variables), so
-exactness and determinism beat speed: identical inputs always produce the
-identical outcome, every reported point or ray is re-verified by exact
-substitution before it is returned, and there is no presolve beyond
-dropping duplicate constraint rows.
+A small two-phase simplex with Bland's rule.  Instances here are
+desk-scale (at most a few hundred variables), so exactness and determinism
+beat speed: identical inputs always produce the identical outcome, every
+reported point or ray is re-verified by exact substitution before it is
+returned, and there is no presolve beyond dropping duplicate constraint
+rows.
+
+The simplex pivots on an integer tableau, fraction-free (Bareiss 1968, as
+in Avis's lrs): the true tableau is ``tab / d``, and a pivot on ``p``
+replaces every other row by ``(row*p - row[c]*pivot_row) / d`` and ``d``
+by ``p``.  Every entry is a minor of the starting tableau, so each
+division is exact; it is checked anyway, and a remainder raises
+:class:`PostconditionError`.  ``Fraction`` appears only at the boundary
+(the rows going in, the point and ray coming out) and in the substitution
+checks, which never read the tableau.  Each row is scaled by the lcm of
+its denominators and its slack keeps the entry +-1, a positive column
+scaling.  Positive row and column scalings leave Bland's entering and
+leaving choices unchanged, so the pivot sequence is the one the rational
+tableau would take, provided two rules hold:
+
+* the artificial of a row scaled by ``L`` stands for ``L`` artificials of
+  the rational row, so phase 1 weighs it ``big // L``, where ``big`` is the
+  lcm of the scales of the artificial rows;
+* the duplicate-row key holds the scale as well as the integer row, since
+  ``(1/2, 1/2) <= 1/2`` and ``(1, 1) <= 1`` are two rows.
 
 Variable bounds are first-class: nonnegativity is expressed as a lower
 bound of 0 rather than an explicit row, which keeps the tableaus small.
@@ -21,6 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
@@ -253,7 +273,14 @@ _SPLIT = "split"  # x = u+ - u-
 
 
 class _Standard:
-    """min c.u  s.t.  A u = b, u >= 0, plus the map back to original vars."""
+    """min c.u  s.t.  A u = b, u >= 0 in integers, plus the map back to
+    original vars.
+
+    Row i is the rewritten rational row times ``scale[i]``, the lcm of its
+    denominators, except that its slack entry stays +-1: the slack column is
+    the row-scaled one divided by ``scale[i]``.  ``rows`` hold the dense
+    integer coefficients with the rhs appended.
+    """
 
     def __init__(self, problem: LpProblem):
         sys_ = problem.system
@@ -275,73 +302,83 @@ class _Standard:
                 ncols += 2
 
         # rewrite rows over the u-columns; fold bound rows for shifted uppers
-        rows: list[tuple[list[Fraction], str, Fraction]] = []
+        rows: list[tuple[tuple[tuple[int, int], ...], int, int, str]] = []
         seen: set[tuple] = set()
         for row in sys_.rows:
-            coeffs, rhs = self._rewrite(row.coeffs, row.rhs, ncols)
-            key = (tuple(coeffs), row.relation, rhs)
+            # the scale is in the key: (1/2, 1/2) <= 1/2 and (1, 1) <= 1
+            # are two rows of the rational system
+            key = (*_integral(*self._rewrite(row.coeffs, row.rhs)), row.relation)
             if key in seen:
                 continue  # duplicate constraint: the one presolve step
             seen.add(key)
-            rows.append((coeffs, row.relation, rhs))
+            rows.append(key)
         for j in range(n):
             lo, up = sys_.lower[j], sys_.upper[j]
             if lo is not None and up is not None:
                 col = self.transforms[j][1]
-                rows.append((list(vector(ncols, ((col, ONE),))), LE, up - lo))
+                rows.append((*_integral(((col, ONE),), up - lo), LE))
 
-        obj, _ = self._rewrite(problem.objective, ZERO, ncols)
-        self.obj_sign = -1 if problem.sense == "max" else 1
-        self.cost = [self.obj_sign * c for c in obj]
+        slack_cols = sum(1 for *_, rel in rows if rel != EQ)
+        total = ncols + slack_cols
+        obj, _, _ = _integral(*self._rewrite(problem.objective, ZERO))
+        sign = -1 if problem.sense == "max" else 1
+        self.cost = [0] * total
+        for col, c in obj:
+            self.cost[col] = sign * c
 
         # slack columns; normalize rhs >= 0; choose initial basis columns
-        self.a: list[list[Fraction]] = []
-        self.b: list[Fraction] = []
+        self.rows: list[list[int]] = []
+        self.scale: list[int] = []
         self.basis_hint: list[Optional[int]] = []
-        slack_cols = sum(1 for _, rel, _ in rows if rel != EQ)
-        total = ncols + slack_cols
+        # the slack of a row scaled by L is L times the rational system's, so
+        # a ray entering on it is the rational one divided by L: ray_scale
+        # holds L for each slack column and 1 for the others
+        self.ray_scale = [1] * total
         s = ncols
-        for coeffs, rel, rhs in rows:
-            arow = coeffs + [ZERO] * slack_cols
+        for terms, rhs, scale, rel in rows:
+            arow = [0] * (total + 1)
+            for col, a in terms:
+                arow[col] = a
+            arow[-1] = rhs
             if rel == LE:
-                arow[s] = ONE
+                arow[s] = 1
             elif rel == GE:
-                arow[s] = -ONE
-            flip = rhs < 0
-            if flip:
+                arow[s] = -1
+            if rhs < 0:
                 arow = [-x for x in arow]
-                rhs = -rhs
             hint: Optional[int] = None
-            if rel != EQ and arow[s] == ONE:
-                hint = s
             if rel != EQ:
+                if arow[s] == 1:
+                    hint = s
+                self.ray_scale[s] = scale
                 s += 1
-            self.a.append(arow)
-            self.b.append(rhs)
+            self.rows.append(arow)
+            self.scale.append(scale)
             self.basis_hint.append(hint)
-        self.ncols_orig = ncols
         self.ncols_total = total
-        self.cost += [ZERO] * slack_cols
 
     def _rewrite(
-        self, coeffs: Sequence[Fraction], rhs: Fraction, ncols: int
-    ) -> tuple[list[Fraction], Fraction]:
-        out = [ZERO] * ncols
-        shift = ZERO
+        self, coeffs: Sequence[Fraction], rhs: Fraction
+    ) -> tuple[list[tuple[int, Fraction]], Fraction]:
+        """Nonzero ``(u-column, value)`` terms of a row, in column order, and
+        its rhs less the shift of the transforms."""
+        terms: list[tuple[int, Fraction]] = []
         for j, c in enumerate(coeffs):
             if not c:
                 continue
             kind, col, aux = self.transforms[j]
             if kind == _SHIFT:
-                out[col] += c
-                shift += c * aux
+                terms.append((col, c))
+                if aux:
+                    rhs -= c * aux
             elif kind == _MIRROR:
-                out[col] -= c
-                shift += c * aux
+                terms.append((col, -c))
+                if aux:
+                    rhs -= c * aux
             else:
-                out[col] += c
-                out[aux] -= c
-        return out, rhs - shift
+                terms.append((col, c))
+                terms.append((aux, -c))
+        return terms, rhs
 
     def to_original_point(self, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
         out = []
@@ -370,35 +407,61 @@ class _InfeasibleBounds(Exception):
     pass
 
 
-def _pivot(tab: list[list[Fraction]], cost: list[Fraction], r: int, c: int) -> None:
+def _integral(
+    terms: Sequence[tuple[int, Fraction]], rhs: Fraction
+) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """A row times the lcm of its denominators: integer terms, rhs, scale."""
+    scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
+    return (
+        tuple((j, a.numerator * (scale // a.denominator)) for j, a in terms),
+        rhs.numerator * (scale // rhs.denominator),
+        scale,
+    )
+
+
+def _pivot(tab: list[list[int]], cost: list[int], d: int, r: int, c: int) -> int:
+    """Pivot the tableau ``tab / d`` on (r, c); return the new denominator.
+
+    Fraction-free (Bareiss): with ``p = tab[r][c]``, every other row, the
+    cost row included, becomes ``(row*p - row[c]*tab[r]) / d`` and ``p`` is
+    the new denominator.  Every entry is then, up to sign, a minor of the
+    starting tableau, so each division is exact; a remainder is a defect
+    and raises.
+    """
     prow = tab[r]
-    piv = prow[c]
-    if piv != 1:
-        inv = ONE / piv
-        tab[r] = prow = [x * inv for x in prow]
-    for row in tab:
+    p = prow[c]
+    if p < 0:  # only when driving out an artificial; keeps d > 0
+        prow = tab[r] = [-w for w in prow]
+        p = -p
+    for row in (*tab, cost):
         if row is prow:
             continue
         f = row[c]
         if f:
-            for k, v in enumerate(prow):
-                if v:
-                    row[k] -= f * v
-    f = cost[c]
-    if f:
-        for k, v in enumerate(prow):
-            if v:
-                cost[k] -= f * v
+            vals = [v * p - f * w for v, w in zip(row, prow)]
+        elif p == d:
+            continue
+        else:
+            vals = [v * p for v in row]
+        if d != 1:
+            quot = [x // d for x in vals]
+            # floor remainders lie in [0, d): the sums agree only if all are 0
+            if sum(vals) != d * sum(quot):
+                raise PostconditionError("inexact division in an integer pivot")
+            vals = quot
+        row[:] = vals
+    return p
 
 
 def _iterate(
-    tab: list[list[Fraction]],
-    cost: list[Fraction],
+    tab: list[list[int]],
+    cost: list[int],
     basis: list[int],
     allowed: int,
-) -> Optional[int]:
-    """Run Bland-rule simplex to optimality; return an entering column on
-    unboundedness, else None."""
+    d: int,
+) -> tuple[int, Optional[int]]:
+    """Run Bland-rule simplex to optimality; return the denominator and, on
+    unboundedness, the entering column (else None)."""
     guard = 10000 * (len(tab) + allowed + 1)
     for _ in range(guard):
         enter = -1
@@ -407,21 +470,22 @@ def _iterate(
                 enter = j
                 break
         if enter < 0:
-            return None
+            return d, None
+        # ratio test on rhs/a without dividing: the row scale d cancels
         leave = -1
-        best: Optional[Fraction] = None
+        best_rhs = best_a = 0
         for i, row in enumerate(tab):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                if leave < 0:
+                    leave, best_rhs, best_a = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, row[-1], a
         if leave < 0:
-            return enter
-        _pivot(tab, cost, leave, enter)
+            return d, enter
+        d = _pivot(tab, cost, d, leave, enter)
         basis[leave] = enter
     raise PostconditionError("simplex failed to terminate (anti-cycling defect)")
 
@@ -437,49 +501,49 @@ def solve(problem: LpProblem) -> LpOutcome:
     except _InfeasibleBounds:
         return LpOutcome(LpStatus.INFEASIBLE)
 
-    m = len(std.a)
     total = std.ncols_total
-    tab = [row[:] + [rhs] for row, rhs in zip(std.a, std.b)]
+    tab = std.rows
+    m = len(tab)
+    d = 1
     basis: list[int] = []
-    art_cols: list[int] = []
+    art_rows: list[int] = []
     for i in range(m):
         hint = std.basis_hint[i]
         if hint is None:
-            art_cols.append(total + len(art_cols))
-            basis.append(art_cols[-1])
+            basis.append(total + len(art_rows))
+            art_rows.append(i)
         else:
             basis.append(hint)
-    if art_cols:
+    if art_rows:
+        n_art = len(art_rows)
         for i, row in enumerate(tab):
-            ext = [ZERO] * len(art_cols)
+            ext = [0] * n_art
             if basis[i] >= total:
-                ext[basis[i] - total] = ONE
+                ext[basis[i] - total] = 1
             row[-1:-1] = ext
-        # phase 1: minimize the sum of artificials
-        cost1 = [ZERO] * (total + len(art_cols) + 1)
-        for c in range(total, total + len(art_cols)):
-            cost1[c] = ONE
-        for i, row in enumerate(tab):
-            if basis[i] >= total:
-                for k, v in enumerate(row):
-                    if v:
-                        cost1[k] -= v
-        overflow = _iterate(tab, cost1, basis, total + len(art_cols))
+        # phase 1: minimize the sum of the rational system's artificials.  The
+        # artificial of a row scaled by L stands for L of them, so it costs
+        # big // L with big the lcm of the scales
+        big = lcm(*(std.scale[i] for i in art_rows))
+        cost1 = [0] * (total + n_art + 1)
+        for k, i in enumerate(art_rows):
+            w = big // std.scale[i]
+            cost1[total + k] = w
+            cost1 = [c - w * v for c, v in zip(cost1, tab[i])]
+        d, overflow = _iterate(tab, cost1, basis, total + n_art, d)
         if overflow is not None:
             raise PostconditionError("phase-1 objective cannot be unbounded")
-        if -cost1[-1] != 0:
+        if cost1[-1] != 0:
             return LpOutcome(LpStatus.INFEASIBLE)
         # drive lingering artificials out of the basis or drop their rows
         drop: list[int] = []
         for i in range(m):
             if basis[i] >= total:
-                piv_col = next(
-                    (j for j in range(total) if tab[i][j] != 0), None
-                )
+                piv_col = next((j for j in range(total) if tab[i][j] != 0), None)
                 if piv_col is None:
                     drop.append(i)
                 else:
-                    _pivot(tab, cost1, i, piv_col)
+                    d = _pivot(tab, cost1, d, i, piv_col)
                     basis[i] = piv_col
         for i in reversed(drop):
             del tab[i]
@@ -487,26 +551,25 @@ def solve(problem: LpProblem) -> LpOutcome:
         for row in tab:
             del row[total:-1]
 
-    # phase 2
-    cost = std.cost[:] + [ZERO]
+    # phase 2: the reduced costs times d
+    cost = [d * c for c in std.cost] + [0]
     for i, row in enumerate(tab):
-        f = cost[basis[i]]
+        f = std.cost[basis[i]]
         if f:
-            for k, v in enumerate(row):
-                if v:
-                    cost[k] -= f * v
-    enter = _iterate(tab, cost, basis, total)
+            cost = [c - f * v for c, v in zip(cost, row)]
+    d, enter = _iterate(tab, cost, basis, total, d)
 
     u = [ZERO] * total
     for i, row in enumerate(tab):
-        u[basis[i]] = row[-1]
+        u[basis[i]] = Fraction(row[-1], d)
     point = std.to_original_point(u)
 
     if enter is not None:
+        step = std.ray_scale[enter]
         du = [ZERO] * total
         du[enter] = ONE
         for i, row in enumerate(tab):
-            du[basis[i]] = -row[enter]
+            du[basis[i]] = Fraction(-row[enter] * step, d)
         ray = std.to_original_ray(du)
         outcome = LpOutcome(LpStatus.UNBOUNDED, point=point, ray=ray)
     else:

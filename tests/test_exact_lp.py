@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procpolar.errors import PreconditionError
+from procpolar import exact_lp
+from procpolar.errors import PostconditionError, PreconditionError
 from procpolar.exact_lp import (
+    EQ,
     GE,
     LE,
     LinearSystem,
@@ -91,6 +94,14 @@ def test_vector_sums_repeated_columns():
     assert v == (0, 0, F(5, 6), 0)
     assert all(type(a) is F for a in v)
     assert vector(3, []) == (F(0),) * 3
+
+
+def test_inexact_pivot_division_raises():
+    # [[2, 1], [1, 1]] / 3 is no tableau a pivot sequence can reach: the
+    # second row becomes (0, 1) / 3, which is not integral
+    tab, cost = [[2, 1], [1, 1]], [0, 0]
+    with pytest.raises(PostconditionError):
+        exact_lp._pivot(tab, cost, 3, 0, 0)
 
 
 def test_degenerate_cycling_guard():
@@ -190,6 +201,113 @@ def test_randomized_certificates_substitute():
         problem = LpProblem(rng.choice(("max", "min")), objective, system)
         out = solve(problem)  # solve() already substitution-checks internally
         assert verify_outcome(problem, out) == ()
+    # second pass: rational coefficients, rhs and bounds
+    for problem in lp_corpus(random.Random(100), 60):
+        assert verify_outcome(problem, solve(problem)) == ()
+
+
+def _q(rng: random.Random) -> F:
+    return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _random_lp(rng: random.Random) -> LpProblem:
+    """Rational coefficients, rhs and bounds; EQ and GE rows that need
+    artificials; exact, scaled and implied (summed) duplicate rows; free,
+    mirrored, boxed and fixed variables; some crossing bounds and some zero
+    objectives.  A third of the problems keep every row true at a corner of
+    the bounds (degenerate vertices), a third at a point inside them, so
+    besides infeasible problems there are many feasible and unbounded ones.
+    """
+    n = rng.randint(1, 7)
+    lower, upper, corner, inside = [], [], [], []
+    for _ in range(n):
+        kind = rng.choice(("nonneg", "nonneg", "lower", "upper", "free", "box"))
+        lo = F(0) if kind == "nonneg" else _q(rng) if kind in ("lower", "box") else None
+        up = _q(rng) if kind == "upper" else None
+        if kind == "box":
+            up = lo + _q(rng) / 4 + 1  # now and then crossing or fixed
+        lower.append(lo)
+        upper.append(up)
+        corner.append(lo if lo is not None else up if up is not None else _q(rng))
+        step = abs(_q(rng)) / 2
+        inside.append(
+            (lo + up) / 2 if lo is not None and up is not None
+            else lo + step if lo is not None
+            else up - step if up is not None
+            else _q(rng)
+        )
+    anchor = rng.choice((None, corner, inside))
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        coeffs = [_q(rng) for _ in range(n)]
+        rel, rhs = rng.choice((LE, GE, EQ)), _q(rng)
+        if anchor:
+            at = sum(a * x for a, x in zip(coeffs, anchor))
+            rhs = at if rel == EQ else at + abs(rhs) if rel == LE else at - abs(rhs)
+        rows.append(constraint(coeffs, rel, rhs))
+    if rows and rng.random() < 0.5:
+        row = rng.choice(rows)
+        k = F(rng.randint(1, 4), rng.randint(1, 4))
+        rows.append(constraint([k * a for a in row.coeffs], row.relation, k * row.rhs))
+    if rows and rng.random() < 0.2:
+        rows.append(rng.choice(rows))
+    if len(rows) >= 2 and rng.random() < 0.3:
+        r1, r2 = rng.sample(rows, 2)
+        if r1.relation == r2.relation:  # their sum is implied
+            coeffs = [a + b for a, b in zip(r1.coeffs, r2.coeffs)]
+            rows.append(constraint(coeffs, r1.relation, r1.rhs + r2.rhs))
+    rng.shuffle(rows)
+    system = LinearSystem.make(n, rows, lower=lower, upper=upper)
+    zero = rng.random() < 0.3
+    objective = tuple(F(0) if zero else _q(rng) for _ in range(n))
+    return LpProblem(rng.choice(("max", "min")), objective, system)
+
+
+def _phase1_vertex_lp(rng: random.Random) -> LpProblem:
+    """A feasibility problem whose answer is the vertex phase 1 ends at:
+    nonnegative variables, a zero objective, and several EQ and GE rows
+    with their own denominators through a point inside, so that many rows
+    start on artificials of different weights."""
+    n = rng.randint(5, 8)
+    point = [abs(_q(rng)) for _ in range(n)]
+    rows = [constraint([1] * n, LE, sum(point) + 1)]
+    for _ in range(rng.randint(4, 6)):
+        coeffs = [_q(rng) for _ in range(n)]
+        rel = rng.choice((EQ, GE))
+        at = sum(a * x for a, x in zip(coeffs, point))
+        rows.append(constraint(coeffs, rel, at if rel == EQ else at - abs(_q(rng)) / 4))
+    return LpProblem("min", (F(0),) * n, LinearSystem.make(n, rows, lower=0))
+
+
+def lp_corpus(rng: random.Random, count: int):
+    """Seeded rational LPs that reach every branch of the pivot path; one in
+    three is a phase-1 vertex problem."""
+    for i in range(count):
+        yield _phase1_vertex_lp(rng) if i % 3 == 2 else _random_lp(rng)
+
+
+# sha256 of the outcome reprs of lp_corpus(random.Random(20070049), 300).
+# It pins the pivot path: Bland's rule over the same basis order gives the
+# same vertex, ray and status.  A change that alters the path on purpose (a
+# warm start, say) must update this constant and record why in CHANGES.md.
+CORPUS_DIGEST = "f1a3d026d9e80afce2fee7d17bedcfba68a3ff3f5a1dd3dbc8f130401a789247"
+
+
+def test_outcomes_pinned_on_rational_corpus():
+    """The solver's outcomes on a seeded corpus are byte-for-byte fixed.
+
+    Substitution checks accept any feasible vertex, so they cannot see a
+    change of pivot path (a wrong phase-1 weight, a lossy duplicate-row key);
+    a different vertex or ray here can.
+    """
+    digest = hashlib.sha256()
+    statuses = set()
+    for problem in lp_corpus(random.Random(20070049), 300):
+        out = solve(problem)
+        statuses.add(out.status)
+        digest.update(repr(out).encode())
+    assert statuses == set(LpStatus)
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +360,16 @@ def brute_force_max(system: LinearSystem, objective):
     return best
 
 
+def _agrees_with_vertex_enumeration(system: LinearSystem, objective) -> None:
+    out = maximize(system, objective)
+    expected = brute_force_max(system, objective)
+    if expected is None:
+        assert out.status is LpStatus.INFEASIBLE
+    else:
+        assert out.status is LpStatus.OPTIMAL
+        assert out.value == expected
+
+
 def test_simplex_agrees_with_vertex_enumeration():
     rng = random.Random(424242)
     for _ in range(40):
@@ -258,13 +386,19 @@ def test_simplex_agrees_with_vertex_enumeration():
         # box bounds keep the region bounded so vertices tell the whole story
         system = LinearSystem.make(n, rows, lower=0, upper=rng.randint(1, 5))
         objective = [F(rng.randint(-3, 3)) for _ in range(n)]
-        out = maximize(system, objective)
-        expected = brute_force_max(system, objective)
-        if expected is None:
-            assert out.status is LpStatus.INFEASIBLE
-        else:
-            assert out.status is LpStatus.OPTIMAL
-            assert out.value == expected
+        _agrees_with_vertex_enumeration(system, objective)
+    # second pass: rational coefficients, rhs and boxes with fractional gaps
+    rng = random.Random(424243)
+    for _ in range(40):
+        n = rng.randint(2, 3)
+        rows = [
+            constraint([_q(rng) for _ in range(n)], rng.choice((LE, GE)), _q(rng))
+            for _ in range(rng.randint(1, 3))
+        ]
+        lower = [_q(rng) for _ in range(n)]
+        upper = [lo + abs(_q(rng)) for lo in lower]
+        system = LinearSystem.make(n, rows, lower=lower, upper=upper)
+        _agrees_with_vertex_enumeration(system, [_q(rng) for _ in range(n)])
 
 
 determinism_seeds = st.integers(min_value=0, max_value=10_000)
