@@ -31,6 +31,14 @@ bound of 0 rather than an explicit row, which keeps the tableaus small.
 :meth:`LinearSystem.violations` checks rows and bounds alike, so a system
 "includes" its bounds for every membership purpose.
 
+Phase 1 reads only a system's rows and bounds, never the objective.  It
+runs once per :class:`LinearSystem` object, and its result (the integer
+tableau at a feasible basis, or infeasibility) is cached on the object;
+every solve over that object copies the tableau and runs phase 2 from
+there.  The pivot sequence and the outcome are the ones a fresh phase 1
+would give.  Callers that solve many objectives over one region get the
+reuse by passing the same system object.
+
 Rows and objectives are built with :func:`vector` from ``(column, value)``
 pairs and stored dense.
 """
@@ -40,6 +48,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -177,6 +186,13 @@ class LinearSystem:
     def satisfied_by(self, point: Sequence[Fraction]) -> bool:
         return not self.violations(point)
 
+    @cached_property
+    def _phase1(self) -> Optional[_Start]:
+        """The phase-1 result every solve over this object starts from (see
+        :func:`_feasible_start`).  It lives in the instance dict, not in a
+        field, so equality, hashing and repr never see it."""
+        return _feasible_start(self)
+
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
@@ -273,8 +289,8 @@ _SPLIT = "split"  # x = u+ - u-
 
 
 class _Standard:
-    """min c.u  s.t.  A u = b, u >= 0 in integers, plus the map back to
-    original vars.
+    """A u = b, u >= 0 in integers, plus the map back to original vars;
+    :meth:`cost` gives the c of min c.u for an objective.
 
     Row i is the rewritten rational row times ``scale[i]``, the lcm of its
     denominators, except that its slack entry stays +-1: the slack column is
@@ -282,8 +298,7 @@ class _Standard:
     integer coefficients with the rhs appended.
     """
 
-    def __init__(self, problem: LpProblem):
-        sys_ = problem.system
+    def __init__(self, sys_: LinearSystem):
         n = sys_.num_vars
         self.transforms: list[tuple] = []
         ncols = 0
@@ -320,11 +335,6 @@ class _Standard:
 
         slack_cols = sum(1 for *_, rel in rows if rel != EQ)
         total = ncols + slack_cols
-        obj, _, _ = _integral(*self._rewrite(problem.objective, ZERO))
-        sign = -1 if problem.sense == "max" else 1
-        self.cost = [0] * total
-        for col, c in obj:
-            self.cost[col] = sign * c
 
         # slack columns; normalize rhs >= 0; choose initial basis columns
         self.rows: list[list[int]] = []
@@ -356,6 +366,15 @@ class _Standard:
             self.scale.append(scale)
             self.basis_hint.append(hint)
         self.ncols_total = total
+
+    def cost(self, problem: LpProblem) -> list[int]:
+        """The integer cost row of ``problem``'s objective, to be minimized."""
+        obj, _, _ = _integral(*self._rewrite(problem.objective, ZERO))
+        sign = -1 if problem.sense == "max" else 1
+        out = [0] * self.ncols_total
+        for col, c in obj:
+            out[col] = sign * c
+        return out
 
     def _rewrite(
         self, coeffs: Sequence[Fraction], rhs: Fraction
@@ -401,6 +420,10 @@ class _Standard:
             else:
                 out.append(du[col] - du[aux])
         return tuple(out)
+
+
+# a standard form, its integer tableau at a feasible basis, the basis, and d
+_Start = tuple[_Standard, list[list[int]], list[int], int]
 
 
 class _InfeasibleBounds(Exception):
@@ -490,16 +513,18 @@ def _iterate(
     raise PostconditionError("simplex failed to terminate (anti-cycling defect)")
 
 
-def solve(problem: LpProblem) -> LpOutcome:
-    """Solve exactly; the returned certificates are substitution-checked.
+def _feasible_start(system: LinearSystem) -> Optional[_Start]:
+    """Phase 1: a feasible basis of the standard form, or None if the
+    system is infeasible.
 
-    Deterministic: Bland's rule with lowest-index tie-breaking throughout.
-    An all-zero objective is legal and reduces to a feasibility check.
+    Returns the standard form, the integer tableau after phase 1 and the
+    drive-out of the artificials, its basis and its denominator.  Nothing
+    here reads an objective.
     """
     try:
-        std = _Standard(problem)
+        std = _Standard(system)
     except _InfeasibleBounds:
-        return LpOutcome(LpStatus.INFEASIBLE)
+        return None
 
     total = std.ncols_total
     tab = std.rows
@@ -534,7 +559,7 @@ def solve(problem: LpProblem) -> LpOutcome:
         if overflow is not None:
             raise PostconditionError("phase-1 objective cannot be unbounded")
         if cost1[-1] != 0:
-            return LpOutcome(LpStatus.INFEASIBLE)
+            return None
         # drive lingering artificials out of the basis or drop their rows
         drop: list[int] = []
         for i in range(m):
@@ -550,11 +575,31 @@ def solve(problem: LpProblem) -> LpOutcome:
             del basis[i]
         for row in tab:
             del row[total:-1]
+    return std, tab, basis, d
+
+
+def solve(problem: LpProblem) -> LpOutcome:
+    """Solve exactly; the returned certificates are substitution-checked.
+
+    Deterministic: Bland's rule with lowest-index tie-breaking throughout.
+    An all-zero objective is legal and reduces to a feasibility check.
+    Phase 1 runs once per :class:`LinearSystem` object; each solve runs
+    phase 2 on a copy of its result.
+    """
+    start = problem.system._phase1
+    if start is None:
+        return LpOutcome(LpStatus.INFEASIBLE)
+    std, tab, basis, d = start
+    # _pivot writes the rows in place: keep the cached tableau intact
+    tab = [row[:] for row in tab]
+    basis = basis[:]
+    total = std.ncols_total
 
     # phase 2: the reduced costs times d
-    cost = [d * c for c in std.cost] + [0]
+    obj = std.cost(problem)
+    cost = [d * c for c in obj] + [0]
     for i, row in enumerate(tab):
-        f = std.cost[basis[i]]
+        f = obj[basis[i]]
         if f:
             cost = [c - f * v for c, v in zip(cost, row)]
     d, enter = _iterate(tab, cost, basis, total, d)

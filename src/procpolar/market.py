@@ -196,8 +196,12 @@ class EmmPolytope:
         return self.system.satisfied_by(q)
 
 
+@lru_cache(maxsize=None)
 def local_polytope(m: Market, node: int) -> LinearSystem:
-    """One-step martingale probabilities over the children of ``node``."""
+    """One-step martingale probabilities over the children of ``node``.
+
+    Memoised, like every system builder here, so that repeated probes solve
+    one system object and reuse its phase 1."""
     tree = m.tree
     if tree.is_terminal(node):
         raise PreconditionError("terminal nodes have no one-step polytope")
@@ -370,6 +374,7 @@ def _decode_strategy(
     return Strategy(m.tree, tuple(holdings))
 
 
+@lru_cache(maxsize=None)
 def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> WealthSystem:
     tree = m.tree
     n_nodes = tree.num_nodes
@@ -580,6 +585,7 @@ class LiftedDeflatorSystem:
         return node
 
 
+@lru_cache(maxsize=None)
 def lifted_deflator_system(m: Market) -> LiftedDeflatorSystem:
     tree = m.tree
     n_nodes = tree.num_nodes
@@ -812,10 +818,10 @@ def superhedge_value(
         raise PostconditionError("superhedge residual must start at 0")
 
     q_vals = [ZERO] * (tree.num_nodes - 1)
-    poly = emm_polytope(m)
+    pos = {n: i for i, n in enumerate(emm_polytope(m).var_nodes)}
     for n, local in argmax.items():
         for ch, v in zip(tree.children[n], local):
-            q_vals[poly.var_nodes.index(ch)] = v
+            q_vals[pos[ch]] = v
     return SuperhedgeResult(
         value=env[0],
         envelope=envelope,

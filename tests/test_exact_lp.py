@@ -293,6 +293,22 @@ def lp_corpus(rng: random.Random, count: int):
 CORPUS_DIGEST = "f1a3d026d9e80afce2fee7d17bedcfba68a3ff3f5a1dd3dbc8f130401a789247"
 
 
+def _corpus_digest(warm: bool) -> str:
+    """sha256 of the corpus's outcome reprs; ``warm`` first solves each
+    problem's opposite sense over the same system object."""
+    digest = hashlib.sha256()
+    statuses = set()
+    for problem in lp_corpus(random.Random(20070049), 300):
+        if warm:
+            other = "min" if problem.sense == "max" else "max"
+            solve(LpProblem(other, problem.objective, problem.system))
+        out = solve(problem)
+        statuses.add(out.status)
+        digest.update(repr(out).encode())
+    assert statuses == set(LpStatus)
+    return digest.hexdigest()
+
+
 def test_outcomes_pinned_on_rational_corpus():
     """The solver's outcomes on a seeded corpus are byte-for-byte fixed.
 
@@ -300,14 +316,25 @@ def test_outcomes_pinned_on_rational_corpus():
     change of pivot path (a wrong phase-1 weight, a lossy duplicate-row key);
     a different vertex or ray here can.
     """
-    digest = hashlib.sha256()
-    statuses = set()
-    for problem in lp_corpus(random.Random(20070049), 300):
-        out = solve(problem)
-        statuses.add(out.status)
-        digest.update(repr(out).encode())
-    assert statuses == set(LpStatus)
-    assert digest.hexdigest() == CORPUS_DIGEST
+    assert _corpus_digest(warm=False) == CORPUS_DIGEST
+
+
+def test_outcomes_pinned_after_a_solve_on_the_same_system():
+    """A solve starts phase 2 from the phase-1 result cached on its system
+    object, so an earlier solve over that object must leave the next
+    outcome as it would be on a fresh system."""
+    assert _corpus_digest(warm=True) == CORPUS_DIGEST
+
+
+def test_phase1_cache_is_invisible_to_value_semantics():
+    # the EQ row needs an artificial, so the solve runs phase 1 and caches it
+    rows = [constraint([1, 1], EQ, 1), constraint([1, -1], GE, F(1, 3))]
+    solved = LinearSystem.make(2, rows, lower=0)
+    fresh = LinearSystem.make(2, rows, lower=0)
+    assert maximize(solved, [1, 0]).value == 1
+    assert solved == fresh
+    assert hash(solved) == hash(fresh)
+    assert repr(solved) == repr(fresh)
 
 
 # ---------------------------------------------------------------------------

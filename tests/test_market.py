@@ -22,6 +22,7 @@ from procpolar.market import (
     density_hull_membership,
     emm_polytope,
     is_admissible,
+    lifted_deflator_system,
     local_polytope,
     pure_investment_polytope,
     sample_consumption_wealth,
@@ -122,6 +123,14 @@ def test_pure_investment_polytope_contents(t1, m1):
         if out.status is LpStatus.OPTIMAL:
             x = ws.extract_wealth(out.point)
             assert F(1, 3) * x.values[1] + F(2, 3) * x.values[2] <= 1
+
+
+def test_system_builders_return_one_object_per_market(m1):
+    # phase 1 is cached per system object: repeated probes must get the same one
+    assert local_polytope(m1, 0) is local_polytope(m1, 0)
+    assert pure_investment_polytope(m1, 1) is pure_investment_polytope(m1, "1")
+    assert consumption_polytope(m1, 1) is consumption_polytope(m1, 1)
+    assert lifted_deflator_system(m1) is lifted_deflator_system(m1)
 
 
 def test_consumption_polytope_reduces_to_pure(t1, m1):
