@@ -12,11 +12,10 @@ in Avis's lrs): the true tableau is ``tab / d``, and a pivot on ``p``
 replaces every other row by ``(row*p - row[c]*pivot_row) / d`` and ``d``
 by ``p``.  Every entry is a minor of the starting tableau, so each
 division is exact; it is checked anyway, and a remainder raises
-:class:`PostconditionError`.  ``Fraction`` appears only at the boundary
-(the rows going in, the point and ray coming out) and in the substitution
-checks, which never read the tableau.  Each row is scaled by the lcm of
-its denominators and its slack keeps the entry +-1, a positive column
-scaling.  Positive row and column scalings leave Bland's entering and
+:class:`PostconditionError`.  ``Fraction`` appears only at the boundary:
+the rows going in, the point and ray coming out.  Each row is scaled by
+the lcm of its denominators and its slack keeps the entry +-1, a positive
+column scaling.  Positive row and column scalings leave Bland's entering and
 leaving choices unchanged, so the pivot sequence is the one the rational
 tableau would take, provided two rules hold:
 
@@ -41,6 +40,15 @@ reuse by passing the same system object.
 
 Rows and objectives are built with :func:`vector` from ``(column, value)``
 pairs and stored dense.
+
+The substitution check behind :meth:`LinearSystem.violations` and
+:func:`verify_outcome` runs on integers too, over sparse rows cached on
+each :class:`LinearConstraint`: the nonzero terms and the rhs times the
+lcm of their denominators.  A point or ray is brought to one common
+denominator ``D``, and each row ``a.x <= b`` is tested as
+``sum(a_j * n_j) <= b * D`` on its integer numerators ``n``.  The check
+reads only a system's rows and bounds and the problem's objective, never
+the standard form or the tableau, so it stays independent of the solver.
 """
 
 from __future__ import annotations
@@ -76,20 +84,59 @@ class LinearConstraint:
             raise PreconditionError(f"unknown relation {self.relation!r}")
 
     def holds_at(self, point: Sequence[Fraction]) -> bool:
-        lhs = _dot(self.coeffs, point)
-        if self.relation == LE:
-            return lhs <= self.rhs
-        if self.relation == GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+        return self._holds(*_integer_point(point))
+
+    def _holds(self, nums: Sequence[int], den: int) -> bool:
+        """Whether the row holds at the point ``nums / den``."""
+        terms, rhs = self._integer
+        return _compare(_substitute(terms, nums), self.relation, rhs * den)
+
+    @cached_property
+    def _integer(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """The nonzero ``(column, coefficient)`` terms and the rhs, times the
+        lcm of their denominators.  It lives in the instance dict, not in a
+        field, so equality, hashing and repr never see it."""
+        terms, rhs, _ = _integral(_nonzero(self.coeffs), self.rhs)
+        return terms, rhs
 
 
-def _dot(coeffs: Sequence[Fraction], point: Sequence[Fraction]) -> Fraction:
-    total = ZERO
-    for a, x in zip(coeffs, point):
-        if a:
-            total += a * x
+def _integral(
+    terms: Sequence[tuple[int, Fraction]], rhs: Fraction
+) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """A row times the lcm of its denominators: integer terms, rhs, scale."""
+    scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
+    return (
+        tuple((j, a.numerator * (scale // a.denominator)) for j, a in terms),
+        rhs.numerator * (scale // rhs.denominator),
+        scale,
+    )
+
+
+def _nonzero(coeffs: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(j, a) for j, a in enumerate(coeffs) if a]
+
+
+def _integer_point(point: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``point`` over its least common denominator, and
+    that denominator."""
+    den = lcm(*(x.denominator for x in point))
+    return [x.numerator * (den // x.denominator) for x in point], den
+
+
+def _substitute(terms: Iterable[tuple[int, int]], nums: Sequence[int]) -> int:
+    """``sum(a * nums[j])`` over integer ``(column, a)`` terms."""
+    total = 0
+    for j, a in terms:
+        total += a * nums[j]
     return total
+
+
+def _compare(lhs: int, relation: str, rhs: int) -> bool:
+    if relation == LE:
+        return lhs <= rhs
+    if relation == GE:
+        return lhs >= rhs
+    return lhs == rhs
 
 
 def vector(
@@ -170,21 +217,38 @@ class LinearSystem:
 
     def violations(self, point: Sequence[Fraction]) -> tuple[str, ...]:
         """Every violated row label / bound, by exact substitution."""
-        if len(point) != self.num_vars:
+        return self._violations(*_integer_point(point))
+
+    def _violations(self, nums: Sequence[int], den: int) -> tuple[str, ...]:
+        """:meth:`violations` at the point ``nums / den``."""
+        if len(nums) != self.num_vars:
             raise PreconditionError("point dimension mismatch")
-        out: list[str] = []
-        for i, row in enumerate(self.rows):
-            if not row.holds_at(point):
-                out.append(row.label or f"row[{i}]")
-        for j in range(self.num_vars):
-            if self.lower[j] is not None and point[j] < self.lower[j]:
-                out.append(f"{self.name_of(j)} below lower bound")
-            if self.upper[j] is not None and point[j] > self.upper[j]:
-                out.append(f"{self.name_of(j)} above upper bound")
+        out = [
+            row.label or f"row[{i}]"
+            for i, row in enumerate(self.rows)
+            if not row._holds(nums, den)
+        ]
+        for j, relation, num, bden in self._integer_bounds:
+            if not _compare(nums[j] * bden, relation, num * den):
+                side = "below lower" if relation == GE else "above upper"
+                out.append(f"{self.name_of(j)} {side} bound")
         return tuple(out)
 
     def satisfied_by(self, point: Sequence[Fraction]) -> bool:
         return not self.violations(point)
+
+    @cached_property
+    def _integer_bounds(self) -> tuple[tuple[int, str, int, int], ...]:
+        """Each bound as ``(j, relation, numerator, denominator)``, the row
+        ``x_j * denominator relation numerator``; by column, lower first.
+        Cached like :attr:`_phase1`."""
+        out = []
+        for j, (lo, up) in enumerate(zip(self.lower, self.upper)):
+            if lo is not None:
+                out.append((j, GE, lo.numerator, lo.denominator))
+            if up is not None:
+                out.append((j, LE, up.numerator, up.denominator))
+        return tuple(out)
 
     @cached_property
     def _phase1(self) -> Optional[_Start]:
@@ -211,6 +275,13 @@ class LpProblem:
             raise PreconditionError(f"sense must be max or min, got {self.sense!r}")
         if len(self.objective) != self.system.num_vars:
             raise PreconditionError("objective dimension mismatch")
+
+    @cached_property
+    def _integer_objective(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """The objective's nonzero integer terms and the lcm that scales
+        them; cached like :attr:`LinearConstraint._integer`."""
+        terms, _, scale = _integral(_nonzero(self.objective), ZERO)
+        return terms, scale
 
 
 @dataclass(frozen=True)
@@ -242,35 +313,40 @@ def minimize(
 
 
 def verify_outcome(problem: LpProblem, outcome: LpOutcome) -> tuple[str, ...]:
-    """Exact substitution check of an outcome's certificates."""
+    """Exact substitution check of an outcome's certificates.
+
+    Every comparison is in integers: the point (or ray) over one common
+    denominator against each row, bound and the objective scaled by the lcm
+    of their own denominators.  It reads the problem alone, never the
+    tableau the solver ended at.
+    """
     sys_ = problem.system
-    bad: list[str] = []
     if outcome.status is LpStatus.INFEASIBLE:
         return ()
     assert outcome.point is not None
-    bad.extend(sys_.violations(outcome.point))
+    nums, den = _integer_point(outcome.point)
+    bad = list(sys_._violations(nums, den))
+    obj, scale = problem._integer_objective
     if outcome.status is LpStatus.OPTIMAL:
-        if outcome.value != _dot(problem.objective, outcome.point):
+        # value == c.x, both sides times scale * den * value.denominator
+        value = outcome.value
+        at_point = _substitute(obj, nums)
+        if value is None or (
+            value.numerator * scale * den != at_point * value.denominator
+        ):
             bad.append("reported value differs from objective at the point")
         return tuple(bad)
     # unbounded: the ray must keep every constraint and improve the objective
     assert outcome.ray is not None
-    ray = outcome.ray
+    ray, _ = _integer_point(outcome.ray)
     for i, row in enumerate(sys_.rows):
-        drift = _dot(row.coeffs, ray)
-        ok = (
-            drift <= 0
-            if row.relation == LE
-            else drift >= 0 if row.relation == GE else drift == 0
-        )
-        if not ok:
+        if not _compare(_substitute(row._integer[0], ray), row.relation, 0):
             bad.append(f"ray escapes {row.label or f'row[{i}]'}")
-    for j in range(sys_.num_vars):
-        if sys_.lower[j] is not None and ray[j] < 0:
-            bad.append(f"ray exits lower bound of {sys_.name_of(j)}")
-        if sys_.upper[j] is not None and ray[j] > 0:
-            bad.append(f"ray exits upper bound of {sys_.name_of(j)}")
-    gain = _dot(problem.objective, ray)
+    for j, relation, _, _ in sys_._integer_bounds:
+        if not _compare(ray[j], relation, 0):
+            side = "lower" if relation == GE else "upper"
+            bad.append(f"ray exits {side} bound of {sys_.name_of(j)}")
+    gain = _substitute(obj, ray)
     if problem.sense == "max" and gain <= 0:
         bad.append("ray does not increase the objective")
     if problem.sense == "min" and gain >= 0:
@@ -428,18 +504,6 @@ _Start = tuple[_Standard, list[list[int]], list[int], int]
 
 class _InfeasibleBounds(Exception):
     pass
-
-
-def _integral(
-    terms: Sequence[tuple[int, Fraction]], rhs: Fraction
-) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    """A row times the lcm of its denominators: integer terms, rhs, scale."""
-    scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
-    return (
-        tuple((j, a.numerator * (scale // a.denominator)) for j, a in terms),
-        rhs.numerator * (scale // rhs.denominator),
-        scale,
-    )
 
 
 def _pivot(tab: list[list[int]], cost: list[int], d: int, r: int, c: int) -> int:
@@ -618,7 +682,9 @@ def solve(problem: LpProblem) -> LpOutcome:
         ray = std.to_original_ray(du)
         outcome = LpOutcome(LpStatus.UNBOUNDED, point=point, ray=ray)
     else:
-        value = _dot(problem.objective, point)
+        nums, den = _integer_point(point)
+        obj, scale = problem._integer_objective
+        value = Fraction(_substitute(obj, nums), scale * den)
         outcome = LpOutcome(LpStatus.OPTIMAL, value=value, point=point)
 
     bad = verify_outcome(problem, outcome)

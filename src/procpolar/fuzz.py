@@ -269,6 +269,13 @@ class SuiteResult:
         )
 
 
+def _verdict(ok: bool, message: str = "") -> None:
+    """Fail the instance unless ``ok``.  Unlike ``assert``, this also runs
+    under ``python -O``; :func:`_run_suite` records the failure."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _run_suite(
     suite: str,
     seed: int,
@@ -388,22 +395,25 @@ def check_conditional_instance(rng: random.Random, cfg: ConditionalFuzzConfig) -
     for probe, expected in conditional_probes(rng, c, cfg.probes, cfg.bump):
         in_hull = bool(hull_contains(c, probe))
         in_bipolar = bool(conditional_bipolar_contains(c, probe))
-        assert in_hull == in_bipolar, (
-            f"oracle split on {probe.values}: hull={in_hull} bipolar={in_bipolar}"
-        )
-        if expected is not None:
-            assert in_hull == expected, f"expected {expected} for {probe.values}"
+        if in_hull != in_bipolar:
+            raise AssertionError(
+                f"oracle split on {probe.values}: hull={in_hull} bipolar={in_bipolar}"
+            )
+        if expected is not None and in_hull != expected:
+            raise AssertionError(f"expected {expected} for {probe.values}")
         checks += 1
 
     # one-block reduction agrees with the direct unconditional implementation
     trivial = RvSet(c.generators, Partition.trivial(space))
     probe = random_rv(rng, space)
-    assert bool(hull_contains(trivial, probe)) == unconditional_hull_contains(
-        c.generators, probe
+    _verdict(
+        bool(hull_contains(trivial, probe))
+        == unconditional_hull_contains(c.generators, probe)
     )
-    assert bool(
-        conditional_bipolar_contains(trivial, probe)
-    ) == unconditional_bipolar_contains(c.generators, probe)
+    _verdict(
+        bool(conditional_bipolar_contains(trivial, probe))
+        == unconditional_bipolar_contains(c.generators, probe)
+    )
     checks += 2
 
     # polar closure: mixing and downward moves stay in the polar
@@ -413,16 +423,16 @@ def check_conditional_instance(rng: random.Random, cfg: ConditionalFuzzConfig) -
         weight = weight.scale(ONE / max(weight.values))
     mixed = partition_mix(g1, g2, weight, part)
     system = conditional_polar_constraints(c)
-    assert system.satisfied_by(mixed.values), "polar not closed under mixing"
+    _verdict(system.satisfied_by(mixed.values), "polar not closed under mixing")
     shrunk = g1.scale(random_unit_fraction(rng, 3))
-    assert system.satisfied_by(shrunk.values), "polar not downward closed"
+    _verdict(system.satisfied_by(shrunk.values), "polar not downward closed")
     checks += 2
 
     # product decomposition round-trip on a bipolar element
     f = _hull_mixture(rng, c, ONE)
     ball_elem = _random_unit_ball(rng, part)
     h, k = product_decompose(c, f, ball_elem)  # internal exact postconditions
-    assert f.pointwise_mul(ball_elem) == h.pointwise_mul(k)
+    _verdict(f.pointwise_mul(ball_elem) == h.pointwise_mul(k))
     checks += 1
 
     # pairwise maximization family: blockwise rescalings of a hull element
@@ -433,7 +443,7 @@ def check_conditional_instance(rng: random.Random, cfg: ConditionalFuzzConfig) -
             scales = scales.scale(ONE / max(scales.values))
         members.append(f.pointwise_mul(scales))
     hmax = pairwise_max_closure(c, f, members)
-    assert hull_contains(c, hmax)
+    _verdict(bool(hull_contains(c, hmax)))
     checks += 1
     return checks, ""
 
@@ -504,11 +514,14 @@ def check_process_instance(rng: random.Random, cfg: ProcessFuzzConfig) -> tuple[
     c = random_process_set(rng, tree, cfg.max_generators)
     probes, hull = process_probes(rng, c, cfg)
     report = verify_process_bipolar(c, probes, hull)
-    assert report.all_ok, "; ".join(
-        f"{r.kind}: lp={r.lp_member} inc={r.incremental_member} {r.note}"
-        for r in report.records
-        if not r.ok
-    )
+    if not report.all_ok:
+        bad = [r for r in report.records if not r.ok]
+        raise AssertionError(
+            "; ".join(
+                f"{r.kind}: lp={r.lp_member} inc={r.incremental_member} {r.note}"
+                for r in bad
+            )
+        )
     return len(report.records), ""
 
 
@@ -554,7 +567,7 @@ def check_polar_closure_instance(
     checks = 0
     for _ in range(cfg.compositions_per_instance):
         candidate = random_polar_composition(rng, pool, tree)
-        assert system.satisfied_by(candidate.values), "polar closure violated"
+        _verdict(system.satisfied_by(candidate.values), "polar closure violated")
         pool.append(candidate)
         checks += 1
     return checks, ""
@@ -672,9 +685,9 @@ def check_market_instance(rng: random.Random, cfg: MarketFuzzConfig) -> tuple[in
         pair_samples=cfg.pair_samples,
         rng=rng,
     )
-    assert report.all_ok, "; ".join(
-        f"{r.section} {r.detail}" for r in report.records if not r.ok
-    )
+    if not report.all_ok:
+        bad = [r for r in report.records if not r.ok]
+        raise AssertionError("; ".join(f"{r.section} {r.detail}" for r in bad))
     checks = len(report.records)
 
     # budget coincidence at, below and above the superhedge value
@@ -688,8 +701,8 @@ def check_market_instance(rng: random.Random, cfg: MarketFuzzConfig) -> tuple[in
         if x < 0:
             continue
         outcome = budget_check(m, density, x)  # raises on oracle disagreement
-        if expected is not None:
-            assert outcome.admissible == expected, f"budget at {x}"
+        if expected is not None and outcome.admissible != expected:
+            raise AssertionError(f"budget at {x}")
         checks += 1
     return checks, ""
 

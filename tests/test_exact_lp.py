@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -327,14 +328,154 @@ def test_outcomes_pinned_after_a_solve_on_the_same_system():
 
 
 def test_phase1_cache_is_invisible_to_value_semantics():
-    # the EQ row needs an artificial, so the solve runs phase 1 and caches it
-    rows = [constraint([1, 1], EQ, 1), constraint([1, -1], GE, F(1, 3))]
-    solved = LinearSystem.make(2, rows, lower=0)
-    fresh = LinearSystem.make(2, rows, lower=0)
-    assert maximize(solved, [1, 0]).value == 1
-    assert solved == fresh
-    assert hash(solved) == hash(fresh)
-    assert repr(solved) == repr(fresh)
+    # the EQ row needs an artificial, so the solve runs phase 1 and caches
+    # it; its substitution check caches the integer rows, bounds and
+    # objective.  Fresh rows for each system keep the row caches apart.
+    def rows():
+        return [constraint([1, 1], EQ, 1), constraint([1, -1], GE, F(1, 3))]
+
+    solved = LinearSystem.make(2, rows(), lower=0)
+    fresh = LinearSystem.make(2, rows(), lower=0)
+    problem = LpProblem("max", (F(1), F(0)), solved)
+    assert solve(problem).value == 1
+    assert solved.violations((F(0), F(1))) == ("row[1]",)
+    for a, b in (
+        (solved, fresh),
+        (problem, LpProblem("max", (F(1), F(0)), fresh)),
+        *zip(solved.rows, fresh.rows),
+    ):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+
+
+# ---------------------------------------------------------------------------
+# The integer substitution check against a Fraction reference
+# ---------------------------------------------------------------------------
+
+# a Mersenne prime: a point 1/P off a row differs from it in a large integer
+P = 2**61 - 1
+
+
+def _reference_holds(row, point) -> bool:
+    """``LinearConstraint.holds_at`` by plain ``Fraction`` substitution."""
+    lhs = sum((F(a) * x for a, x in zip(row.coeffs, point)), F(0))
+    return {LE: lhs <= row.rhs, GE: lhs >= row.rhs, EQ: lhs == row.rhs}[row.relation]
+
+
+def _reference_violations(system: LinearSystem, point) -> tuple[str, ...]:
+    """``LinearSystem.violations`` by plain ``Fraction`` substitution."""
+    out = []
+    for i, row in enumerate(system.rows):
+        if not _reference_holds(row, point):
+            out.append(row.label or f"row[{i}]")
+    for j, x in enumerate(point):
+        if system.lower[j] is not None and x < system.lower[j]:
+            out.append(f"{system.name_of(j)} below lower bound")
+        if system.upper[j] is not None and x > system.upper[j]:
+            out.append(f"{system.name_of(j)} above upper bound")
+    return tuple(out)
+
+
+def _signed_q(rng: random.Random) -> F:
+    """Nonzero-denominator rationals of either sign, written with negative,
+    mixed and large denominators."""
+    return F(rng.randint(-9, 9), rng.choice((1, 2, -3, 4, -6, 7, 360)))
+
+
+def _reference_case(rng: random.Random):
+    """A random system and points on, near and off its rows and bounds."""
+    n = rng.randint(1, 5)
+    rows = []
+    for i in range(rng.randint(0, 5)):
+        if rng.random() < 0.15:
+            coeffs = [0] * n  # zero row: true or false by its rhs alone
+        else:
+            coeffs = [_signed_q(rng) if rng.random() < 0.7 else 0 for _ in range(n)]
+        label = f"c{i}" if rng.random() < 0.5 else ""
+        rows.append(constraint(coeffs, rng.choice((LE, GE, EQ)), _signed_q(rng), label))
+    lower = [_signed_q(rng) if rng.random() < 0.6 else None for _ in range(n)]
+    upper = [_signed_q(rng) if rng.random() < 0.4 else None for _ in range(n)]
+    names = [f"v{j}" for j in range(n)] if rng.random() < 0.5 else None
+    system = LinearSystem.make(n, rows, lower=lower, upper=upper, var_names=names)
+
+    point = [_signed_q(rng) for _ in range(n)]
+    points = [point, [rng.randint(-3, 3) for _ in range(n)]]  # int entries too
+    for row in rows:
+        j = next((j for j, a in enumerate(row.coeffs) if a), None)
+        if j is None:
+            continue
+        # move x_j until the row holds with equality, then 1/P off either way
+        lhs = sum((a * x for a, x in zip(row.coeffs, point)), F(0))
+        on = list(point)
+        on[j] += (row.rhs - lhs) / row.coeffs[j]
+        points.append(on)
+        for step in (F(1, P), F(-1, P)):
+            points.append([x + step if k == j else x for k, x in enumerate(on)])
+    for j in range(n):  # on and 1/P off each bound
+        for bound in (lower[j], upper[j]):
+            if bound is not None:
+                for step in (0, F(1, P), F(-1, P)):
+                    moved = [bound + step if k == j else x for k, x in enumerate(point)]
+                    points.append(moved)
+    return system, points
+
+
+def test_violations_agree_with_fraction_reference():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(300):
+        system, points = _reference_case(rng)
+        for point in points:
+            expected = _reference_violations(system, point)
+            assert system.violations(point) == expected
+            for row in system.rows:
+                assert row.holds_at(point) == _reference_holds(row, point)
+            seen.update(
+                label.split(" ", 1)[1] if "bound" in label else label[0]
+                for label in expected
+            )
+    # unlabelled ("row[i]") and labelled ("cI") rows and both bound kinds
+    # failed somewhere
+    assert seen == {"r", "c", "below lower bound", "above upper bound"}
+
+
+def _corrupted(problem: LpProblem, out):
+    """Outcomes that ``verify_outcome`` must reject, made from a correct
+    one: a coordinate moved 1/P off a tight row, the value moved by 1/P,
+    the improving ray negated."""
+    if out.status is LpStatus.UNBOUNDED:
+        yield "ray", replace(out, ray=tuple(-r for r in out.ray))
+        return
+    if out.status is not LpStatus.OPTIMAL:
+        return
+    yield "value", replace(out, value=out.value + F(1, P))
+    for i, row in enumerate(problem.system.rows):
+        lhs = sum((a * x for a, x in zip(row.coeffs, out.point)), F(0))
+        j = next((j for j, a in enumerate(row.coeffs) if a), None)
+        if lhs != row.rhs or j is None:
+            continue
+        # step x_j so that the lhs rises (<= and = rows) or falls (>= rows)
+        up = (row.coeffs[j] > 0) == (row.relation != GE)
+        step = F(1, P) if up else F(-1, P)
+        point = tuple(x + step if k == j else x for k, x in enumerate(out.point))
+        yield f"row[{i}]", replace(out, point=point)
+        return
+
+
+def test_verify_outcome_rejects_corrupted_certificates():
+    kinds = {"value": 0, "ray": 0, "row": 0}
+    for problem in lp_corpus(random.Random(20070049), 300):
+        out = solve(problem)
+        for kind, bad in _corrupted(problem, out):
+            found = verify_outcome(problem, bad)
+            assert found, (kind, problem, bad)
+            if kind.startswith("row"):
+                assert kind in found
+                kinds["row"] += 1
+            else:
+                kinds[kind] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,47 @@
+"""The suites' verdict checks hold under ``python -O`` as well."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Every hull answer is "no", so interior probes split the two oracles; every
+# polar is empty, so no fork-splice or solid multiple stays in it.
+BROKEN_ORACLES = """
+import procpolar.fuzz as fuzz
+from procpolar.exact_lp import LE, LinearSystem, constraint
+if __debug__:
+    raise SystemExit("assert statements are on")
+
+def empty_polar(c):
+    n = c.tree.num_nodes
+    return LinearSystem.make(n, [constraint([0] * n, LE, -1)])
+
+fuzz.hull_contains = lambda c, x: False
+fuzz.polar_constraints = empty_polar
+for result in (
+    fuzz.run_conditional_suite(fuzz.ConditionalFuzzConfig(count=3)),
+    fuzz.run_polar_closure_suite(fuzz.PolarClosureConfig(instances=2)),
+):
+    print(result.summary())
+    print(*sorted({record.detail.split(" on ")[0] for record in result.failures()}))
+"""
+
+
+def test_failures_recorded_under_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_ORACLES],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "conditional: 0/3 instances ok, 0 checks, seed 0",
+        "oracle split",
+        "polar-closure: 0/2 instances ok, 0 checks, seed 0",
+        "polar closure violated",
+    ]
