@@ -55,7 +55,7 @@ def main() -> int:
         elapsed = time.monotonic() - start
         print(f"{result.summary()}  [{elapsed:.1f}s]")
         for failure in result.failures():
-            print(f"  instance {failure.index}: {failure.detail}")
+            print(f"  instance {failure.index} ({failure.kind}): {failure.detail}")
         ok &= result.all_ok
     print("all suites passed" if ok else "FAILURES FOUND")
     return 0 if ok else 1

@@ -344,7 +344,7 @@ def cmd_fuzz(args) -> int:
         for rec in res.records:
             report.add(
                 f"{res.suite}[{rec.index}]",
-                f"pass ({rec.checks} checks)" if rec.ok else "fail",
+                f"pass ({rec.checks} checks)" if rec.ok else f"fail ({rec.kind})",
                 rec.ok,
                 rec.detail,
             )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import PostconditionError
+from .errors import PostconditionError, PreconditionError
 from .exact_lp import LpStatus, maximize, vector
 from .market import (
     ConsumptionDensity,
@@ -242,6 +242,7 @@ class InstanceRecord:
     ok: bool
     checks: int
     detail: str = ""
+    kind: str = ""  # of a failure: "disagreement", "defect" or "crash"
 
 
 @dataclass(frozen=True)
@@ -282,15 +283,26 @@ def _run_suite(
     count: int,
     one_instance: Callable[[random.Random], tuple[int, str]],
 ) -> SuiteResult:
+    """Run every instance; one that raises is recorded as failed, so it
+    cannot take the rest of the suite down with it."""
     records = []
     for i in range(count):
         rng = instance_rng(suite, seed, i)
         try:
             checks, detail = one_instance(rng)
             records.append(InstanceRecord(i, True, checks, detail))
-        except (AssertionError, PostconditionError) as exc:
-            records.append(InstanceRecord(i, False, 0, str(exc)))
+        except Exception as exc:
+            records.append(InstanceRecord(i, False, 0, str(exc), _failure_kind(exc)))
     return SuiteResult(suite, seed, tuple(records))
+
+
+def _failure_kind(exc: Exception) -> str:
+    """Oracles that disagree, a library defect, or anything else."""
+    if isinstance(exc, AssertionError):
+        return "disagreement"
+    if isinstance(exc, (PostconditionError, PreconditionError)):
+        return "defect"
+    return "crash"
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from typing import Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
@@ -174,6 +174,25 @@ class ConsumptionDensity:
         return ConsumptionProcess(AdaptedProcess(tree, tuple(vals)))
 
 
+def _per_market(build):
+    """Memoise a system builder on the market it is called with.
+
+    The results live in the market's instance dict, like
+    ``LinearSystem._phase1``: equality, hashing and repr never see them,
+    and they are freed with the market.  Arguments after the market are
+    passed positionally and form the key."""
+    key = f"_memo_{build.__name__}"
+
+    @wraps(build)
+    def memoised(m: Market, *args):
+        memo = m.__dict__.setdefault(key, {})
+        if args not in memo:
+            memo[args] = build(m, *args)
+        return memo[args]
+
+    return memoised
+
+
 # ---------------------------------------------------------------------------
 # Martingale measure polytopes
 # ---------------------------------------------------------------------------
@@ -196,7 +215,7 @@ class EmmPolytope:
         return self.system.satisfied_by(q)
 
 
-@lru_cache(maxsize=None)
+@_per_market
 def local_polytope(m: Market, node: int) -> LinearSystem:
     """One-step martingale probabilities over the children of ``node``.
 
@@ -217,7 +236,7 @@ def local_polytope(m: Market, node: int) -> LinearSystem:
     )
 
 
-@lru_cache(maxsize=None)
+@_per_market
 def emm_polytope(m: Market) -> EmmPolytope:
     """The global measure polytope plus an interior point if one exists."""
     tree = m.tree
@@ -374,7 +393,7 @@ def _decode_strategy(
     return Strategy(m.tree, tuple(holdings))
 
 
-@lru_cache(maxsize=None)
+@_per_market
 def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> WealthSystem:
     tree = m.tree
     n_nodes = tree.num_nodes
@@ -421,7 +440,7 @@ def pure_investment_polytope(m: Market, x: int | str | Fraction) -> WealthSystem
     x = frac(x)
     if x < 0:
         raise PreconditionError("budget must be nonnegative")
-    return _wealth_system(m, x, with_consumption=False)
+    return _wealth_system(m, x, False)
 
 
 def consumption_polytope(m: Market, x: int | str | Fraction) -> WealthSystem:
@@ -429,7 +448,7 @@ def consumption_polytope(m: Market, x: int | str | Fraction) -> WealthSystem:
     x = frac(x)
     if x < 0:
         raise PreconditionError("budget must be nonnegative")
-    return _wealth_system(m, x, with_consumption=True)
+    return _wealth_system(m, x, True)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +604,7 @@ class LiftedDeflatorSystem:
         return node
 
 
-@lru_cache(maxsize=None)
+@_per_market
 def lifted_deflator_system(m: Market) -> LiftedDeflatorSystem:
     tree = m.tree
     n_nodes = tree.num_nodes
@@ -664,51 +683,50 @@ class XcFeasibility:
         return self.feasible
 
 
-def xc_feasibility(
-    m: Market, z: AdaptedProcess, x: int | str | Fraction = 1
-) -> XcFeasibility:
-    """Can ``z`` be realized as invest-and-consume wealth with budget x?
+def _hedge(
+    m: Market, n: int, target: Sequence[Fraction]
+) -> Optional[tuple[Fraction, ...]]:
+    """Holdings at ``n`` whose gains dominate ``target(ch) - target(n)``
+    into every child, or None when there are none: the one-period step of
+    the optional decomposition, a feasibility LP in ``d`` free holdings."""
+    rows = [
+        LinearConstraint(
+            tuple(m.price_increment(i, ch) for i in range(m.d)),
+            GE,
+            target[ch] - target[n],
+            f"dominate@{m.tree.labels[ch]}",
+        )
+        for ch in m.tree.children[n]
+    ]
+    out = minimize(LinearSystem.make(m.d, rows, lower=None), [0] * m.d)
+    return None if out.status is LpStatus.INFEASIBLE else out.point
 
-    Feasibility LP over holdings and consumption with the wealth pinned to
-    ``z``; the certificate is the realizing strategy and consumption.
+
+def xc_feasibility(m: Market, z: AdaptedProcess) -> XcFeasibility:
+    """Can ``z`` be realized as invest-and-consume wealth with budget 1?
+
+    With the wealth pinned to ``z`` the question splits node by node: every
+    non-terminal node needs holdings whose gains dominate ``z(ch) - z(n)``
+    into every child (:func:`_hedge`), and the consumption increment is the
+    slack.  The answer is no at the first node without such holdings.  The
+    certificate is the realizing strategy and consumption -- the
+    zero-consumption wealth from ``z.initial`` minus ``z`` -- which is
+    replayed exactly.
     """
     tree = m.tree
     if z.tree != tree:
         raise PreconditionError("candidate lives on a different tree")
-    x = frac(x)
-    if z.initial > x:
+    if z.initial > 1:
         return XcFeasibility(False)
-    hcols = _holding_columns(m, 0)
-    n_hold = len(hcols) * m.d
-    n_vars = n_hold + tree.num_nodes  # holdings then cumulative consumption
-    coeffs = vector(n_vars, ((n_hold, ONE),))
-    rows = [LinearConstraint(coeffs, EQ, ZERO, "consumption-start")]
-    for ch in range(1, tree.num_nodes):
-        par = tree.parent[ch]
-        assert par is not None
-        terms = [(c, m.price_increment(i, ch)) for i, c in enumerate(hcols[par])]
-        terms += ((n_hold + ch, -ONE), (n_hold + par, ONE))
-        rows.append(
-            LinearConstraint(
-                vector(n_vars, terms),
-                EQ,
-                z.values[ch] - z.values[par],
-                f"edge@{tree.labels[ch]}",
-            )
-        )
-        coeffs = vector(n_vars, ((n_hold + ch, ONE), (n_hold + par, -ONE)))
-        rows.append(
-            LinearConstraint(coeffs, GE, ZERO, f"nondecreasing@{tree.labels[ch]}")
-        )
-    lower: list[Optional[Fraction]] = [None] * n_hold + [ZERO] * tree.num_nodes
-    system = LinearSystem.make(n_vars, rows, lower=lower)
-    out = minimize(system, [0] * n_vars)
-    if out.status is LpStatus.INFEASIBLE:
-        return XcFeasibility(False)
-    assert out.point is not None
-    strategy = _decode_strategy(m, hcols, out.point)
+    holdings: list[Optional[tuple[Fraction, ...]]] = [None] * tree.num_nodes
+    for n in tree.non_terminal_nodes():
+        holdings[n] = _hedge(m, n, z.values)
+        if holdings[n] is None:
+            return XcFeasibility(False)
+    strategy = Strategy(tree, tuple(holdings))
+    wealth = wealth_values(m, z.initial, strategy, ConsumptionProcess.zero(tree))
     consumption = ConsumptionProcess(
-        AdaptedProcess(tree, tuple(out.point[n_hold:]))
+        AdaptedProcess(tree, tuple(w - v for w, v in zip(wealth, z.values)))
     )
     if wealth_values(m, z.initial, strategy, consumption) != z.values:
         raise PostconditionError("feasibility certificate does not replay the wealth")
@@ -785,23 +803,11 @@ def superhedge_value(
 
     holdings: list[Optional[tuple[Fraction, ...]]] = [None] * tree.num_nodes
     for n in tree.non_terminal_nodes():
-        kids = tree.children[n]
-        rows = [
-            LinearConstraint(
-                tuple(m.price_increment(i, ch) for i in range(m.d)),
-                GE,
-                env[ch] - env[n],
-                f"dominate@{tree.labels[ch]}",
-            )
-            for ch in kids
-        ]
-        out = minimize(LinearSystem.make(m.d, rows, lower=None), [0] * m.d)
-        if out.status is LpStatus.INFEASIBLE:
+        holdings[n] = _hedge(m, n, env)
+        if holdings[n] is None:
             raise PostconditionError(
                 "hedging LP infeasible although the envelope recursion held"
             )
-        assert out.point is not None
-        holdings[n] = out.point
     strategy = Strategy(tree, tuple(holdings))
     wealth = wealth_process(m, env[0], strategy, ConsumptionProcess.zero(tree))
 

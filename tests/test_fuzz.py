@@ -1,9 +1,16 @@
-"""The suites' verdict checks hold under ``python -O`` as well."""
+"""A failing instance is recorded, with its kind, and never ends its suite;
+the verdict checks hold under ``python -O`` as well."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import procpolar.fuzz as fuzz
+from procpolar.cli import main
+from procpolar.errors import PostconditionError, PreconditionError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,3 +52,26 @@ def test_failures_recorded_under_python_O():
         "polar-closure: 0/2 instances ok, 0 checks, seed 0",
         "polar closure violated",
     ]
+
+
+@pytest.mark.parametrize(
+    "error, kind",
+    [
+        (AssertionError("oracle split"), "disagreement"),
+        (PostconditionError("certificate rejected"), "defect"),
+        (PreconditionError("not a product"), "defect"),
+        (ZeroDivisionError("division by zero"), "crash"),
+    ],
+)
+def test_instance_that_raises_is_recorded(monkeypatch, capsys, error, kind):
+    def raising_oracle(c, x):
+        raise error
+
+    monkeypatch.setattr(fuzz, "hull_contains", raising_oracle)
+    result = fuzz.run_conditional_suite(fuzz.ConditionalFuzzConfig(count=2))
+    assert [(r.ok, r.kind, r.detail) for r in result.records] == [
+        (False, kind, str(error))
+    ] * 2
+    assert main(["fuzz", "cbt", "--count", "2", "--format", "machine"]) == 1
+    verdicts = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
+    assert verdicts[:2] == [f"fail ({kind})"] * 2

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -37,7 +39,16 @@ from procpolar.market import (
     y_enlargement_membership,
 )
 from procpolar.processes import AdaptedProcess, is_martingale, is_supermartingale
-from procpolar.exact_lp import LpStatus, maximize
+from procpolar.exact_lp import (
+    EQ,
+    GE,
+    LinearConstraint,
+    LinearSystem,
+    LpStatus,
+    maximize,
+    minimize,
+    vector,
+)
 from procpolar.tree import RandomVariable, terminal_space
 
 
@@ -133,6 +144,24 @@ def test_system_builders_return_one_object_per_market(m1):
     assert lifted_deflator_system(m1) is lifted_deflator_system(m1)
 
 
+def test_market_caches_are_freed_with_the_market(t1):
+    s = AdaptedProcess.from_mapping(t1, {0: 4, 1: 8, 2: 2})
+    m = Market.of(t1, [s])
+    z = AdaptedProcess.from_mapping(t1, {0: 1, 1: "3/2", 2: "1/2"})
+    y = density_process(m, (F(1, 3), F(2, 3)))
+    assert xc_feasibility(m, z).feasible
+    assert xc_polar_membership(m, y).member and y_enlargement_membership(m, y).member
+    assert wealth_bipolar_contains(m, z).member
+    local_polytope(m, 0)
+    # the memo is invisible to value semantics
+    fresh = Market(t1, (s,))
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
 def test_consumption_polytope_reduces_to_pure(t1, m1):
     ws = consumption_polytope(m1, 1)
     point = (F(1), F(5, 3), F(2, 3), F(1, 6), F(0), F(0), F(0))
@@ -177,6 +206,50 @@ def test_xc_feasibility_certificate_replays(t1, m1):
     assert res.feasible
     assert res.strategy is not None and res.consumption is not None
     assert wealth_values(m1, 1, res.strategy, res.consumption) == z.values
+
+
+def _whole_tree_xc_feasible(m, z):
+    """Reference for ``xc_feasibility``: one LP over the whole tree, with
+    free holdings at every non-terminal node and a cumulative consumption
+    per node that starts at 0 and never decreases, the wealth pinned to z."""
+    tree = m.tree
+    if z.initial > 1:
+        return False
+    hold = {n: r * m.d for r, n in enumerate(tree.non_terminal_nodes())}
+    n_hold = len(hold) * m.d
+    n_vars = n_hold + tree.num_nodes
+    rows = [LinearConstraint(vector(n_vars, ((n_hold, F(1)),)), EQ, F(0))]
+    for ch in range(1, tree.num_nodes):
+        par = tree.parent[ch]
+        terms = [(hold[par] + i, m.price_increment(i, ch)) for i in range(m.d)]
+        terms += ((n_hold + ch, F(-1)), (n_hold + par, F(1)))
+        rows.append(
+            LinearConstraint(vector(n_vars, terms), EQ, z.values[ch] - z.values[par])
+        )
+        cons = ((n_hold + ch, F(1)), (n_hold + par, F(-1)))
+        rows.append(LinearConstraint(vector(n_vars, cons), GE, F(0)))
+    lower = [None] * n_hold + [F(0)] * tree.num_nodes
+    system = LinearSystem.make(n_vars, rows, lower=lower)
+    return minimize(system, [0] * n_vars).status is not LpStatus.INFEASIBLE
+
+
+def test_xc_feasibility_matches_whole_tree_reference():
+    rng = random.Random(31)
+    verdicts = []
+    horizons = set()
+    for _ in range(24):
+        tree = random_tree(rng, 4, 2)
+        horizons.add(tree.horizon)
+        m = random_market(rng, tree, 2)
+        for z in wealth_probes_for(rng, m, 5):
+            res = xc_feasibility(m, z)
+            assert res.feasible is _whole_tree_xc_feasible(m, z)
+            assert res.feasible is xc_measure_membership(m, z).member
+            verdicts.append(res.feasible)
+            if res.feasible:
+                assert wealth_values(m, z.initial, res.strategy, res.consumption) == z.values
+    assert 4 in horizons
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def test_superhedge_complete_replication(m1, t1):
