@@ -41,6 +41,12 @@ reuse by passing the same system object.
 Rows and objectives are built with :func:`vector` from ``(column, value)``
 pairs and stored dense.
 
+The direct polar, bipolar and deflator oracles all ask one question,
+:func:`exceeding_point`: a point of a system at which a linear functional
+exceeds a bound, or None when its maximum stays at most the bound.  The
+point is the separating witness behind every "not a member"; it lies in
+the system and beats the bound, which substitution confirms.
+
 The substitution check behind :meth:`LinearSystem.violations` and
 :func:`verify_outcome` runs on integers too, over sparse rows cached on
 each :class:`LinearConstraint`: the nonzero terms and the rhs times the
@@ -310,6 +316,34 @@ def minimize(
     system: LinearSystem, objective: Sequence[int | str | Fraction]
 ) -> LpOutcome:
     return solve(LpProblem("min", tuple(frac(c) for c in objective), system))
+
+
+def exceeding_point(
+    system: LinearSystem,
+    objective: Sequence[int | str | Fraction],
+    bound: int | str | Fraction,
+) -> Optional[tuple[Fraction, ...]]:
+    """A point of ``system`` at which ``objective`` exceeds ``bound``, or
+    None when its maximum over ``system`` is at most ``bound``.
+
+    An unbounded maximum answers with the point one step along the
+    improving ray, or further along it, where the objective reaches
+    ``bound + 1``.  An empty system has no maximum and raises.
+    """
+    problem = LpProblem("max", tuple(frac(c) for c in objective), system)
+    bound = frac(bound)
+    out = solve(problem)
+    if out.status is LpStatus.INFEASIBLE:
+        raise PreconditionError("an exceeding point needs a nonempty system")
+    assert out.point is not None
+    if out.status is LpStatus.UNBOUNDED:
+        assert out.ray is not None
+        gain = sum(o * r for o, r in zip(problem.objective, out.ray))
+        current = sum(o * p for o, p in zip(problem.objective, out.point))
+        step = ONE if current + gain > bound else (bound + 1 - current) / gain
+        return tuple(p + step * r for p, r in zip(out.point, out.ray))
+    assert out.value is not None
+    return out.point if out.value > bound else None
 
 
 def verify_outcome(problem: LpProblem, outcome: LpOutcome) -> tuple[str, ...]:

@@ -667,10 +667,7 @@ def wealth_probes_for(
     pairs = sample_consumption_wealth(m, 2, rng)
     probes.extend(w for w, _ in pairs)
     ws = pure_investment_polytope(m, 1)
-    terms = [
-        (ws.wealth_index(n), Fraction(rng.randint(-1, 2)))
-        for n in range(tree.num_nodes)
-    ]
+    terms = [(n, Fraction(rng.randint(-1, 2))) for n in range(tree.num_nodes)]
     res = maximize(ws.system, vector(ws.system.num_vars, terms))
     assert res.status is LpStatus.OPTIMAL and res.point is not None
     probes.append(ws.extract_wealth(res.point))

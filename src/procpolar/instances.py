@@ -43,9 +43,10 @@ and sections start with a bracketed header:
     mu 0 0
     mu 1 1
 
-Processes not listed under [generators] and rvs not listed under [rvset]
-serve as probes.  Serialization is canonical, so parse-serialize-parse is
-the identity.
+Within a section each node, each ``mu`` time (an integer from 0 to the
+horizon) and the ``assets`` line appear at most once.  Processes not listed under
+[generators] and rvs not listed under [rvset] serve as probes.
+Serialization is canonical, so parse-serialize-parse is the identity.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .market import ConsumptionDensity, Market
 from .processes import AdaptedProcess, ProcessSet
 from .rational import format_rational, parse_rational
 from .rv_polar import RvSet
-from .tree import EventTree, Partition, RandomVariable, terminal_space
+from .tree import EventTree, Partition, RandomVariable, terminal_space, validate_tree
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)(?:\s+(\S+))?\]$")
 
@@ -187,14 +188,19 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError(f"[tree]: {exc}") from exc
     node_of = tree.label_index()
 
-    from .tree import validate_tree  # local to avoid a cycle in docs builds
-
     inst = Instance(
         version=1,
         tree=tree,
         tree_valid=validate_tree(tree).ok,
         digest=hashlib.sha256(text.encode()).hexdigest(),
     )
+
+    def set_once(vals: dict, key, token: str, lineno: int, what: str) -> None:
+        """``vals[key]`` from the rational ``token``; a second line for the
+        same key is an error, not an overwrite."""
+        if key in vals:
+            raise InstanceError(f"line {lineno}: duplicate {what}")
+        vals[key] = _rat(token, lineno)
 
     def node_values(body, what: str) -> dict[int, Fraction]:
         vals: dict[int, Fraction] = {}
@@ -204,7 +210,8 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceError(f"line {lineno}: expected 'NODE VALUE' in {what}")
             if tok[0] not in node_of:
                 raise InstanceError(f"line {lineno}: unknown node {tok[0]!r}")
-            vals[node_of[tok[0]]] = _rat(tok[1], lineno)
+            key = node_of[tok[0]]
+            set_once(vals, key, tok[1], lineno, f"node {tok[0]!r} in {what}")
         return vals
 
     def need_valid_tree(what: str) -> None:
@@ -214,6 +221,7 @@ def parse_instance(text: str) -> Instance:
                 "and sum to 1)"
             )
 
+    times = {str(t): t for t in range(tree.horizon + 1)}
     mu_items: dict[int, Fraction] = {}
     cons_values: dict[int, Fraction] = {}
     for kind, arg, body in sections:
@@ -266,6 +274,8 @@ def parse_instance(text: str) -> Instance:
                 tok = line.split()
                 if tok[0] != "assets" or len(tok) < 2:
                     raise InstanceError(f"line {lineno}: expected 'assets NAME...'")
+                if inst.market_assets:
+                    raise InstanceError(f"line {lineno}: duplicate assets line")
                 inst.market_assets = tuple(tok[1:])
         elif kind == "claim":
             need_valid_tree("[claim]")
@@ -281,9 +291,16 @@ def parse_instance(text: str) -> Instance:
                 if tok[0] == "node" and len(tok) == 3:
                     if tok[1] not in node_of:
                         raise InstanceError(f"line {lineno}: unknown node {tok[1]!r}")
-                    cons_values[node_of[tok[1]]] = _rat(tok[2], lineno)
+                    what = f"node {tok[1]!r} in [consumption]"
+                    set_once(cons_values, node_of[tok[1]], tok[2], lineno, what)
                 elif tok[0] == "mu" and len(tok) == 3:
-                    mu_items[int(tok[1])] = _rat(tok[2], lineno)
+                    if tok[1] not in times:
+                        raise InstanceError(
+                            f"line {lineno}: mu time {tok[1]!r} is not an integer "
+                            f"in 0..{tree.horizon}"
+                        )
+                    what = f"mu time {tok[1]}"
+                    set_once(mu_items, times[tok[1]], tok[2], lineno, what)
                 else:
                     raise InstanceError(
                         f"line {lineno}: expected 'node NAME VALUE' or 'mu T VALUE'"

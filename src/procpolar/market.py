@@ -34,11 +34,13 @@ from .exact_lp import (
     LinearConstraint,
     LinearSystem,
     LpStatus,
+    exceeding_point,
     feasible_interior_point,
     maximize,
     minimize,
     vector,
 )
+from .process_polar import first_defect
 from .processes import AdaptedProcess, is_martingale, is_supermartingale
 from .rational import frac
 from .tree import EventTree, RandomVariable, terminal_space
@@ -345,18 +347,15 @@ def wealth_process(
 class WealthSystem:
     """LP encoding of admissible wealth processes with budget ``x``.
 
-    Variables: one wealth value per node, then ``d`` holdings per
-    non-terminal node, then (when consumption is allowed) one cumulative
-    consumption value per node.
+    Variables: one wealth value per node (column ``n`` is the wealth at
+    node ``n``), then ``d`` holdings per non-terminal node, then (when
+    consumption is allowed) one cumulative consumption value per node.
     """
 
     market: Market
     budget: Fraction
     with_consumption: bool
     system: LinearSystem
-
-    def wealth_index(self, node: int) -> int:
-        return node
 
     def consumption_index(self, node: int) -> int:
         if not self.with_consumption:
@@ -474,37 +473,24 @@ def _polar_of_wealth_system(ws: WealthSystem, y: AdaptedProcess) -> DeflatorMemb
     product over the whole polytope; the root condition reduces to
     y(root) <= 1 because initial wealth is capped at 1.
     """
-    tree = ws.market.tree
-    if y.tree != tree:
+    if y.tree != ws.market.tree:
         raise PreconditionError("deflator lives on a different tree")
     if ws.budget != 1:
         raise PreconditionError("deflator membership is stated at budget 1")
     if y.initial > 1:
         return DeflatorMembership(False, reason="initial value above 1")
-    n_vars = ws.system.num_vars
-    for n in tree.non_terminal_nodes():
-        terms = [(ws.wealth_index(n), -y.values[n])]
-        terms += (
-            (ws.wealth_index(ch), tree.edge_prob[ch] * y.values[ch])
-            for ch in tree.children[n]
-        )
-        out = maximize(ws.system, vector(n_vars, terms))
-        if out.status is LpStatus.UNBOUNDED:
-            return DeflatorMembership(
-                False,
-                reason=f"unbounded defect at {tree.labels[n]}",
-                node=n,
-                witness_point=out.point,
-            )
-        assert out.value is not None
-        if out.value > 0:
-            return DeflatorMembership(
-                False,
-                reason=f"positive defect at {tree.labels[n]}",
-                node=n,
-                witness_point=out.point,
-            )
-    return DeflatorMembership(True)
+    return _defect_membership(ws.system, y)
+
+
+def _defect_membership(system: LinearSystem, y: AdaptedProcess) -> DeflatorMembership:
+    """A member unless some point of ``system`` gives its product with
+    ``y`` a positive one-step defect; that point is the witness."""
+    defect = first_defect(system, y)
+    if defect is None:
+        return DeflatorMembership(True)
+    n, point = defect
+    reason = f"positive defect at {y.tree.labels[n]}"
+    return DeflatorMembership(False, reason, node=n, witness_point=point)
 
 
 def y_enlargement_membership(m: Market, y: AdaptedProcess) -> DeflatorMembership:
@@ -531,17 +517,14 @@ def xc_measure_membership(m: Market, z: AdaptedProcess) -> DeflatorMembership:
     if z.initial > 1:
         return DeflatorMembership(False, reason="initial value above 1")
     for n in tree.non_terminal_nodes():
-        kids = tree.children[n]
-        out = maximize(local_polytope(m, n), [z.values[ch] for ch in kids])
-        if out.status is LpStatus.INFEASIBLE:
-            raise PreconditionError("market has an empty one-step polytope")
-        assert out.value is not None
-        if out.value > z.values[n]:
+        objective = [z.values[ch] for ch in tree.children[n]]
+        q = exceeding_point(local_polytope(m, n), objective, z.values[n])
+        if q is not None:
             return DeflatorMembership(
                 False,
                 reason=f"not a supermartingale under some measure at {tree.labels[n]}",
                 node=n,
-                witness_point=out.point,
+                witness_point=q,
             )
     return DeflatorMembership(True)
 
@@ -585,8 +568,8 @@ def density_hull_membership(m: Market, y: AdaptedProcess) -> DeflatorMembership:
     return DeflatorMembership(True)
 
 
-@dataclass(frozen=True)
-class LiftedDeflatorSystem:
+@_per_market
+def lifted_deflator_system(m: Market) -> LinearSystem:
     """H-representation of the deflator cone with scaled-measure variables.
 
     A deflator y belongs to the cone iff at every non-terminal node there
@@ -594,18 +577,9 @@ class LiftedDeflatorSystem:
     writing r(ch) = y(node) q(ch) makes that linear: r >= 0 sums to
     y(node), prices the assets at y(node) times the spot, and dominates
     p(ch) y(ch) per edge.  Maximizing linear functionals of y over the
-    cone is then a single LP over (y, r).
+    cone is then a single LP over (y, r).  Column ``n`` is y at node
+    ``n``; the r block follows.
     """
-
-    market: Market
-    system: LinearSystem
-
-    def y_index(self, node: int) -> int:
-        return node
-
-
-@_per_market
-def lifted_deflator_system(m: Market) -> LiftedDeflatorSystem:
     tree = m.tree
     n_nodes = tree.num_nodes
     n_vars = n_nodes + (n_nodes - 1)
@@ -634,8 +608,7 @@ def lifted_deflator_system(m: Market) -> LiftedDeflatorSystem:
             )
     names = [f"y({lab})" for lab in tree.labels]
     names += [f"r({tree.labels[ch]})" for ch in range(1, n_nodes)]
-    system = LinearSystem.make(n_vars, rows, lower=0, var_names=names)
-    return LiftedDeflatorSystem(m, system)
+    return LinearSystem.make(n_vars, rows, lower=0, var_names=names)
 
 
 def wealth_bipolar_contains(m: Market, z: AdaptedProcess) -> DeflatorMembership:
@@ -644,33 +617,15 @@ def wealth_bipolar_contains(m: Market, z: AdaptedProcess) -> DeflatorMembership:
     Maximizes, over the lifted deflator cone, first the initial product
     and then the per-node supermartingale defect of z times the deflator.
     """
-    tree = m.tree
-    if z.tree != tree:
+    if z.tree != m.tree:
         raise PreconditionError("candidate lives on a different tree")
     lifted = lifted_deflator_system(m)
-    n_vars = lifted.system.num_vars
-    out = maximize(lifted.system, vector(n_vars, ((lifted.y_index(0), z.initial),)))
-    if out.status is LpStatus.UNBOUNDED or (out.value is not None and out.value > 1):
+    point = exceeding_point(lifted, vector(lifted.num_vars, ((0, z.initial),)), ONE)
+    if point is not None:
         return DeflatorMembership(
-            False, reason="initial product exceeds 1", witness_point=out.point
+            False, reason="initial product exceeds 1", witness_point=point
         )
-    for n in tree.non_terminal_nodes():
-        terms = [(lifted.y_index(n), -z.values[n])]
-        terms += (
-            (lifted.y_index(ch), tree.edge_prob[ch] * z.values[ch])
-            for ch in tree.children[n]
-        )
-        out = maximize(lifted.system, vector(n_vars, terms))
-        if out.status is LpStatus.UNBOUNDED or (
-            out.value is not None and out.value > 0
-        ):
-            return DeflatorMembership(
-                False,
-                reason=f"positive defect at {tree.labels[n]}",
-                node=n,
-                witness_point=out.point,
-            )
-    return DeflatorMembership(True)
+    return _defect_membership(lifted, z)
 
 
 @dataclass(frozen=True)
@@ -854,11 +809,12 @@ def budget_check(
 ) -> BudgetOutcome:
     """Is the density consumable from capital ``x``?  Two oracles, one verdict.
 
-    Primal: feasibility of the consumption polytope with consumption
-    pinned to the density's cumulative (certificate: the strategy).
-    Dual: the superhedge value of the cumulative stream compared with
-    ``x`` (certificate: the expectation-maximizing measure).  The two must
-    coincide; disagreement is a defect, not a result.
+    Primal: feasibility of a holdings-only system with one solvency row
+    per node -- ``x`` plus the trading gains along the path to the node
+    covers the density's cumulative consumption there (certificate: the
+    strategy).  Dual: the superhedge value of the cumulative stream
+    compared with ``x`` (certificate: the expectation-maximizing measure).
+    The two must coincide; disagreement is a defect, not a result.
     """
     x = frac(x)
     if x < 0:
@@ -968,7 +924,7 @@ def sample_consumption_wealth(
     for _ in range(count):
         terms = []
         for n in range(tree.num_nodes):
-            terms.append((ws.wealth_index(n), Fraction(rng.randint(-2, 3))))
+            terms.append((n, Fraction(rng.randint(-2, 3))))
             terms.append((ws.consumption_index(n), Fraction(rng.randint(-2, 2))))
         res = maximize(ws.system, vector(ws.system.num_vars, terms))
         if res.status is not LpStatus.OPTIMAL:

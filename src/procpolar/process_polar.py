@@ -32,6 +32,7 @@ from .exact_lp import (
     LinearConstraint,
     LinearSystem,
     LpStatus,
+    exceeding_point,
     maximize,
     vector,
 )
@@ -44,10 +45,34 @@ from .processes import (
     is_supermartingale,
 )
 from .rv_polar import RvSet, conditional_bipolar_contains, conditional_polar_constraints
-from .tree import EventTree, RandomVariable, level_partition, level_space
+from .tree import RandomVariable, level_partition, level_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def defect_objective(z: AdaptedProcess, n: int, num_vars: int) -> tuple[Fraction, ...]:
+    """The one-step supermartingale defect ``E[zY | n] - z(n)Y(n)`` of the
+    product with ``z`` at node ``n``, as a linear functional of ``Y`` over
+    the node columns ``0..N-1``; every further column gets 0."""
+    tree = z.tree
+    terms = [(n, -z.values[n])]
+    terms += ((ch, tree.edge_prob[ch] * z.values[ch]) for ch in tree.children[n])
+    return vector(num_vars, terms)
+
+
+def first_defect(
+    system: LinearSystem, z: AdaptedProcess
+) -> Optional[tuple[int, tuple[Fraction, ...]]]:
+    """The first non-terminal node at which some point of ``system`` gives
+    its product with ``z`` a positive one-step defect, with that point, or
+    None when every such product is a supermartingale.  Column ``n`` of
+    ``system`` holds the value at node ``n``."""
+    for n in z.tree.non_terminal_nodes():
+        point = exceeding_point(system, defect_objective(z, n, system.num_vars), ZERO)
+        if point is not None:
+            return n, point
+    return None
 
 
 def polar_constraints(c: ProcessSet) -> LinearSystem:
@@ -56,7 +81,7 @@ def polar_constraints(c: ProcessSet) -> LinearSystem:
     Y >= 0 everywhere; for each generator X the product XY starts at most
     at 1 and its one-step conditional expectation never increases.
     Generators suffice because every hull operation preserves the
-    product-supermartingale property.
+    product-supermartingale property.  Column ``n`` is Y at node ``n``.
     """
     tree = c.tree
     n_vars = tree.num_nodes
@@ -65,13 +90,12 @@ def polar_constraints(c: ProcessSet) -> LinearSystem:
         coeffs = vector(n_vars, ((0, x.initial),))
         rows.append(LinearConstraint(coeffs, LE, ONE, f"init[gen{gi}]"))
         for n in tree.non_terminal_nodes():
-            terms = [(n, -x.values[n])]
-            terms += (
-                (ch, tree.edge_prob[ch] * x.values[ch]) for ch in tree.children[n]
-            )
             rows.append(
                 LinearConstraint(
-                    vector(n_vars, terms), LE, ZERO, f"super[gen{gi}@{tree.labels[n]}]"
+                    defect_objective(x, n, n_vars),
+                    LE,
+                    ZERO,
+                    f"super[gen{gi}@{tree.labels[n]}]",
                 )
             )
     return LinearSystem.make(
@@ -114,55 +138,26 @@ def bipolar_contains_lp(
 
     ``z`` belongs iff the maximal initial product over the polar stays
     below 1 and, at every non-terminal node, the maximal supermartingale
-    defect of the product stays below 0.  An unbounded maximum counts as a
-    violation; the maximizer (or a point far along the ray) is the
-    certificate.
+    defect of the product stays below 0.  The certificate of a violation
+    is the polar element :func:`exceeding_point` returns.
     """
     if z.tree != c.tree:
         raise PreconditionError("candidate lives on a different tree")
     _require_far_reaching(c, require_far_reaching)
     tree = c.tree
     polar = polar_constraints(c)
-    n_vars = tree.num_nodes
 
-    bad = _violating_max(polar, vector(n_vars, ((0, z.initial),)), ONE, tree)
+    bad = exceeding_point(polar, vector(tree.num_nodes, ((0, z.initial),)), ONE)
     if bad is not None:
         return ProcessBipolarMembership(
-            False, reason="initial product exceeds 1", witness=bad
+            False, "initial product exceeds 1", AdaptedProcess(tree, bad)
         )
-    for n in tree.non_terminal_nodes():
-        terms = [(n, -z.values[n])]
-        terms += ((ch, tree.edge_prob[ch] * z.values[ch]) for ch in tree.children[n])
-        bad = _violating_max(polar, vector(n_vars, terms), ZERO, tree)
-        if bad is not None:
-            return ProcessBipolarMembership(
-                False,
-                reason=f"supermartingale defect at {tree.labels[n]}",
-                witness=bad,
-            )
+    defect = first_defect(polar, z)
+    if defect is not None:
+        n, point = defect
+        reason = f"supermartingale defect at {tree.labels[n]}"
+        return ProcessBipolarMembership(False, reason, AdaptedProcess(tree, point))
     return ProcessBipolarMembership(True)
-
-
-def _violating_max(
-    polar: LinearSystem,
-    objective: Sequence[Fraction],
-    bound: Fraction,
-    tree: EventTree,
-) -> Optional[AdaptedProcess]:
-    out = maximize(polar, objective)
-    if out.status is LpStatus.UNBOUNDED:
-        assert out.point is not None and out.ray is not None
-        step = ONE
-        gain = sum(o * r for o, r in zip(objective, out.ray))
-        current = sum(o * p for o, p in zip(objective, out.point))
-        if current + gain <= bound:  # walk far enough to break the bound
-            step = (bound + 1 - current) / gain
-        point = tuple(p + step * r for p, r in zip(out.point, out.ray))
-        return AdaptedProcess(tree, point)
-    assert out.value is not None and out.point is not None
-    if out.value > bound:
-        return AdaptedProcess(tree, out.point)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +301,7 @@ def envelope_process(
         if t < t_from:
             continue
         if t <= t_to:
-            vals[m] = best[m] if t >= t_from else ONE
+            vals[m] = best[m]
         else:
             vals[m] = g[tree.ancestor_at(m, t_to)]
     result = AdaptedProcess(tree, tuple(vals))

@@ -31,7 +31,7 @@ from .exact_lp import (
     LinearConstraint,
     LinearSystem,
     LpStatus,
-    maximize,
+    exceeding_point,
     minimize,
     vector,
 )
@@ -190,7 +190,7 @@ def hull_contains(c: RvSet, h: RandomVariable) -> HullMembership:
 class BipolarMembership:
     member: bool
     # when not a member: a polar element gg and the block where E[h*gg|block]
-    # exceeds 1 (gg is zero off that block), or a growth ray if unbounded
+    # exceeds 1 (gg is zero off that block)
     failing_block: Optional[int] = None
     witness: Optional[RandomVariable] = None
 
@@ -225,19 +225,9 @@ def conditional_bipolar_contains(c: RvSet, h: RandomVariable) -> BipolarMembersh
             )
         sys_ = LinearSystem.make(len(idx), rows, lower=0)
         objective = [space.probs[i] * h.values[i] for i in idx]
-        out = maximize(sys_, objective)
-        if out.status is LpStatus.UNBOUNDED:
-            assert out.point is not None and out.ray is not None
-            # step far enough along the improving ray to break the bound
-            gain = sum(o * r for o, r in zip(objective, out.ray))
-            current = sum(o * p for o, p in zip(objective, out.point))
-            step = ONE if current + gain > pb else (pb + 1 - current) / gain
-            local = [p + step * r for p, r in zip(out.point, out.ray)]
+        local = exceeding_point(sys_, objective, pb)
+        if local is not None:
             witness = _embed_block(space, idx, local)
-            return BipolarMembership(False, failing_block=bi, witness=witness)
-        assert out.value is not None and out.point is not None
-        if out.value > pb:
-            witness = _embed_block(space, idx, out.point)
             return BipolarMembership(False, failing_block=bi, witness=witness)
     return BipolarMembership(True)
 
@@ -384,11 +374,8 @@ def unconditional_bipolar_contains(
     """max E[h*g] over the polar, compared against 1."""
     sys_ = unconditional_polar_constraints(generators)
     space = generators[0].space
-    out = maximize(sys_, [p * v for p, v in zip(space.probs, h.values)])
-    if out.status is LpStatus.UNBOUNDED:
-        return False
-    assert out.value is not None
-    return out.value <= 1
+    objective = [p * v for p, v in zip(space.probs, h.values)]
+    return exceeding_point(sys_, objective, ONE) is None
 
 
 def unconditional_hull_contains(

@@ -40,6 +40,21 @@ def test_decimal_rejected_with_code_2(tmp_path, capsys):
     assert "exact rationals required" in err
 
 
+def test_bad_mu_line_rejected_with_code_2(tmp_path, capsys):
+    tree = "version 1\n[tree]\nnode root - -\nnode u root 1/2\nnode d root 1/2\n"
+    cons = "[consumption]\nnode root 0\nnode u 1\nnode d 0\nmu 0 0\n"
+    for mu, message in (
+        ("mu one 1", "line 11: mu time 'one'"),
+        ("mu 7 1", "line 11: mu time '7'"),
+        ("mu 0 1", "line 11: duplicate mu time 0"),
+    ):
+        bad = tmp_path / "mu.instance"
+        bad.write_text(tree + cons + mu + "\n")
+        code, _, err = run(capsys, "check", "tree", str(bad))
+        assert code == 2, mu
+        assert err.startswith("error:") and message in err, (mu, err)
+
+
 def test_missing_file_code_2(tmp_path, capsys):
     binary = tmp_path / "binary.instance"
     binary.write_bytes(b"version 1\n\xc0\xff\n")

@@ -17,6 +17,7 @@ from procpolar.exact_lp import (
     LpProblem,
     LpStatus,
     constraint,
+    exceeding_point,
     feasible_interior_point,
     maximize,
     minimize,
@@ -95,6 +96,43 @@ def test_vector_sums_repeated_columns():
     assert v == (0, 0, F(5, 6), 0)
     assert all(type(a) is F for a in v)
     assert vector(3, []) == (F(0),) * 3
+
+
+def test_exceeding_point_above_and_at_the_bound():
+    system = LinearSystem.make(2, [constraint([1, 2], LE, 4)], lower=0)
+    point = exceeding_point(system, [1, 1], 3)
+    assert point == (F(4), F(0))
+    assert exceeding_point(system, [1, 1], 4) is None  # the maximum is 4
+    assert exceeding_point(system, [F(1, 2), 1], F(2)) is None
+
+
+def test_exceeding_point_walks_an_unbounded_ray():
+    # x - y <= 1 with x >= 3, y >= 0: 2x + y grows without bound
+    system = LinearSystem.make(2, [constraint([1, -1], LE, 1)], lower=[3, 0])
+    objective = (F(2), F(1))
+    out = maximize(system, objective)
+    assert out.status is LpStatus.UNBOUNDED
+    current = sum(o * p for o, p in zip(objective, out.point))
+    gain = sum(o * r for o, r in zip(objective, out.ray))
+    one_step = tuple(p + r for p, r in zip(out.point, out.ray))
+    branches = set()
+    for bound in (F(0), current + gain + F(5, 2), current - 1, current + gain):
+        point = exceeding_point(system, objective, bound)
+        assert system.satisfied_by(point)
+        value = sum(o * p for o, p in zip(objective, point))
+        assert value > bound
+        if current + gain > bound:
+            assert point == one_step
+        else:
+            assert value == bound + 1
+        branches.add(current + gain > bound)
+    assert branches == {True, False}
+
+
+def test_exceeding_point_on_an_empty_system_raises():
+    system = LinearSystem.make(1, [constraint([1], LE, -1)], lower=0)
+    with pytest.raises(PreconditionError):
+        exceeding_point(system, [1], 0)
 
 
 def test_inexact_pivot_division_raises():

@@ -172,3 +172,34 @@ def test_load_fixture_files():
     for name in ("t1", "t2", "m1", "m2"):
         inst = load_instance(f"fixtures/{name}.instance")
         assert inst.tree_valid
+
+
+@pytest.mark.parametrize("time", ["one", "-1", "1/2", "+1", "2"])
+def test_bad_mu_time_rejected_with_line_number(time):
+    # the tree has horizon 1: 2 is out of range, the rest are not integers
+    text = FULL_TEXT.replace("mu 1 1\n", f"mu {time} 1\n")
+    with pytest.raises(InstanceError, match=r"line \d+: mu time"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("root 4\nu 8\n", "root 4\nu 8\nu 9\n"),  # [process S]
+        ("[rv f]\nu 1\n", "[rv f]\nu 1\nu 5\n"),
+        ("u 3\nd 0\n", "u 3\nd 0\nd 1\n"),  # [claim]
+        ("node u 3\n", "node u 3\nnode u 0\n"),  # [consumption]
+        ("mu 1 1\n", "mu 1 1\nmu 1 0\n"),
+        ("assets S\n", "assets S\nassets S S\n"),  # [market]
+    ],
+)
+def test_repeated_line_in_a_section_rejected(old, new):
+    assert FULL_TEXT.count(old) == 1
+    with pytest.raises(InstanceError, match=r"line \d+: duplicate"):
+        parse_instance(FULL_TEXT.replace(old, new))
+
+
+def test_repeated_process_node_does_not_keep_the_last_value():
+    text = T1_TEXT.replace("u 2\nd 0", "u 2\nu 0\nd 0")
+    with pytest.raises(InstanceError, match="line 16: duplicate node 'u'"):
+        parse_instance(text)

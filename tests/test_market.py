@@ -38,6 +38,7 @@ from procpolar.market import (
     xc_polar_membership,
     y_enlargement_membership,
 )
+from procpolar.process_polar import defect_objective
 from procpolar.processes import AdaptedProcess, is_martingale, is_supermartingale
 from procpolar.exact_lp import (
     EQ,
@@ -250,6 +251,51 @@ def test_xc_feasibility_matches_whole_tree_reference():
                 assert wealth_values(m, z.initial, res.strategy, res.consumption) == z.values
     assert 4 in horizons
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def _check_defect_witness(system, z, res):
+    """A "no" with a node must carry a point of ``system`` at which the
+    product with ``z`` has a positive defect at that node."""
+    assert system.satisfied_by(res.witness_point)
+    objective = defect_objective(z, res.node, system.num_vars)
+    assert sum(a * x for a, x in zip(objective, res.witness_point)) > 0
+
+
+def test_every_no_carries_a_witness_that_substitutes():
+    rng = random.Random(37)
+    kinds = {"defect": 0, "initial": 0, "measure": 0}
+    for _ in range(30):
+        m = random_market(rng, random_tree(rng, 3, 2), 2)
+        tree = m.tree
+        for y in deflator_probes_for(rng, m, 3):
+            for oracle, system in (
+                (y_enlargement_membership, pure_investment_polytope(m, 1).system),
+                (xc_polar_membership, consumption_polytope(m, 1).system),
+            ):
+                res = oracle(m, y)
+                if not res.member and res.node is not None:
+                    _check_defect_witness(system, y, res)
+                    kinds["defect"] += 1
+        for z in wealth_probes_for(rng, m, 3):
+            res = wealth_bipolar_contains(m, z)
+            if not res.member:
+                lifted = lifted_deflator_system(m)
+                if res.node is None:
+                    assert lifted.satisfied_by(res.witness_point)
+                    assert z.initial * res.witness_point[0] > 1
+                    kinds["initial"] += 1
+                else:
+                    _check_defect_witness(lifted, z, res)
+                    kinds["defect"] += 1
+            res = xc_measure_membership(m, z)
+            if not res.member and res.node is not None:
+                n, q = res.node, res.witness_point
+                assert local_polytope(m, n).satisfied_by(q)
+                kids = tree.children[n]
+                assert sum(p * z.values[ch] for p, ch in zip(q, kids)) > z.values[n]
+                kinds["measure"] += 1
+    assert all(kinds.values()), kinds
+    assert sum(kinds.values()) >= 50, kinds
 
 
 def test_superhedge_complete_replication(m1, t1):
