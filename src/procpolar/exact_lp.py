@@ -36,7 +36,9 @@ tableau at a feasible basis, or infeasibility) is cached on the object;
 every solve over that object copies the tableau and runs phase 2 from
 there.  The pivot sequence and the outcome are the ones a fresh phase 1
 would give.  Callers that solve many objectives over one region get the
-reuse by passing the same system object.
+reuse by passing the same system object; :func:`per_owner` memoises a
+system builder on the object the system is built from, so that every
+caller gets that one object.
 
 Rows and objectives are built with :func:`vector` from ``(column, value)``
 pairs and stored dense.
@@ -62,7 +64,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -262,6 +264,25 @@ class LinearSystem:
         :func:`_feasible_start`).  It lives in the instance dict, not in a
         field, so equality, hashing and repr never see it."""
         return _feasible_start(self)
+
+
+def per_owner(build):
+    """Memoise a system builder on the object it is built from.
+
+    The results live in the owner's instance dict, like
+    :attr:`LinearSystem._phase1`: equality, hashing and repr never see them,
+    and they are freed with the owner.  Arguments after the owner are
+    passed positionally and form the key."""
+    key = f"_memo_{build.__name__}"
+
+    @wraps(build)
+    def memoised(owner, *args):
+        memo = owner.__dict__.setdefault(key, {})
+        if args not in memo:
+            memo[args] = build(owner, *args)
+        return memo[args]
+
+    return memoised
 
 
 class LpStatus(enum.Enum):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
 from typing import Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
@@ -38,6 +37,7 @@ from .exact_lp import (
     feasible_interior_point,
     maximize,
     minimize,
+    per_owner,
     vector,
 )
 from .process_polar import first_defect
@@ -176,25 +176,6 @@ class ConsumptionDensity:
         return ConsumptionProcess(AdaptedProcess(tree, tuple(vals)))
 
 
-def _per_market(build):
-    """Memoise a system builder on the market it is called with.
-
-    The results live in the market's instance dict, like
-    ``LinearSystem._phase1``: equality, hashing and repr never see them,
-    and they are freed with the market.  Arguments after the market are
-    passed positionally and form the key."""
-    key = f"_memo_{build.__name__}"
-
-    @wraps(build)
-    def memoised(m: Market, *args):
-        memo = m.__dict__.setdefault(key, {})
-        if args not in memo:
-            memo[args] = build(m, *args)
-        return memo[args]
-
-    return memoised
-
-
 # ---------------------------------------------------------------------------
 # Martingale measure polytopes
 # ---------------------------------------------------------------------------
@@ -217,7 +198,7 @@ class EmmPolytope:
         return self.system.satisfied_by(q)
 
 
-@_per_market
+@per_owner
 def local_polytope(m: Market, node: int) -> LinearSystem:
     """One-step martingale probabilities over the children of ``node``.
 
@@ -238,7 +219,7 @@ def local_polytope(m: Market, node: int) -> LinearSystem:
     )
 
 
-@_per_market
+@per_owner
 def emm_polytope(m: Market) -> EmmPolytope:
     """The global measure polytope plus an interior point if one exists."""
     tree = m.tree
@@ -392,7 +373,7 @@ def _decode_strategy(
     return Strategy(m.tree, tuple(holdings))
 
 
-@_per_market
+@per_owner
 def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> WealthSystem:
     tree = m.tree
     n_nodes = tree.num_nodes
@@ -471,14 +452,19 @@ def _polar_of_wealth_system(ws: WealthSystem, y: AdaptedProcess) -> DeflatorMemb
 
     One LP per non-terminal node maximizing the one-step defect of the
     product over the whole polytope; the root condition reduces to
-    y(root) <= 1 because initial wealth is capped at 1.
+    y(root) <= 1 because initial wealth is capped at 1, and its witness
+    is the constant unit wealth.
     """
     if y.tree != ws.market.tree:
         raise PreconditionError("deflator lives on a different tree")
     if ws.budget != 1:
         raise PreconditionError("deflator membership is stated at budget 1")
     if y.initial > 1:
-        return DeflatorMembership(False, reason="initial value above 1")
+        # wealth 1 everywhere, held in cash and never consumed
+        point = vector(ws.system.num_vars, ((n, ONE) for n in range(y.tree.num_nodes)))
+        if not ws.system.satisfied_by(point):
+            raise PostconditionError("constant unit wealth left the wealth system")
+        return DeflatorMembership(False, "initial value above 1", witness_point=point)
     return _defect_membership(ws.system, y)
 
 
@@ -568,7 +554,7 @@ def density_hull_membership(m: Market, y: AdaptedProcess) -> DeflatorMembership:
     return DeflatorMembership(True)
 
 
-@_per_market
+@per_owner
 def lifted_deflator_system(m: Market) -> LinearSystem:
     """H-representation of the deflator cone with scaled-measure variables.
 

@@ -14,6 +14,12 @@ core:
   one-step increments (a per-step question answered by the random-variable
   theory).
 
+The polar depends only on the generators, so :func:`polar_constraints`
+and :func:`increment_set` are memoised on the :class:`ProcessSet` with
+:func:`~procpolar.exact_lp.per_owner`: every probe of one set solves over
+the same system objects and reuses their phase 1, and the memo is freed
+with the set.
+
 The promise under test everywhere: on far-reaching sets of unit-initial
 supermartingales the two oracles agree, and everything built from the
 generators by fork-splicing and solid multiplication is a member.
@@ -34,6 +40,7 @@ from .exact_lp import (
     LpStatus,
     exceeding_point,
     maximize,
+    per_owner,
     vector,
 )
 from .processes import (
@@ -75,6 +82,7 @@ def first_defect(
     return None
 
 
+@per_owner
 def polar_constraints(c: ProcessSet) -> LinearSystem:
     """H-representation of the process polar over node variables.
 
@@ -179,6 +187,7 @@ class IncrementSet:
     rv_set: RvSet
 
 
+@per_owner
 def increment_set(c: ProcessSet, t_from: int) -> IncrementSet:
     tree = c.tree
     if not 0 <= t_from < tree.horizon:

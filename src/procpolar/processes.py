@@ -6,6 +6,10 @@ is structural.  Supermartingale checks, multiplicative increments (with
 all exact, and each constructive operation re-checks the closure property
 it is supposed to enjoy: composing them can never silently leave the class
 of unit-initial supermartingales.
+
+The exact supermartingale check runs once per process object: its verdict
+is cached on the process, outside its fields.  Every operation returns a
+new process, so each postcondition is still checked on its result afresh.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import PostconditionError, PreconditionError
@@ -78,6 +83,20 @@ class AdaptedProcess:
         vals[node] = frac(value)
         return AdaptedProcess(self.tree, tuple(vals))
 
+    @cached_property
+    def _is_supermartingale(self) -> bool:
+        """The verdict of :func:`is_supermartingale`.  It lives in the
+        instance dict, not in a field, so equality, hashing and repr never
+        see it."""
+        tree = self.tree
+        for n in tree.non_terminal_nodes():
+            expected = sum(
+                (tree.edge_prob[c] * self.values[c] for c in tree.children[n]), ZERO
+            )
+            if expected > self.values[n]:
+                return False
+        return True
+
 
 @dataclass(frozen=True)
 class NonIncreasingProcess:
@@ -107,15 +126,9 @@ class NonIncreasingProcess:
 
 
 def is_supermartingale(y: AdaptedProcess) -> bool:
-    """Exact one-step check at every non-terminal node."""
-    tree = y.tree
-    for n in tree.non_terminal_nodes():
-        expected = sum(
-            (tree.edge_prob[c] * y.values[c] for c in tree.children[n]), ZERO
-        )
-        if expected > y.values[n]:
-            return False
-    return True
+    """Exact one-step check at every non-terminal node, run once per
+    process object."""
+    return y._is_supermartingale
 
 
 def is_unit_supermartingale(y: AdaptedProcess) -> bool:

@@ -15,6 +15,13 @@ bipolar is the polar of the polar.  Both membership questions reduce to
 one small exact LP per block, and the central fact being exercised by the
 test-suite is that hull membership and bipolar membership always agree.
 
+The polar depends only on the generators, so its systems -- the whole
+conditional polar and the per-block polar the bipolar oracle maximizes
+over -- are memoised on the :class:`RvSet` with
+:func:`~procpolar.exact_lp.per_owner` and freed with it.  The hull oracle
+and the unconditional cross-checks build their systems afresh: the hull's
+right-hand side is the probe itself.
+
 Everything uses the convention 0/0 = 0.
 """
 
@@ -33,6 +40,7 @@ from .exact_lp import (
     LpStatus,
     exceeding_point,
     minimize,
+    per_owner,
     vector,
 )
 from .tree import Partition, RandomVariable, cond_exp_partition
@@ -98,6 +106,7 @@ def partition_mix(
 # ---------------------------------------------------------------------------
 
 
+@per_owner
 def conditional_polar_constraints(c: RvSet) -> LinearSystem:
     """H-representation of the conditional polar of the generator hull.
 
@@ -210,26 +219,32 @@ def conditional_bipolar_contains(c: RvSet, h: RandomVariable) -> BipolarMembersh
     if h.space != c.space:
         raise PreconditionError("candidate lives on a different space")
     space = c.space
-    for bi, block in enumerate(c.partition.blocks):
-        idx = [space.index(w) for w in block]
-        pb = c.partition.block_prob(block)
-        rows = []
-        for gi, f in enumerate(c.generators):
-            rows.append(
-                LinearConstraint(
-                    tuple(space.probs[i] * f.values[i] for i in idx),
-                    LE,
-                    pb,
-                    f"gen[{gi}]",
-                )
-            )
-        sys_ = LinearSystem.make(len(idx), rows, lower=0)
+    for bi in range(len(c.partition.blocks)):
+        idx, pb, sys_ = _block_polar(c, bi)
         objective = [space.probs[i] * h.values[i] for i in idx]
         local = exceeding_point(sys_, objective, pb)
         if local is not None:
             witness = _embed_block(space, idx, local)
             return BipolarMembership(False, failing_block=bi, witness=witness)
     return BipolarMembership(True)
+
+
+@per_owner
+def _block_polar(c: RvSet, bi: int) -> tuple[tuple[int, ...], Fraction, LinearSystem]:
+    """The outcome indices and probability of block ``bi``, and the polar
+    restricted to its coordinates: one row per generator bounding the
+    block average of the product by the block probability."""
+    space = c.space
+    block = c.partition.blocks[bi]
+    idx = tuple(space.index(w) for w in block)
+    pb = c.partition.block_prob(block)
+    rows = [
+        LinearConstraint(
+            tuple(space.probs[i] * f.values[i] for i in idx), LE, pb, f"gen[{gi}]"
+        )
+        for gi, f in enumerate(c.generators)
+    ]
+    return idx, pb, LinearSystem.make(len(idx), rows, lower=0)
 
 
 def _embed_block(space, idx: Sequence[int], local: Sequence[Fraction]) -> RandomVariable:

@@ -263,7 +263,7 @@ def _check_defect_witness(system, z, res):
 
 def test_every_no_carries_a_witness_that_substitutes():
     rng = random.Random(37)
-    kinds = {"defect": 0, "initial": 0, "measure": 0}
+    kinds = {"defect": 0, "initial": 0, "unit-wealth": 0, "measure": 0}
     for _ in range(30):
         m = random_market(rng, random_tree(rng, 3, 2), 2)
         tree = m.tree
@@ -273,7 +273,13 @@ def test_every_no_carries_a_witness_that_substitutes():
                 (xc_polar_membership, consumption_polytope(m, 1).system),
             ):
                 res = oracle(m, y)
-                if not res.member and res.node is not None:
+                if res.member:
+                    continue
+                if res.node is None:
+                    assert system.satisfied_by(res.witness_point)
+                    assert y.initial * res.witness_point[0] > 1
+                    kinds["unit-wealth"] += 1
+                else:
                     _check_defect_witness(system, y, res)
                     kinds["defect"] += 1
         for z in wealth_probes_for(rng, m, 3):

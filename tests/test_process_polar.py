@@ -1,15 +1,23 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
 from procpolar.errors import PreconditionError
-from procpolar.fuzz import random_process_set, random_tree
+from procpolar.fuzz import (
+    ProcessFuzzConfig,
+    process_probes,
+    random_process_set,
+    random_tree,
+)
 from procpolar.processes import (
     AdaptedProcess,
     NonIncreasingProcess,
     ProcessSet,
     fork_splice,
+    has_absorbed_zeros,
     random_hull_element,
 )
 from procpolar.process_polar import (
@@ -243,3 +251,48 @@ def test_polar_closure_under_hull_moves():
                 )
             assert system.satisfied_by(candidate.values)
             pool.append(candidate)
+
+
+def _twin(c: ProcessSet) -> ProcessSet:
+    """An equal process set that is a distinct object, with an empty memo."""
+    return ProcessSet(c.generators, c.far_reaching)
+
+
+def test_polar_systems_are_memoised_on_the_process_set(t2):
+    c = random_process_set(random.Random(3), t2, 3)
+    before = (repr(c), hash(c))
+    # phase 1 is cached per system object: repeated probes must get the same one
+    assert polar_constraints(c) is polar_constraints(c)
+    assert increment_set(c, 1) is increment_set(c, 1)
+    assert increment_set(c, 0) is not increment_set(c, 1)
+    assert increment_conditional_polar(c, 0) is increment_conditional_polar(c, 0)
+    twin = _twin(c)
+    assert polar_constraints(twin) is not polar_constraints(c)
+    assert polar_constraints(twin) == polar_constraints(c)
+    assert increment_set(twin, 1) == increment_set(c, 1)
+    assert bipolar_contains_lp(c, c.generators[0]).member
+    # the memo is invisible to value semantics
+    assert (repr(c), hash(c)) == before
+    assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
+
+
+def test_memoised_oracles_match_fresh_sets():
+    rng = random.Random(21)
+    cfg = ProcessFuzzConfig()
+    compared = 0
+    for _ in range(12):
+        c = random_process_set(rng, random_tree(rng, 3, 2), 3)
+        probes, hull = process_probes(rng, c, cfg)
+        for z in probes + hull:
+            # c is reused across probes; each twin answers its first probe
+            assert bipolar_contains_lp(c, z) == bipolar_contains_lp(_twin(c), z)
+            if has_absorbed_zeros(z):
+                assert bipolar_contains_incremental(
+                    c, z
+                ) == bipolar_contains_incremental(_twin(c), z)
+                compared += 1
+    assert compared >= 30

@@ -21,6 +21,16 @@ from procpolar.processes import (
 )
 
 
+def _reference_is_supermartingale(y: AdaptedProcess) -> bool:
+    """The one-step check written out again, independent of any cache."""
+    tree = y.tree
+    for n in tree.non_terminal_nodes():
+        kids = tree.children[n]
+        if sum((tree.edge_prob[ch] * y.values[ch] for ch in kids), F(0)) > y.values[n]:
+            return False
+    return True
+
+
 def test_constant_one_supermartingale(t1):
     assert is_unit_supermartingale(AdaptedProcess.constant(t1, 1))
 
@@ -168,3 +178,24 @@ def test_random_hull_element_replay(t2):
         assert is_unit_supermartingale(sample.process)
         assert replay_trace(c, sample.trace) == sample.process
     assert random_hull_element(c, 0, 3).trace[0] == "gen"
+
+
+def test_cached_supermartingale_check_matches_reference():
+    rng = random.Random(19)
+    verdicts = {True: 0, False: 0}
+    for _ in range(40):
+        tree = random_tree(rng, 3, 3)
+        y = random_supermartingale(rng, tree, martingale=rng.random() < 0.5)
+        n = rng.randrange(tree.num_nodes)
+        bumped = y.with_value(n, y.values[n] + F(1, 1000))
+        lowered = y.with_value(n, y.values[n] / 2)
+        for p in (y, bumped, lowered, y.scale(F(3, 2)), y.pointwise_mul(bumped)):
+            expected = _reference_is_supermartingale(p)
+            assert is_supermartingale(p) is expected
+            assert is_supermartingale(p) is expected  # read from the cache
+            assert is_supermartingale(AdaptedProcess(tree, p.values)) is expected
+            verdicts[expected] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+    # the verdict is cached outside the fields
+    twin = AdaptedProcess(y.tree, y.values)
+    assert y == twin and hash(y) == hash(twin) and repr(y) == repr(twin)

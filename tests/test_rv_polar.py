@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +16,7 @@ from procpolar.fuzz import (
 from procpolar.rv_polar import (
     PartitionUnitBall,
     RvSet,
+    _block_polar,
     conditional_bipolar_contains,
     conditional_polar_constraints,
     conditional_polar_contains,
@@ -258,3 +261,39 @@ def test_oracles_agree_on_random_instances():
             assert in_hull == bool(conditional_bipolar_contains(c, probe))
             if expected is not None:
                 assert in_hull == expected
+
+
+def test_polar_systems_are_memoised_on_the_rv_set(four):
+    _, part, fixed = four
+    c = RvSet(fixed.generators, part)  # not held by the fixture, so it can die
+    before = (repr(c), hash(c))
+    # phase 1 is cached per system object: repeated probes must get the same one
+    assert conditional_polar_constraints(c) is conditional_polar_constraints(c)
+    assert _block_polar(c, 1) is _block_polar(c, 1)
+    assert _block_polar(c, 0) is not _block_polar(c, 1)
+    assert _block_polar(fixed, 0) is not _block_polar(c, 0)
+    assert _block_polar(fixed, 0) == _block_polar(c, 0)
+    assert conditional_bipolar_contains(c, c.generators[0]).member
+    # the memo is invisible to value semantics
+    assert (repr(c), hash(c)) == before
+    assert c == fixed and hash(c) == hash(fixed) and repr(c) == repr(fixed)
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
+
+
+def test_memoised_bipolar_matches_fresh_sets():
+    rng = random.Random(8)
+    rejected = 0
+    for _ in range(15):
+        space = random_space(rng, 6)
+        c = random_rvset(rng, space, random_partition(rng, space, 3), 4)
+        for probe, _ in conditional_probes(rng, c, 6, F(1, 1000)):
+            # c is reused across probes; each twin answers its first probe
+            reused = conditional_bipolar_contains(c, probe)
+            assert reused == conditional_bipolar_contains(
+                RvSet(c.generators, c.partition), probe
+            )
+            rejected += not reused.member
+    assert rejected >= 10
