@@ -43,11 +43,14 @@ caller gets that one object.
 Rows and objectives are built with :func:`vector` from ``(column, value)``
 pairs and stored dense.
 
-The direct polar, bipolar and deflator oracles all ask one question,
-:func:`exceeding_point`: a point of a system at which a linear functional
-exceeds a bound, or None when its maximum stays at most the bound.  The
-point is the separating witness behind every "not a member"; it lies in
-the system and beats the bound, which substitution confirms.
+The oracles ask the core one of two questions.  The hull side asks
+:func:`feasible_point`: a point of a system, or None when it is empty.
+The bipolar side -- every direct polar, bipolar and deflator oracle --
+asks :func:`exceeding_point`: a point of a system at which a linear
+functional exceeds a bound, or None when its maximum stays at most the
+bound.  That point is the separating witness behind every "not a
+member"; it lies in the system and beats the bound, which substitution
+confirms.
 
 The substitution check behind :meth:`LinearSystem.violations` and
 :func:`verify_outcome` runs on integers too, over sparse rows cached on
@@ -172,7 +175,11 @@ def constraint(
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """An H-representation: rows plus per-variable bounds (None = unbounded)."""
+    """An H-representation: rows plus per-variable bounds (None = unbounded).
+
+    With no variables the only candidate point is the empty one, and the
+    system is empty exactly when some row fails there (``0 >= 1``, say).
+    """
 
     num_vars: int
     rows: tuple[LinearConstraint, ...]
@@ -181,8 +188,8 @@ class LinearSystem:
     var_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.num_vars < 1:
-            raise PreconditionError("a system needs at least one variable")
+        if self.num_vars < 0:
+            raise PreconditionError("a variable count cannot be negative")
         for row in self.rows:
             if len(row.coeffs) != self.num_vars:
                 raise PreconditionError(
@@ -337,6 +344,12 @@ def minimize(
     system: LinearSystem, objective: Sequence[int | str | Fraction]
 ) -> LpOutcome:
     return solve(LpProblem("min", tuple(frac(c) for c in objective), system))
+
+
+def feasible_point(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
+    """A point of ``system``, or None when it is empty: one solve with a
+    zero objective, whose optimum is the vertex phase 1 ends at."""
+    return solve(LpProblem("min", (ZERO,) * system.num_vars, system)).point
 
 
 def exceeding_point(
@@ -753,16 +766,15 @@ def feasible_interior_point(
 ) -> Optional[tuple[Fraction, ...]]:
     """A feasible point strictly positive on ``strict_vars``, or None.
 
-    Maximizes an auxiliary slack eps subject to x_j >= eps on the strict
-    variables; an interior point exists iff the optimum eps is positive
-    (an unbounded eps also certifies one).
+    Adds an auxiliary slack eps with x_j >= eps on the strict variables:
+    an interior point exists iff eps can exceed 0, and the point at which
+    :func:`exceeding_point` finds it so is one.
     """
     strict = sorted(set(strict_vars))
     if any(j < 0 or j >= system.num_vars for j in strict):
         raise PreconditionError("strict variable index out of range")
     if not strict:
-        out = minimize(system, [0] * system.num_vars)
-        return out.point if out.status is not LpStatus.INFEASIBLE else None
+        return feasible_point(system)
 
     n = system.num_vars
     rows = [
@@ -778,19 +790,12 @@ def feasible_interior_point(
         lower=system.lower + (None,),
         upper=system.upper + (None,),
     )
-    out = maximize(ext, vector(n + 1, ((n, ONE),)))
-    if out.status is LpStatus.INFEASIBLE:
+    # eps is free, so ext is empty exactly when system is
+    if ext._phase1 is None:
         return None
-    if out.status is LpStatus.UNBOUNDED:
-        assert out.point is not None and out.ray is not None
-        gain = out.ray[n]
-        steps = max(ZERO, (ONE - out.point[n]) / gain)
-        point = tuple(p + steps * r for p, r in zip(out.point, out.ray))
-    else:
-        assert out.value is not None and out.point is not None
-        if out.value <= 0:
-            return None
-        point = out.point
+    point = exceeding_point(ext, vector(n + 1, ((n, ONE),)), ZERO)
+    if point is None:
+        return None
     inner = point[:n]
     if not system.satisfied_by(inner) or any(inner[j] <= 0 for j in strict):
         raise PostconditionError("interior-point search produced a bad point")

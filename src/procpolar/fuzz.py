@@ -666,11 +666,11 @@ def wealth_probes_for(
     probes: list[AdaptedProcess] = []
     pairs = sample_consumption_wealth(m, 2, rng)
     probes.extend(w for w, _ in pairs)
-    ws = pure_investment_polytope(m, 1)
+    system = pure_investment_polytope(m, 1)
     terms = [(n, Fraction(rng.randint(-1, 2))) for n in range(tree.num_nodes)]
-    res = maximize(ws.system, vector(ws.system.num_vars, terms))
+    res = maximize(system, vector(system.num_vars, terms))
     assert res.status is LpStatus.OPTIMAL and res.point is not None
-    probes.append(ws.extract_wealth(res.point))
+    probes.append(AdaptedProcess(tree, res.point[: tree.num_nodes]))
     while len(probes) < count + 3:
         kind = rng.randrange(3)
         base = rng.choice(probes[:3])

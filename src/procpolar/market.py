@@ -35,8 +35,8 @@ from .exact_lp import (
     LpStatus,
     exceeding_point,
     feasible_interior_point,
+    feasible_point,
     maximize,
-    minimize,
     per_owner,
     vector,
 )
@@ -280,6 +280,10 @@ def wealth_values(
     """Wealth along the tree: initial capital plus trading gains minus
     consumption.  May go negative; admissibility is a separate check."""
     tree = m.tree
+    if strategy.tree != tree or consumption.cumulative.tree != tree:
+        raise PreconditionError("strategy or consumption on a different tree")
+    if any(h is not None and len(h) != m.d for h in strategy.holdings):
+        raise PreconditionError(f"holdings must give one position per asset ({m.d})")
     x = frac(x)
     vals: list[Fraction] = [ZERO] * tree.num_nodes
     vals[0] = x
@@ -324,36 +328,6 @@ def wealth_process(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WealthSystem:
-    """LP encoding of admissible wealth processes with budget ``x``.
-
-    Variables: one wealth value per node (column ``n`` is the wealth at
-    node ``n``), then ``d`` holdings per non-terminal node, then (when
-    consumption is allowed) one cumulative consumption value per node.
-    """
-
-    market: Market
-    budget: Fraction
-    with_consumption: bool
-    system: LinearSystem
-
-    def consumption_index(self, node: int) -> int:
-        if not self.with_consumption:
-            raise PreconditionError("this system has no consumption variables")
-        # the consumption block comes last
-        return self.system.num_vars - self.market.tree.num_nodes + node
-
-    def extract_wealth(self, point: Sequence[Fraction]) -> AdaptedProcess:
-        n = self.market.tree.num_nodes
-        return AdaptedProcess(self.market.tree, tuple(point[:n]))
-
-    def extract_consumption(self, point: Sequence[Fraction]) -> ConsumptionProcess:
-        tree = self.market.tree
-        vals = tuple(point[self.consumption_index(n)] for n in range(tree.num_nodes))
-        return ConsumptionProcess(AdaptedProcess(tree, vals))
-
-
 def _holding_columns(m: Market, start: int) -> dict[int, range]:
     """The columns of the ``d`` holdings at each non-terminal node, laid out
     node by node from column ``start``."""
@@ -374,7 +348,13 @@ def _decode_strategy(
 
 
 @per_owner
-def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> WealthSystem:
+def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> LinearSystem:
+    """LP encoding of admissible wealth processes with budget ``x``.
+
+    Column ``n`` is the wealth at node ``n``; ``d`` holdings per
+    non-terminal node follow, and with consumption the last ``N`` columns
+    are the cumulative consumption at each node.
+    """
     tree = m.tree
     n_nodes = tree.num_nodes
     hcols = _holding_columns(m, n_nodes)
@@ -411,11 +391,10 @@ def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> WealthSyst
     names += [f"h({tree.labels[n]},{i})" for n in hcols for i in range(m.d)]
     if with_consumption:
         names += [f"C({lab})" for lab in tree.labels]
-    system = LinearSystem.make(n_vars, rows, lower=lower, var_names=names)
-    return WealthSystem(m, x, with_consumption, system)
+    return LinearSystem.make(n_vars, rows, lower=lower, var_names=names)
 
 
-def pure_investment_polytope(m: Market, x: int | str | Fraction) -> WealthSystem:
+def pure_investment_polytope(m: Market, x: int | str | Fraction) -> LinearSystem:
     """Admissible pure-investment wealth processes with initial value <= x."""
     x = frac(x)
     if x < 0:
@@ -423,7 +402,7 @@ def pure_investment_polytope(m: Market, x: int | str | Fraction) -> WealthSystem
     return _wealth_system(m, x, False)
 
 
-def consumption_polytope(m: Market, x: int | str | Fraction) -> WealthSystem:
+def consumption_polytope(m: Market, x: int | str | Fraction) -> LinearSystem:
     """Admissible invest-and-consume wealth processes with budget <= x."""
     x = frac(x)
     if x < 0:
@@ -447,25 +426,26 @@ class DeflatorMembership:
         return self.member
 
 
-def _polar_of_wealth_system(ws: WealthSystem, y: AdaptedProcess) -> DeflatorMembership:
-    """Is deflated wealth a supermartingale for every process in ``ws``?
+def _polar_of_wealth_system(
+    m: Market, system: LinearSystem, y: AdaptedProcess
+) -> DeflatorMembership:
+    """Is deflated wealth a supermartingale for every process in ``system``,
+    a wealth system of ``m`` at budget 1?
 
     One LP per non-terminal node maximizing the one-step defect of the
     product over the whole polytope; the root condition reduces to
     y(root) <= 1 because initial wealth is capped at 1, and its witness
     is the constant unit wealth.
     """
-    if y.tree != ws.market.tree:
+    if y.tree != m.tree:
         raise PreconditionError("deflator lives on a different tree")
-    if ws.budget != 1:
-        raise PreconditionError("deflator membership is stated at budget 1")
     if y.initial > 1:
         # wealth 1 everywhere, held in cash and never consumed
-        point = vector(ws.system.num_vars, ((n, ONE) for n in range(y.tree.num_nodes)))
-        if not ws.system.satisfied_by(point):
+        point = vector(system.num_vars, ((n, ONE) for n in range(y.tree.num_nodes)))
+        if not system.satisfied_by(point):
             raise PostconditionError("constant unit wealth left the wealth system")
         return DeflatorMembership(False, "initial value above 1", witness_point=point)
-    return _defect_membership(ws.system, y)
+    return _defect_membership(system, y)
 
 
 def _defect_membership(system: LinearSystem, y: AdaptedProcess) -> DeflatorMembership:
@@ -481,12 +461,12 @@ def _defect_membership(system: LinearSystem, y: AdaptedProcess) -> DeflatorMembe
 
 def y_enlargement_membership(m: Market, y: AdaptedProcess) -> DeflatorMembership:
     """Membership in the polar of pure-investment wealth at budget 1."""
-    return _polar_of_wealth_system(pure_investment_polytope(m, 1), y)
+    return _polar_of_wealth_system(m, pure_investment_polytope(m, 1), y)
 
 
 def xc_polar_membership(m: Market, y: AdaptedProcess) -> DeflatorMembership:
     """Membership in the polar of invest-and-consume wealth at budget 1."""
-    return _polar_of_wealth_system(consumption_polytope(m, 1), y)
+    return _polar_of_wealth_system(m, consumption_polytope(m, 1), y)
 
 
 def xc_measure_membership(m: Market, z: AdaptedProcess) -> DeflatorMembership:
@@ -543,9 +523,7 @@ def density_hull_membership(m: Market, y: AdaptedProcess) -> DeflatorMembership:
                 )
             )
         lower = [tree.edge_prob[ch] * y.values[ch] for ch in kids]
-        system = LinearSystem.make(k, rows, lower=lower)
-        out = minimize(system, [0] * k)
-        if out.status is LpStatus.INFEASIBLE:
+        if feasible_point(LinearSystem.make(k, rows, lower=lower)) is None:
             return DeflatorMembership(
                 False,
                 reason=f"no dominating likelihood ratio at {tree.labels[n]}",
@@ -639,8 +617,7 @@ def _hedge(
         )
         for ch in m.tree.children[n]
     ]
-    out = minimize(LinearSystem.make(m.d, rows, lower=None), [0] * m.d)
-    return None if out.status is LpStatus.INFEASIBLE else out.point
+    return feasible_point(LinearSystem.make(m.d, rows, lower=None))
 
 
 def xc_feasibility(m: Market, z: AdaptedProcess) -> XcFeasibility:
@@ -695,6 +672,8 @@ def _terminal_obligation(
     """Normalize a claim to (cumulative stream, terminal payoff)."""
     tree = m.tree
     if isinstance(claim, ConsumptionDensity):
+        if claim.density.tree != tree:
+            raise PreconditionError("consumption density on a different tree")
         cum = claim.cumulative()
         space = terminal_space(tree)
         payout = RandomVariable(
@@ -805,6 +784,8 @@ def budget_check(
     x = frac(x)
     if x < 0:
         raise PreconditionError("capital must be nonnegative")
+    if density.density.tree != m.tree:
+        raise PreconditionError("consumption density on a different tree")
     cum = density.cumulative()
     tree = m.tree
 
@@ -836,9 +817,8 @@ def budget_check(
                 f"solvency@{tree.labels[n]}",
             )
         )
-    system = LinearSystem.make(n_vars, measure_rows, lower=None)
-    out = minimize(system, [0] * n_vars)
-    primal_ok = out.status is not LpStatus.INFEASIBLE
+    point = feasible_point(LinearSystem.make(n_vars, measure_rows, lower=None))
+    primal_ok = point is not None
 
     if primal_ok != dual_ok:
         raise PostconditionError(
@@ -851,8 +831,7 @@ def budget_check(
             raise PostconditionError("violating measure fails to certify")
         return BudgetOutcome(False, sh.value, violating_measure=q)
 
-    assert out.point is not None
-    strategy = _decode_strategy(m, hcols, out.point)
+    strategy = _decode_strategy(m, hcols, point)
     if not is_admissible(m, x, strategy, cum):
         raise PostconditionError("primal certificate is not admissible")
     return BudgetOutcome(True, sh.value, strategy=strategy)
@@ -899,26 +878,30 @@ class StructureReport:
 
 
 def sample_consumption_wealth(
-    m: Market, count: int, rng: random.Random | int, budget: Fraction = ONE
+    m: Market, count: int, rng: random.Random | int
 ) -> list[tuple[AdaptedProcess, ConsumptionProcess]]:
-    """Vertices of the invest-and-consume polytope under random objectives."""
+    """Vertices of the invest-and-consume polytope at budget 1 under random
+    objectives."""
     if isinstance(rng, int):
         rng = random.Random(rng)
-    ws = consumption_polytope(m, budget)
+    system = consumption_polytope(m, 1)
     tree = m.tree
+    n_nodes = tree.num_nodes
+    cons = system.num_vars - n_nodes  # column of C(root)
     out: list[tuple[AdaptedProcess, ConsumptionProcess]] = []
     for _ in range(count):
         terms = []
-        for n in range(tree.num_nodes):
+        for n in range(n_nodes):
             terms.append((n, Fraction(rng.randint(-2, 3))))
-            terms.append((ws.consumption_index(n), Fraction(rng.randint(-2, 2))))
-        res = maximize(ws.system, vector(ws.system.num_vars, terms))
+            terms.append((cons + n, Fraction(rng.randint(-2, 2))))
+        res = maximize(system, vector(system.num_vars, terms))
         if res.status is not LpStatus.OPTIMAL:
             raise PostconditionError(
                 "consumption polytope should be bounded in wealth and consumption"
             )
         assert res.point is not None
-        out.append((ws.extract_wealth(res.point), ws.extract_consumption(res.point)))
+        wealth = AdaptedProcess(tree, res.point[:n_nodes])
+        out.append((wealth, ConsumptionProcess(AdaptedProcess(tree, res.point[cons:]))))
     return out
 
 

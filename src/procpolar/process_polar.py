@@ -173,22 +173,14 @@ def bipolar_contains_lp(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncrementSet:
+@per_owner
+def increment_set(c: ProcessSet, t_from: int) -> RvSet:
     """One-step increments of the generators, as a conditional rv problem.
 
     Outcomes are the time-(t+1) nodes, the partition groups them by their
     time-t parent, and each generator contributes its multiplicative
     increment as a random variable.
     """
-
-    t_from: int
-    t_to: int
-    rv_set: RvSet
-
-
-@per_owner
-def increment_set(c: ProcessSet, t_from: int) -> IncrementSet:
     tree = c.tree
     if not 0 <= t_from < tree.horizon:
         raise PreconditionError("increment step needs t_from < horizon")
@@ -204,12 +196,12 @@ def increment_set(c: ProcessSet, t_from: int) -> IncrementSet:
         )
         for g in c.generators
     )
-    return IncrementSet(t_from, t_to, RvSet(gens, part))
+    return RvSet(gens, part)
 
 
 def increment_conditional_polar(c: ProcessSet, t_from: int) -> LinearSystem:
     """Conditional polar constraints of the one-step increment set."""
-    return conditional_polar_constraints(increment_set(c, t_from).rv_set)
+    return conditional_polar_constraints(increment_set(c, t_from))
 
 
 def bipolar_contains_incremental(
@@ -241,11 +233,11 @@ def bipolar_contains_incremental(
     tree = c.tree
     for t in range(tree.horizon):
         inc = increment_set(c, t)
-        space = inc.rv_set.space
+        space = inc.space
         dz = RandomVariable(
             space, tuple(increment(z, t, t + 1, m) for m in space.outcomes)
         )
-        verdict = conditional_bipolar_contains(inc.rv_set, dz)
+        verdict = conditional_bipolar_contains(inc, dz)
         if not verdict:
             return ProcessBipolarMembership(
                 False,
@@ -335,9 +327,7 @@ def sample_polar_elements(
     polar = polar_constraints(c)
     n = c.tree.num_nodes
     points: list[tuple[Fraction, ...]] = []
-    guard = 0
-    while len(points) < count and guard < 20 * count + 20:
-        guard += 1
+    while len(points) < count:
         objective = [Fraction(rng.randint(-2, 3)) for _ in range(n)]
         out = maximize(polar, objective)
         if out.status is LpStatus.INFEASIBLE:

@@ -39,6 +39,7 @@ from .exact_lp import (
     LinearSystem,
     LpStatus,
     exceeding_point,
+    feasible_point,
     minimize,
     per_owner,
     vector,
@@ -181,12 +182,10 @@ def hull_contains(c: RvSet, h: RandomVariable) -> HullMembership:
             i = space.index(w)
             coeffs = tuple(f.values[i] for f in c.generators)
             rows.append(LinearConstraint(coeffs, GE, h.values[i], f"dominate({w})"))
-        sys_ = LinearSystem.make(k, rows, lower=0)
-        out = minimize(sys_, [0] * k)
-        if out.status is LpStatus.INFEASIBLE:
+        point = feasible_point(LinearSystem.make(k, rows, lower=0))
+        if point is None:
             return HullMembership(False, failing_block=bi)
-        assert out.point is not None
-        weights.append(out.point)
+        weights.append(point)
     return HullMembership(True, block_weights=tuple(weights))
 
 
@@ -406,5 +405,4 @@ def unconditional_hull_contains(
                 tuple(f.values[i] for f in generators), GE, h.values[i], f"dom({i})"
             )
         )
-    out = minimize(LinearSystem.make(k, rows, lower=0), [0] * k)
-    return out.status is not LpStatus.INFEASIBLE
+    return feasible_point(LinearSystem.make(k, rows, lower=0)) is not None

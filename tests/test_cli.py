@@ -166,3 +166,17 @@ def test_fuzz_determinism(capsys):
     _, out1, _ = run(capsys, "fuzz", "cbt", "--count", "2", "--seed", "8", "--format", "machine")
     _, out2, _ = run(capsys, "fuzz", "cbt", "--count", "2", "--seed", "8", "--format", "machine")
     assert out1 == out2
+
+
+def test_single_node_market(tmp_path, capsys):
+    inst = tmp_path / "single.instance"
+    inst.write_text(
+        "version 1\n[tree]\nnode root - -\n[process S]\nroot 4\n"
+        "[market]\nassets S\n[consumption]\nnode root 0\nmu 0 1\n"
+    )
+    code, out, err = run(capsys, "check", "market", str(inst))
+    assert code == 0, err
+    assert "[ok] market: equivalent martingale measure exists" in out
+    code, out, err = run(capsys, "check", "budget", str(inst), "--x", "0")
+    assert code == 0, err
+    assert "[ok] budget: admissible at x=0" in out

@@ -19,6 +19,7 @@ from procpolar.exact_lp import (
     constraint,
     exceeding_point,
     feasible_interior_point,
+    feasible_point,
     maximize,
     minimize,
     solve,
@@ -617,3 +618,55 @@ def test_determinism(seed):
     p1, c1, _, _ = random_primal_dual(rng1)
     p2, c2, _, _ = random_primal_dual(rng2)
     assert maximize(p1, c1) == maximize(p2, c2)
+
+
+def test_feasible_point_is_the_zero_objective_optimum_on_the_corpus():
+    statuses = set()
+    for problem in lp_corpus(random.Random(20070049), 300):
+        system = problem.system
+        out = minimize(system, [0] * system.num_vars)
+        point = feasible_point(system)
+        assert point == out.point
+        assert (point is None) is (out.status is LpStatus.INFEASIBLE)
+        statuses.add(out.status)
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+
+def test_a_system_without_variables_has_the_empty_point():
+    assert feasible_point(LinearSystem.make(0)) == ()
+    holds = LinearSystem.make(0, [constraint([], GE, -1), constraint([], EQ, 0)])
+    assert feasible_point(holds) == () and holds.satisfied_by(())
+    fails = LinearSystem.make(0, [constraint([], LE, 0), constraint([], GE, 1)])
+    assert feasible_point(fails) is None and not fails.satisfied_by(())
+    assert feasible_interior_point(holds, []) == ()
+    with pytest.raises(PreconditionError):
+        LinearSystem.make(-1)
+
+
+def test_interior_point_takes_one_solve_and_none_when_empty(monkeypatch):
+    solves = []
+
+    def counted(problem):
+        out = solve(problem)
+        solves.append(out.status)
+        return out
+
+    monkeypatch.setattr(exact_lp, "solve", counted)
+    # unbounded strict directions: eps grows along x0 = x1 and along x2
+    cases = [
+        LinearSystem.make(2, [constraint([1, -1], EQ, 0)]),
+        LinearSystem.make(3, [constraint([1, -1, 0], LE, F(-7, 2))], lower=[-5, None, 1]),
+        LinearSystem.make(2, [constraint([1, 1], GE, F(1, 3))], lower=0),
+    ]
+    for system in cases:
+        del solves[:]
+        pt = feasible_interior_point(system, range(system.num_vars))
+        assert solves == [LpStatus.UNBOUNDED]
+        assert system.satisfied_by(pt) and all(v > 0 for v in pt)
+    # empty: phase 1 alone says so, without a solve
+    empty = LinearSystem.make(2, [constraint([1, 1], LE, -1)], lower=0)
+    del solves[:]
+    assert feasible_interior_point(empty, [0]) is None
+    assert solves == []
+    # no strict variable: one zero-objective solve
+    assert feasible_interior_point(cases[2], []) == feasible_point(cases[2])

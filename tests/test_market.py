@@ -124,17 +124,17 @@ def test_density_requires_feasible_point(m1):
 
 def test_pure_investment_polytope_contents(t1, m1):
     ws = pure_investment_polytope(m1, 1)
-    assert ws.system.satisfied_by((F(1), F(1), F(1), F(0)))  # X=1, h=0
-    assert ws.system.satisfied_by((F(1), F(5, 3), F(2, 3), F(1, 6)))
-    assert not ws.system.satisfied_by((F(1), F(2), F(2), F(0)))  # breaks the recursion
+    assert ws.satisfied_by((F(1), F(1), F(1), F(0)))  # X=1, h=0
+    assert ws.satisfied_by((F(1), F(5, 3), F(2, 3), F(1, 6)))
+    assert not ws.satisfied_by((F(1), F(2), F(2), F(0)))  # breaks the recursion
     # every feasible point prices to at most x under the unique measure
     rng = random.Random(0)
     for _ in range(10):
-        objective = [F(rng.randint(-2, 2)) for _ in range(ws.system.num_vars)]
-        out = maximize(ws.system, objective)
+        objective = [F(rng.randint(-2, 2)) for _ in range(ws.num_vars)]
+        out = maximize(ws, objective)
         if out.status is LpStatus.OPTIMAL:
-            x = ws.extract_wealth(out.point)
-            assert F(1, 3) * x.values[1] + F(2, 3) * x.values[2] <= 1
+            x = out.point[:3]
+            assert F(1, 3) * x[1] + F(2, 3) * x[2] <= 1
 
 
 def test_system_builders_return_one_object_per_market(m1):
@@ -166,11 +166,11 @@ def test_market_caches_are_freed_with_the_market(t1):
 def test_consumption_polytope_reduces_to_pure(t1, m1):
     ws = consumption_polytope(m1, 1)
     point = (F(1), F(5, 3), F(2, 3), F(1, 6), F(0), F(0), F(0))
-    assert ws.system.satisfied_by(point)
+    assert ws.satisfied_by(point)
     consume_all = (F(1), F(5, 3), F(0), F(1, 6), F(0), F(0), F(2, 3))
-    assert ws.system.satisfied_by(consume_all)
+    assert ws.satisfied_by(consume_all)
     negative_increment = (F(1), F(5, 3), F(2, 3), F(1, 6), F(1, 2), F(0), F(0))
-    assert not ws.system.satisfied_by(negative_increment)
+    assert not ws.satisfied_by(negative_increment)
 
 
 def test_deflator_oracles_fixture(t1, m1):
@@ -269,8 +269,8 @@ def test_every_no_carries_a_witness_that_substitutes():
         tree = m.tree
         for y in deflator_probes_for(rng, m, 3):
             for oracle, system in (
-                (y_enlargement_membership, pure_investment_polytope(m, 1).system),
-                (xc_polar_membership, consumption_polytope(m, 1).system),
+                (y_enlargement_membership, pure_investment_polytope(m, 1)),
+                (xc_polar_membership, consumption_polytope(m, 1)),
             ):
                 res = oracle(m, y)
                 if res.member:
@@ -514,3 +514,44 @@ def test_superhedge_matches_concave_envelope_on_one_step_markets():
         expected = _concave_envelope_value(list(zip(prices, payoff)), spot)
         assert expected is not None
         assert superhedge_value(m, claim).value == expected
+
+
+def test_single_node_market():
+    from procpolar.tree import EventTree
+
+    tree = EventTree.build([None], [None], ["root"])
+    m = Market.of(tree, [AdaptedProcess.constant(tree, 4)])
+    assert emm_polytope(m).interior == ()
+    assert pure_investment_polytope(m, 1).num_vars == 1
+    dens = ConsumptionDensity(AdaptedProcess.constant(tree, 0), (F(1),))
+    assert superhedge_value(m, dens).value == 0
+    out = budget_check(m, dens, 0)
+    assert out.admissible and out.strategy == Strategy(tree, (None,))
+    rng = random.Random(3)
+    report = verify_structure(
+        m, deflator_probes_for(rng, m, 2), wealth_probes_for(rng, m, 2), rng=rng
+    )
+    assert report.all_ok and report.counts()[1] > 0
+
+
+def test_market_inputs_on_another_tree_are_rejected(t1, m1):
+    from procpolar.tree import EventTree
+
+    chain = EventTree.build([None, 0, 1], [None, 1, 1], ["root", "a", "b"])
+    dens = ConsumptionDensity(AdaptedProcess.constant(chain, 3), (F(0), F(0), F(1)))
+    with pytest.raises(PreconditionError):
+        superhedge_value(m1, dens)
+    with pytest.raises(PreconditionError):
+        budget_check(m1, dens, 1)
+    cons = ConsumptionProcess(AdaptedProcess.from_mapping(chain, {0: 0, 1: 0, 2: 1}))
+    foreign = Strategy(chain, ((F(0),), (F(0),), None))
+    h = Strategy.zero(t1, 1)
+    for strategy, consumption in (
+        (h, cons),
+        (foreign, ConsumptionProcess.zero(t1)),
+        (Strategy.zero(t1, 2), ConsumptionProcess.zero(t1)),  # one asset too many
+        (Strategy.zero(t1, 0), ConsumptionProcess.zero(t1)),  # one too few
+    ):
+        for check in (wealth_values, is_admissible, wealth_process):
+            with pytest.raises(PreconditionError):
+                check(m1, 1, strategy, consumption)

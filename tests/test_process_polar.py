@@ -110,9 +110,9 @@ def test_increment_set_shape(t2):
     one = AdaptedProcess.constant(t2, 1)
     mart = AdaptedProcess.from_mapping(t2, {0: 1, 1: 2, 2: 0, 3: 2, 4: 2, 5: 0, 6: 0})
     inc = increment_set(ProcessSet.of(one, mart), 0)
-    assert inc.rv_set.space == level_space(t2, 1)
-    assert inc.rv_set.generators[0].values == (F(1), F(1))
-    assert inc.rv_set.generators[1].values == (F(2), F(0))
+    assert inc.space == level_space(t2, 1)
+    assert inc.generators[0].values == (F(1), F(1))
+    assert inc.generators[1].values == (F(2), F(0))
     system = increment_conditional_polar(ProcessSet.of(one, mart), 0)
     # E[g | atom] <= 1 and E[2 g_u | atom] <= 1 on the root atom
     assert system.satisfied_by((F(1), F(1)))
