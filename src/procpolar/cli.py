@@ -262,11 +262,14 @@ def _check_budget(inst: Instance, report: Report, args) -> None:
     x = parse_rational(args.x)
     try:
         outcome = budget_check(m, inst.consumption, x)
+        if outcome.admissible and outcome.strategy is None:
+            raise PostconditionError("admissible outcome without a strategy")
+        if not outcome.admissible and outcome.violating_measure is None:
+            raise PostconditionError("inadmissible outcome without a violating measure")
     except PostconditionError as exc:
         report.add("budget", "oracle disagreement (defect)", False, str(exc))
         return
     if outcome.admissible:
-        assert outcome.strategy is not None
         cert = "; ".join(
             f"{m.tree.labels[n]}: ("
             + ", ".join(format_rational(v) for v in outcome.strategy.at(n))
@@ -278,10 +281,9 @@ def _check_budget(inst: Instance, report: Report, args) -> None:
             f"admissible at x={format_rational(x)} "
             f"(superhedge value {format_rational(outcome.superhedge)})",
             True,
-            "holdings " + cert,
+            "holdings " + (cert or "none (the root is terminal)"),
         )
     else:
-        assert outcome.violating_measure is not None
         cert = "q=(" + ", ".join(
             format_rational(v) for v in outcome.violating_measure
         ) + ")"

@@ -7,9 +7,19 @@ all exact, and each constructive operation re-checks the closure property
 it is supposed to enjoy: composing them can never silently leave the class
 of unit-initial supermartingales.
 
+Values are coerced through :func:`~procpolar.rational.frac`, so a float or
+a bool is refused and an int becomes a ``Fraction``.  The one-step
+(super)martingale comparison at a node brings ``sum(p(c) * y(c))`` and
+``y(n)`` to one common denominator (``math.lcm``) and compares integers.
 The exact supermartingale check runs once per process object: its verdict
 is cached on the process, outside its fields.  Every operation returns a
 new process, so each postcondition is still checked on its result afresh.
+
+A fork splice at time ``s`` computes one coefficient pair per time-``s``
+node ``n``, ``a(n) = y1(n) w(n) / y2(n)`` and ``b(n) = y1(n) (1 - w(n)) /
+y3(n)`` (0 when the weight or the divisor is 0), and sets every later node
+``m`` below ``n`` to ``a(n) y2(m) + b(n) y3(m)``: the same exact values as
+the increment form, in one pass down the tree.
 """
 
 from __future__ import annotations
@@ -18,10 +28,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from math import lcm
+from typing import Iterator, Mapping
 
 from .errors import PostconditionError, PreconditionError
-from .rational import frac
+from .rational import frac, frac_tuple
 from .tree import EventTree
 
 ZERO = Fraction(0)
@@ -36,9 +47,11 @@ class AdaptedProcess:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.tree.num_nodes:
+        values = frac_tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != self.tree.num_nodes:
             raise PreconditionError("one value per tree node required")
-        if any(v < 0 for v in self.values):
+        if any(v.numerator < 0 for v in values):
             raise PreconditionError("process values must be nonnegative")
 
     @classmethod
@@ -88,14 +101,26 @@ class AdaptedProcess:
         """The verdict of :func:`is_supermartingale`.  It lives in the
         instance dict, not in a field, so equality, hashing and repr never
         see it."""
-        tree = self.tree
-        for n in tree.non_terminal_nodes():
-            expected = sum(
-                (tree.edge_prob[c] * self.values[c] for c in tree.children[n]), ZERO
-            )
-            if expected > self.values[n]:
-                return False
-        return True
+        return all(expected <= value for expected, value in _one_step_sides(self))
+
+
+def _one_step_sides(y: AdaptedProcess) -> Iterator[tuple[int, int]]:
+    """Both sides of the one-step check at each non-terminal node ``n``, as
+    integers over one common denominator ``L`` of that node: ``E / L`` is
+    ``sum(p(c) * y(c))`` over the children ``c`` of ``n`` and ``v / L`` is
+    ``y(n)``.  Comparing ``E`` with ``v`` compares the two rationals."""
+    tree = y.tree
+    probs, vals = tree.edge_prob, y.values
+    for n in tree.non_terminal_nodes():
+        kids = tree.children[n]
+        dens = [probs[c].denominator * vals[c].denominator for c in kids]
+        value = vals[n]
+        common = lcm(value.denominator, *dens)
+        expected = sum(
+            probs[c].numerator * vals[c].numerator * (common // d)
+            for c, d in zip(kids, dens)
+        )
+        yield expected, value.numerator * (common // value.denominator)
 
 
 @dataclass(frozen=True)
@@ -137,14 +162,8 @@ def is_unit_supermartingale(y: AdaptedProcess) -> bool:
 
 
 def is_martingale(y: AdaptedProcess) -> bool:
-    tree = y.tree
-    for n in tree.non_terminal_nodes():
-        expected = sum(
-            (tree.edge_prob[c] * y.values[c] for c in tree.children[n]), ZERO
-        )
-        if expected != y.values[n]:
-            return False
-    return True
+    """Exact one-step equality at every non-terminal node."""
+    return all(expected == value for expected, value in _one_step_sides(y))
 
 
 def has_absorbed_zeros(y: AdaptedProcess) -> bool:
@@ -217,11 +236,12 @@ def fork_splice(
     ``y2`` and ``y3`` from time ``s`` on.
 
     ``weights`` assigns each time-``s`` node a value in [0, 1] (a scalar
-    means the same weight everywhere); the result keeps ``y1`` strictly
-    before ``s`` and below a time-``s`` node ``n`` equals
-    ``y1(n) * (w(n) * inc(y2) + (1-w(n)) * inc(y3))``.  When all three
-    inputs are unit-initial supermartingales the result is re-checked to
-    be one as well.
+    means the same weight everywhere); the result keeps ``y1`` up to time
+    ``s`` and below a time-``s`` node ``n`` equals
+    ``y1(n) * (w(n) * inc(y2) + (1-w(n)) * inc(y3))``, computed as
+    ``a(n) * y2(m) + b(n) * y3(m)`` with one coefficient pair per fork
+    node.  When all three inputs are unit-initial supermartingales the
+    result is re-checked to be one as well.
     """
     tree = y1.tree
     if y2.tree != tree or y3.tree != tree:
@@ -238,22 +258,35 @@ def fork_splice(
             raise PreconditionError(
                 f"missing weights at time-{s} nodes {[tree.labels[n] for n in missing]}"
             )
-    if any(not 0 <= w <= 1 for w in wmap.values()):
+    if any(not 0 <= w.numerator <= w.denominator for w in wmap.values()):
         raise PreconditionError("splice weights must lie in [0, 1]")
     for y in (y2, y3):
         if not has_absorbed_zeros(y):
             raise PreconditionError("splice branches must have absorbed zeros")
 
-    vals = list(y1.values)
+    # A coefficient whose weight or divisor is 0 is 0: below a zero divisor
+    # the subtree is zero (absorbed zeros), and 0/0 = 0.
+    v1, v2, v3 = y1.values, y2.values, y3.values
+    vals = list(v1)
+    coefs: list[tuple[Fraction, Fraction]] = [(ZERO, ZERO)] * tree.num_nodes
     for m in range(tree.num_nodes):
         t = tree.time[m]
         if t < s:
             continue
-        n = tree.ancestor_at(m, s)
-        w = wmap[n]
-        vals[m] = y1.values[n] * (
-            w * increment(y2, s, t, m) + (ONE - w) * increment(y3, s, t, m)
-        )
+        if t == s:
+            w, base = wmap[m], v1[m]
+            coefs[m] = (
+                base * w / v2[m] if w and v2[m] else ZERO,
+                base * (ONE - w) / v3[m] if w != 1 and v3[m] else ZERO,
+            )
+            continue
+        a, b = coefs[m] = coefs[tree.parent[m]]
+        if not b:
+            vals[m] = a * v2[m]
+        elif not a:
+            vals[m] = b * v3[m]
+        else:
+            vals[m] = a * v2[m] + b * v3[m]
     result = AdaptedProcess(tree, tuple(vals))
     if all(map(is_unit_supermartingale, (y1, y2, y3))):
         if not is_unit_supermartingale(result):
@@ -320,11 +353,14 @@ def random_unit_fraction(rng: random.Random, denominator_cap: int = 4) -> Fracti
 def random_nonincreasing_process(
     rng: random.Random, tree: EventTree
 ) -> NonIncreasingProcess:
-    vals = [ONE] * tree.num_nodes
-    vals[0] = ONE - random_unit_fraction(rng, 3) / 2  # keep it in (0, 1] mostly
-    for i in range(1, tree.num_nodes):
-        par = tree.parent[i]
-        vals[i] = vals[par] * (ONE - random_unit_fraction(rng, 3) / 3)
+    """Start at ``1 - U/2`` and multiply by ``1 - U/3`` along each edge, each
+    ``U`` a fresh draw of ``random_unit_fraction(rng, 3)``."""
+    vals: list[Fraction] = []
+    for par in tree.parent:
+        k = 2 if par is None else 3  # keep the root in (0, 1] mostly
+        den = rng.randint(1, 3)
+        factor = Fraction(k * den - rng.randint(0, den), k * den)
+        vals.append(factor if par is None else vals[par] * factor)
     return NonIncreasingProcess(AdaptedProcess(tree, tuple(vals)))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import RationalFormatError
 
@@ -52,3 +53,14 @@ def frac(value: int | str | Fraction) -> Fraction:
     raise RationalFormatError(
         f"cannot use {type(value).__name__} {value!r} as an exact rational"
     )
+
+
+def frac_tuple(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
+    """Coerce each value through :func:`frac` into a tuple.
+
+    A tuple that already holds only Fractions is returned itself, so
+    objects built from one another's values share one tuple.
+    """
+    if type(values) is tuple and all(isinstance(v, Fraction) for v in values):
+        return values
+    return tuple(map(frac, values))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError
-from .rational import format_rational, frac
+from .rational import format_rational, frac, frac_tuple
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -305,9 +305,11 @@ class RandomVariable:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.space.size:
+        values = frac_tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != self.space.size:
             raise PreconditionError("value vector does not match the space")
-        if any(v < 0 for v in self.values):
+        if any(v.numerator < 0 for v in values):
             raise PreconditionError("random variables here are nonnegative")
 
     @classmethod

@@ -1,4 +1,10 @@
+from fractions import Fraction
+
+import pytest
+
+from procpolar import cli
 from procpolar.cli import main
+from procpolar.market import BudgetOutcome
 
 T1 = "fixtures/t1.instance"
 T2 = "fixtures/t2.instance"
@@ -168,15 +174,33 @@ def test_fuzz_determinism(capsys):
     assert out1 == out2
 
 
+SINGLE_NODE_MARKET = (
+    "version 1\n[tree]\nnode root - -\n[process S]\nroot 4\n"
+    "[market]\nassets S\n[consumption]\nnode root 0\nmu 0 1\n"
+)
+
+
 def test_single_node_market(tmp_path, capsys):
     inst = tmp_path / "single.instance"
-    inst.write_text(
-        "version 1\n[tree]\nnode root - -\n[process S]\nroot 4\n"
-        "[market]\nassets S\n[consumption]\nnode root 0\nmu 0 1\n"
-    )
+    inst.write_text(SINGLE_NODE_MARKET)
     code, out, err = run(capsys, "check", "market", str(inst))
     assert code == 0, err
     assert "[ok] market: equivalent martingale measure exists" in out
     code, out, err = run(capsys, "check", "budget", str(inst), "--x", "0")
     assert code == 0, err
     assert "[ok] budget: admissible at x=0" in out
+    assert "holdings none (the root is terminal)" in out
+
+
+@pytest.mark.parametrize("admissible", [True, False])
+def test_budget_outcome_without_certificate_is_a_defect(
+    tmp_path, capsys, monkeypatch, admissible
+):
+    inst = tmp_path / "single.instance"
+    inst.write_text(SINGLE_NODE_MARKET)
+    monkeypatch.setattr(
+        cli, "budget_check", lambda m, density, x: BudgetOutcome(admissible, Fraction(0))
+    )
+    code, out, _ = run(capsys, "check", "budget", str(inst), "--x", "0")
+    assert code == 1
+    assert "[FAIL] budget: oracle disagreement (defect)" in out

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from procpolar.errors import PreconditionError
+from procpolar.errors import PreconditionError, RationalFormatError
 from procpolar.fuzz import random_supermartingale, random_tree
 from procpolar.processes import (
     AdaptedProcess,
@@ -12,9 +13,12 @@ from procpolar.processes import (
     fork_splice,
     has_absorbed_zeros,
     increment,
+    is_martingale,
     is_supermartingale,
     is_unit_supermartingale,
     random_hull_element,
+    random_nonincreasing_process,
+    random_unit_fraction,
     replay_trace,
     solid_multiply,
     zero_absorption_check,
@@ -29,6 +33,54 @@ def _reference_is_supermartingale(y: AdaptedProcess) -> bool:
         if sum((tree.edge_prob[ch] * y.values[ch] for ch in kids), F(0)) > y.values[n]:
             return False
     return True
+
+
+def _reference_is_martingale(y: AdaptedProcess) -> bool:
+    """The one-step equality written out in Fraction arithmetic."""
+    tree = y.tree
+    for n in tree.non_terminal_nodes():
+        kids = tree.children[n]
+        if sum((tree.edge_prob[ch] * y.values[ch] for ch in kids), F(0)) != y.values[n]:
+            return False
+    return True
+
+
+def _reference_fork_splice(y1, y2, y3, s, weights) -> tuple:
+    """The per-node formula y1(n) * (w * inc(y2) + (1-w) * inc(y3)), with n
+    the time-s ancestor of each node from time s on."""
+    tree = y1.tree
+    vals = list(y1.values)
+    for m in range(tree.num_nodes):
+        t = tree.time[m]
+        if t >= s:
+            n = tree.ancestor_at(m, s)
+            w = weights[n]
+            vals[m] = y1.values[n] * (
+                w * increment(y2, s, t, m) + (1 - w) * increment(y3, s, t, m)
+            )
+    return tuple(vals)
+
+
+def _reference_nonincreasing_values(rng: random.Random, tree) -> tuple:
+    """The draw of random_nonincreasing_process, one unit fraction per node."""
+    vals = [F(1)] * tree.num_nodes
+    vals[0] = 1 - random_unit_fraction(rng, 3) / 2
+    for i in range(1, tree.num_nodes):
+        vals[i] = vals[tree.parent[i]] * (1 - random_unit_fraction(rng, 3) / 3)
+    return tuple(vals)
+
+
+def test_process_values_are_exact_rationals(t1):
+    y = AdaptedProcess(t1, (1, "1/2", F(3, 2)))
+    assert y.values == (F(1), F(1, 2), F(3, 2))
+    assert all(type(v) is F for v in y.values)
+    assert AdaptedProcess(t1, y.values).values is y.values  # shared, not copied
+    assert AdaptedProcess(t1, [F(1)] * 3).values == (F(1),) * 3
+    for bad in ((0.5, 0.25, 0.75), (F(1), 0.5, F(1)), (1, True, 1), (1, "0.5", 1)):
+        with pytest.raises(RationalFormatError):
+            AdaptedProcess(t1, bad)
+    with pytest.raises(PreconditionError):
+        AdaptedProcess(t1, (1, "-1/2", 1))
 
 
 def test_constant_one_supermartingale(t1):
@@ -199,3 +251,67 @@ def test_cached_supermartingale_check_matches_reference():
     # the verdict is cached outside the fields
     twin = AdaptedProcess(y.tree, y.values)
     assert y == twin and hash(y) == hash(twin) and repr(y) == repr(twin)
+
+
+def test_martingale_check_matches_reference():
+    rng = random.Random(31)
+    verdicts = {True: 0, False: 0}
+    for _ in range(40):
+        tree = random_tree(rng, 3, 3)
+        y = random_supermartingale(rng, tree, martingale=rng.random() < 0.6)
+        n = rng.randrange(tree.num_nodes)
+        bumped = y.with_value(n, y.values[n] + F(1, 1000))
+        for p in (y, bumped, y.scale(F(3, 2)), y.pointwise_mul(bumped)):
+            expected = _reference_is_martingale(p)
+            assert is_martingale(p) is expected
+            verdicts[expected] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_fork_splice_matches_increment_reference():
+    rng = random.Random(23)
+    cases: Counter = Counter()
+    for _ in range(120):
+        tree = random_tree(rng, 3, 3)
+        y1, y2, y3 = (
+            random_supermartingale(rng, tree, martingale=rng.random() < 0.3)
+            for _ in range(3)
+        )
+        for s in range(tree.horizon + 1):
+            weights = {
+                n: rng.choice((F(0), F(1), F(rng.randint(1, 5), 6)))
+                for n in tree.nodes_at(s)
+            }
+            out = fork_splice(y1, y2, y3, s, weights)
+            assert out.values == _reference_fork_splice(y1, y2, y3, s, weights)
+            cases[f"depth {tree.horizon}"] += 1
+            if s in (0, tree.horizon):
+                cases["s = 0" if s == 0 else "s = horizon"] += 1
+            else:
+                cases["0 < s < horizon"] += 1
+            for n, w in weights.items():
+                cases["w = 0" if w == 0 else "w = 1" if w == 1 else "0 < w < 1"] += 1
+                if y1[n] and ((w and not y2[n]) or (w != 1 and not y3[n])):
+                    cases["weighted zero branch at a fork node"] += 1
+                if not (y2[n] and y3[n]) and any(
+                    tree.time[m] > s and tree.ancestor_at(m, s) == n
+                    for m in range(tree.num_nodes)
+                ):
+                    cases["zero subtree below a fork node"] += 1
+    assert sum(cases[f"depth {d}"] for d in (1, 2, 3)) >= 200, cases
+    for case in (
+        "depth 1", "depth 2", "depth 3", "s = 0", "0 < s < horizon", "s = horizon",
+        "w = 0", "w = 1", "0 < w < 1",
+        "weighted zero branch at a fork node", "zero subtree below a fork node",
+    ):
+        assert cases[case] >= 10, (case, cases)
+
+
+def test_random_nonincreasing_process_matches_reference_draw():
+    shapes = random.Random(29)
+    for seed in range(60):
+        tree = random_tree(shapes, 3, 3)
+        ours, reference = random.Random(seed), random.Random(seed)
+        b = random_nonincreasing_process(ours, tree)
+        assert b.process.values == _reference_nonincreasing_values(reference, tree)
+        assert ours.getstate() == reference.getstate()

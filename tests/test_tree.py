@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procpolar.errors import PreconditionError
+from procpolar.errors import PreconditionError, RationalFormatError
 from procpolar.rational import parse_rational
 from procpolar.tree import (
     EventTree,
@@ -154,6 +154,19 @@ def test_random_variable_nonnegative(t1):
     space = terminal_space(t1)
     with pytest.raises(PreconditionError):
         RandomVariable(space, (F(-1), F(1)))
+
+
+def test_random_variable_values_are_exact_rationals(t1):
+    space = terminal_space(t1)
+    rv = RandomVariable(space, (2, "1/2"))
+    assert rv.values == (F(2), F(1, 2))
+    assert all(type(v) is F for v in rv.values)
+    assert RandomVariable(space, rv.values).values is rv.values
+    for bad in ((0.5, F(1)), (True, 1), (1, "0.5")):
+        with pytest.raises(RationalFormatError):
+            RandomVariable(space, bad)
+    with pytest.raises(PreconditionError):
+        RandomVariable(space, ("-1/2", 1))
 
 
 def test_parse_rational_strictness():
