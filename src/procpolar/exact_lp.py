@@ -60,6 +60,18 @@ denominator ``D``, and each row ``a.x <= b`` is tested as
 ``sum(a_j * n_j) <= b * D`` on its integer numerators ``n``.  The check
 reads only a system's rows and bounds and the problem's objective, never
 the standard form or the tableau, so it stays independent of the solver.
+
+A solve makes one integer pass into the tableau and one out.  Going in, a
+variable with a lower bound of 0 is its column as it is, so rows and
+objectives over it need no shift arithmetic.  Coming out, the point is
+read from the tableau as ``Fraction`` values, a zero offset or a zero side
+of a free variable costing no arithmetic, and brought to its integer form
+``(nums, D)`` once: the objective value and the substitution check both
+read that form.  It is the form of the point returned, so a point that
+drifted on its way out still fails the check, which still reads only the
+problem and the outcome.  :func:`verify_outcome` derives the same form
+from an outcome alone, and reports a missing point, value or ray as a
+violation.
 """
 
 from __future__ import annotations
@@ -95,10 +107,7 @@ class LinearConstraint:
             raise PreconditionError(f"unknown relation {self.relation!r}")
 
     def holds_at(self, point: Sequence[Fraction]) -> bool:
-        return self._holds(*_integer_point(point))
-
-    def _holds(self, nums: Sequence[int], den: int) -> bool:
-        """Whether the row holds at the point ``nums / den``."""
+        nums, den = _integer_point(point)
         terms, rhs = self._integer
         return _compare(_substitute(terms, nums), self.relation, rhs * den)
 
@@ -238,15 +247,26 @@ class LinearSystem:
         """:meth:`violations` at the point ``nums / den``."""
         if len(nums) != self.num_vars:
             raise PreconditionError("point dimension mismatch")
-        out = [
-            row.label or f"row[{i}]"
-            for i, row in enumerate(self.rows)
-            if not row._holds(nums, den)
-        ]
+        out = []
+        for i, row in enumerate(self.rows):
+            terms, rhs = row._integer
+            lhs = 0
+            for j, a in terms:
+                lhs += a * nums[j]
+            rhs *= den
+            relation = row.relation
+            if (
+                lhs > rhs
+                if relation == LE
+                else lhs < rhs if relation == GE else lhs != rhs
+            ):
+                out.append(row.label or f"row[{i}]")
         for j, relation, num, bden in self._integer_bounds:
-            if not _compare(nums[j] * bden, relation, num * den):
-                side = "below lower" if relation == GE else "above upper"
-                out.append(f"{self.name_of(j)} {side} bound")
+            if relation == GE:
+                if nums[j] * bden < num * den:
+                    out.append(f"{self.name_of(j)} below lower bound")
+            elif nums[j] * bden > num * den:
+                out.append(f"{self.name_of(j)} above upper bound")
         return tuple(out)
 
     def satisfied_by(self, point: Sequence[Fraction]) -> bool:
@@ -386,26 +406,38 @@ def verify_outcome(problem: LpProblem, outcome: LpOutcome) -> tuple[str, ...]:
     Every comparison is in integers: the point (or ray) over one common
     denominator against each row, bound and the objective scaled by the lcm
     of their own denominators.  It reads the problem alone, never the
-    tableau the solver ended at.
+    tableau the solver ended at.  A missing certificate is reported, not
+    raised.
     """
-    sys_ = problem.system
     if outcome.status is LpStatus.INFEASIBLE:
         return ()
-    assert outcome.point is not None
-    nums, den = _integer_point(outcome.point)
+    if outcome.point is None:
+        return (f"{outcome.status.value} outcome without a point",)
+    return _verify(problem, outcome, *_integer_point(outcome.point))
+
+
+def _verify(
+    problem: LpProblem, outcome: LpOutcome, nums: Sequence[int], den: int
+) -> tuple[str, ...]:
+    """:func:`verify_outcome` of an outcome whose point is ``nums / den``."""
+    sys_ = problem.system
     bad = list(sys_._violations(nums, den))
     obj, scale = problem._integer_objective
     if outcome.status is LpStatus.OPTIMAL:
         # value == c.x, both sides times scale * den * value.denominator
         value = outcome.value
-        at_point = _substitute(obj, nums)
-        if value is None or (
-            value.numerator * scale * den != at_point * value.denominator
+        if value is None:
+            bad.append("optimal outcome without a value")
+        elif (
+            value.numerator * scale * den
+            != _substitute(obj, nums) * value.denominator
         ):
             bad.append("reported value differs from objective at the point")
         return tuple(bad)
     # unbounded: the ray must keep every constraint and improve the objective
-    assert outcome.ray is not None
+    if outcome.ray is None:
+        bad.append("unbounded outcome without a ray")
+        return tuple(bad)
     ray, _ = _integer_point(outcome.ray)
     for i, row in enumerate(sys_.rows):
         if not _compare(_substitute(row._integer[0], ray), row.relation, 0):
@@ -427,7 +459,8 @@ def verify_outcome(problem: LpProblem, outcome: LpOutcome) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 # transforms from original variables to standard-form columns
-_SHIFT = "shift"  # x = L + u
+_PLAIN = "plain"  # x = u, a shift by a lower bound of 0
+_SHIFT = "shift"  # x = L + u, L nonzero
 _MIRROR = "mirror"  # x = U - u
 _SPLIT = "split"  # x = u+ - u-
 
@@ -451,7 +484,7 @@ class _Standard:
             if lo is not None:
                 if up is not None and up < lo:
                     raise _InfeasibleBounds()
-                self.transforms.append((_SHIFT, ncols, lo))
+                self.transforms.append((_SHIFT if lo else _PLAIN, ncols, lo))
                 ncols += 1
             elif up is not None:
                 self.transforms.append((_MIRROR, ncols, up))
@@ -530,10 +563,11 @@ class _Standard:
             if not c:
                 continue
             kind, col, aux = self.transforms[j]
-            if kind == _SHIFT:
+            if kind == _PLAIN:
                 terms.append((col, c))
-                if aux:
-                    rhs -= c * aux
+            elif kind == _SHIFT:
+                terms.append((col, c))
+                rhs -= c * aux
             elif kind == _MIRROR:
                 terms.append((col, -c))
                 if aux:
@@ -544,25 +578,31 @@ class _Standard:
         return terms, rhs
 
     def to_original_point(self, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """The original point of ``u``; a zero offset or a zero side of a
+        split column costs no arithmetic."""
         out = []
         for kind, col, aux in self.transforms:
-            if kind == _SHIFT:
-                out.append(aux + u[col])
+            x = u[col]
+            if kind == _PLAIN:
+                out.append(x)
+            elif kind == _SHIFT:
+                out.append(aux + x)
             elif kind == _MIRROR:
-                out.append(aux - u[col])
+                out.append(aux - x)
             else:
-                out.append(u[col] - u[aux])
+                neg = u[aux]
+                out.append((x - neg if x else -neg) if neg else x)
         return tuple(out)
 
     def to_original_ray(self, du: Sequence[Fraction]) -> tuple[Fraction, ...]:
         out = []
         for kind, col, aux in self.transforms:
-            if kind == _SHIFT:
-                out.append(du[col])
-            elif kind == _MIRROR:
+            if kind == _MIRROR:
                 out.append(-du[col])
-            else:
+            elif kind == _SPLIT:
                 out.append(du[col] - du[aux])
+            else:  # a shift, by 0 or not
+                out.append(du[col])
         return tuple(out)
 
 
@@ -672,21 +712,25 @@ def _feasible_start(system: LinearSystem) -> Optional[_Start]:
         else:
             basis.append(hint)
     if art_rows:
+        # phase 1: minimize the sum of the rational system's artificials.  The
+        # artificial of a row scaled by L stands for L of them, so it costs
+        # big // L with big the lcm of the scales.  Its reduced costs are
+        # minus the weighted sum of the artificial rows, and 0 on the
+        # artificials themselves, which are basic
+        big = lcm(*(std.scale[i] for i in art_rows))
+        cost1 = [0] * (total + 1)
+        for i in art_rows:
+            w = big // std.scale[i]
+            for j, v in enumerate(tab[i]):
+                if v:
+                    cost1[j] -= w * v
         n_art = len(art_rows)
+        cost1[total:total] = [0] * n_art
         for i, row in enumerate(tab):
             ext = [0] * n_art
             if basis[i] >= total:
                 ext[basis[i] - total] = 1
             row[-1:-1] = ext
-        # phase 1: minimize the sum of the rational system's artificials.  The
-        # artificial of a row scaled by L stands for L of them, so it costs
-        # big // L with big the lcm of the scales
-        big = lcm(*(std.scale[i] for i in art_rows))
-        cost1 = [0] * (total + n_art + 1)
-        for k, i in enumerate(art_rows):
-            w = big // std.scale[i]
-            cost1[total + k] = w
-            cost1 = [c - w * v for c, v in zip(cost1, tab[i])]
         d, overflow = _iterate(tab, cost1, basis, total + n_art, d)
         if overflow is not None:
             raise PostconditionError("phase-1 objective cannot be unbounded")
@@ -727,19 +771,25 @@ def solve(problem: LpProblem) -> LpOutcome:
     basis = basis[:]
     total = std.ncols_total
 
-    # phase 2: the reduced costs times d
+    # phase 2: the reduced costs times d, in one pass over the basic rows
     obj = std.cost(problem)
-    cost = [d * c for c in obj] + [0]
+    cost = [d * c for c in obj]
+    cost.append(0)
     for i, row in enumerate(tab):
         f = obj[basis[i]]
         if f:
-            cost = [c - f * v for c, v in zip(cost, row)]
+            for j, v in enumerate(row):
+                if v:
+                    cost[j] -= f * v
     d, enter = _iterate(tab, cost, basis, total, d)
 
     u = [ZERO] * total
     for i, row in enumerate(tab):
-        u[basis[i]] = Fraction(row[-1], d)
+        if row[-1]:
+            u[basis[i]] = Fraction(row[-1], d)
     point = std.to_original_point(u)
+    # the one integer form of the point: the value and the check share it
+    nums, den = _integer_point(point)
 
     if enter is not None:
         step = std.ray_scale[enter]
@@ -750,12 +800,11 @@ def solve(problem: LpProblem) -> LpOutcome:
         ray = std.to_original_ray(du)
         outcome = LpOutcome(LpStatus.UNBOUNDED, point=point, ray=ray)
     else:
-        nums, den = _integer_point(point)
         obj, scale = problem._integer_objective
         value = Fraction(_substitute(obj, nums), scale * den)
         outcome = LpOutcome(LpStatus.OPTIMAL, value=value, point=point)
 
-    bad = verify_outcome(problem, outcome)
+    bad = _verify(problem, outcome, nums, den)
     if bad:
         raise PostconditionError(f"simplex returned an invalid certificate: {bad}")
     return outcome

@@ -10,7 +10,9 @@ of unit-initial supermartingales.
 Values are coerced through :func:`~procpolar.rational.frac`, so a float or
 a bool is refused and an int becomes a ``Fraction``.  The one-step
 (super)martingale comparison at a node brings ``sum(p(c) * y(c))`` and
-``y(n)`` to one common denominator (``math.lcm``) and compares integers.
+``y(n)`` to one common denominator (``math.lcm``) and compares integers;
+:class:`NonIncreasingProcess` compares each edge's two values by
+cross-multiplied numerators.
 The exact supermartingale check runs once per process object: its verdict
 is cached on the process, outside its fields.  Every operation returns a
 new process, so each postcondition is still checked on its result afresh.
@@ -131,11 +133,14 @@ class NonIncreasingProcess:
 
     def __post_init__(self) -> None:
         p = self.process
-        if p.initial > 1:
+        if p.initial.numerator > p.initial.denominator:
             raise PreconditionError("nonincreasing processes start at most at 1")
-        for i in range(p.tree.num_nodes):
-            par = p.tree.parent[i]
-            if par is not None and p.values[i] > p.values[par]:
+        vals = p.values
+        for i, par in enumerate(p.tree.parent):
+            if par is None:
+                continue
+            v, u = vals[i], vals[par]
+            if v.numerator * u.denominator > u.numerator * v.denominator:
                 raise PreconditionError(
                     f"value increases along the edge into {p.tree.labels[i]}"
                 )

@@ -14,6 +14,7 @@ from procpolar.exact_lp import (
     GE,
     LE,
     LinearSystem,
+    LpOutcome,
     LpProblem,
     LpStatus,
     constraint,
@@ -366,6 +367,27 @@ def test_outcomes_pinned_after_a_solve_on_the_same_system():
     assert _corpus_digest(warm=True) == CORPUS_DIGEST
 
 
+# _pivot calls over lp_corpus(random.Random(20070049), 300).  The digest
+# pins where each pivot path ends; this pins the paths' total length, so a
+# change that keeps every outcome but adds or drops pivots fails too.
+CORPUS_PIVOTS = 1027
+
+
+def test_pivot_count_pinned_on_rational_corpus(monkeypatch):
+    calls = 0
+    pivot = exact_lp._pivot
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(exact_lp, "_pivot", counting)
+    for problem in lp_corpus(random.Random(20070049), 300):
+        solve(problem)
+    assert calls == CORPUS_PIVOTS
+
+
 def test_phase1_cache_is_invisible_to_value_semantics():
     # the EQ row needs an artificial, so the solve runs phase 1 and caches
     # it; its substitution check caches the integer rows, bounds and
@@ -515,6 +537,63 @@ def test_verify_outcome_rejects_corrupted_certificates():
             else:
                 kinds[kind] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def _optimal_problem() -> LpProblem:
+    """max x over x + y = 1, x - y >= 1/3, x, y >= 0: the vertex (1, 0)."""
+    rows = [constraint([1, 1], EQ, 1), constraint([1, -1], GE, F(1, 3))]
+    return LpProblem("max", (F(1), F(0)), LinearSystem.make(2, rows, lower=0))
+
+
+def _unbounded_problem() -> LpProblem:
+    """max x + y over x = y, x, y >= 0: unbounded from the origin."""
+    rows = [constraint([1, -1], EQ, 0)]
+    return LpProblem("max", (F(1), F(1)), LinearSystem.make(2, rows, lower=0))
+
+
+@pytest.mark.parametrize("make", [_optimal_problem, _unbounded_problem])
+def test_solve_checks_the_point_it_returns(monkeypatch, make):
+    """The value and the check read one integer form of the point; it must
+    be the form of the point returned, so a drift in point extraction
+    raises."""
+    assert solve(make()).point in ((F(1), F(0)), (F(0), F(0)))
+    to_point = exact_lp._Standard.to_original_point
+
+    def nudged(std, u):
+        x, *rest = to_point(std, u)
+        return (x + F(1, P), *rest)
+
+    monkeypatch.setattr(exact_lp._Standard, "to_original_point", nudged)
+    with pytest.raises(PostconditionError, match=r"row\[0\]"):
+        solve(make())
+
+
+def test_solve_checks_the_value_it_returns(monkeypatch):
+    assert solve(_optimal_problem()).value == 1
+
+    def nudged(status, value=None, **certificates):
+        if value is not None:
+            value += F(1, P)
+        return LpOutcome(status, value, **certificates)
+
+    monkeypatch.setattr(exact_lp, "LpOutcome", nudged)
+    with pytest.raises(PostconditionError, match="reported value differs"):
+        solve(_optimal_problem())
+
+
+def test_verify_outcome_reports_a_missing_certificate():
+    """A certificate-less outcome is a violation, not an exception: no
+    assert (which ``python -O`` strips) and no TypeError."""
+    problem = _optimal_problem()
+    point, ray = (F(1), F(0)), (F(1), F(1))
+    optimal, unbounded = LpStatus.OPTIMAL, LpStatus.UNBOUNDED
+    for outcome, expected in (
+        (LpOutcome(optimal, value=F(1)), "optimal outcome without a point"),
+        (LpOutcome(optimal, point=point), "optimal outcome without a value"),
+        (LpOutcome(unbounded, ray=ray), "unbounded outcome without a point"),
+        (LpOutcome(unbounded, point=point), "unbounded outcome without a ray"),
+    ):
+        assert verify_outcome(problem, outcome) == (expected,)
 
 
 # ---------------------------------------------------------------------------

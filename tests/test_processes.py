@@ -148,6 +148,48 @@ def test_nonincreasing_invariants(t1):
         NonIncreasingProcess(AdaptedProcess.from_mapping(t1, {0: 1, 1: 2, 2: 1}))
 
 
+def _reference_nonincreasing_message(p: AdaptedProcess):
+    """The message ``NonIncreasingProcess(p)`` raises, by plain ``Fraction``
+    comparison, or None when ``p`` starts at most at 1 and never increases."""
+    if p.initial > 1:
+        return "nonincreasing processes start at most at 1"
+    for i, par in enumerate(p.tree.parent):
+        if par is not None and p.values[i] > p.values[par]:
+            return f"value increases along the edge into {p.tree.labels[i]}"
+    return None
+
+
+def test_nonincreasing_check_matches_fraction_reference():
+    rng = random.Random(37)
+    step = F(1, 2**61 - 1)  # a rational far below every other denominator
+    verdicts: Counter = Counter()
+    for _ in range(60):
+        tree = random_tree(rng, 3, 3)
+        base = random_nonincreasing_process(rng, tree).process
+        n = rng.randrange(tree.num_nodes)
+        par = tree.parent[n]
+        top = F(1) if par is None else base.values[par]
+        variants = [
+            base,
+            base.with_value(n, top),  # equal to its parent (or to 1): allowed
+            base.with_value(n, top + step),
+            base.with_value(n, max(top - step, F(0))),
+            base.with_value(n, top * F(rng.randint(1, 7), rng.randint(1, 7))),
+        ]
+        for p in variants:
+            expected = _reference_nonincreasing_message(p)
+            if expected is None:
+                assert NonIncreasingProcess(p).process == p
+            else:
+                with pytest.raises(PreconditionError) as err:
+                    NonIncreasingProcess(p)
+                assert str(err.value) == expected
+            kind = "ok" if expected is None else expected.split()[0]
+            verdicts[kind] += 1
+    # allowed processes, starts above 1 and increases along an edge all occur
+    assert min(verdicts[k] for k in ("ok", "nonincreasing", "value")) >= 10, verdicts
+
+
 def test_fork_splice_self_identity(t2):
     rng = random.Random(1)
     y = random_supermartingale(rng, t2, strictly_positive=True)
