@@ -40,6 +40,15 @@ reuse by passing the same system object; :func:`per_owner` memoises a
 system builder on the object the system is built from, so that every
 caller gets that one object.
 
+Each question is solved once per system object, too.  The four entry
+points below ask through one memo kept on the system beside its phase-1
+result, keyed by the sense and the objective's integer form (its nonzero
+terms and their lcm, the form the substitution check reads); asking again
+returns the stored outcome object without a solve.  Equal systems built
+as distinct objects keep distinct memos, and the paired oracles build
+their own systems, so one side of a check never reads the other side's
+answer.
+
 Rows and objectives are built with :func:`vector` from ``(column, value)``
 pairs and stored dense.
 
@@ -63,15 +72,16 @@ the standard form or the tableau, so it stays independent of the solver.
 
 A solve makes one integer pass into the tableau and one out.  Going in, a
 variable with a lower bound of 0 is its column as it is, so rows and
-objectives over it need no shift arithmetic.  Coming out, the point is
-read from the tableau as ``Fraction`` values, a zero offset or a zero side
-of a free variable costing no arithmetic, and brought to its integer form
-``(nums, D)`` once: the objective value and the substitution check both
-read that form.  It is the form of the point returned, so a point that
-drifted on its way out still fails the check, which still reads only the
-problem and the outcome.  :func:`verify_outcome` derives the same form
-from an outcome alone, and reports a missing point, value or ray as a
-violation.
+objectives over it need no shift arithmetic, and a zero objective builds
+no cost row at all: phase 2 stops at the vertex phase 1 ended at.  Coming
+out, the point is read from the tableau as ``Fraction`` values, a zero
+offset or a zero side of a free variable costing no arithmetic, and
+brought to its integer form ``(nums, D)`` once: the objective value and
+the substitution check both read that form.  It is the form of the point
+returned, so a point that drifted on its way out still fails the check,
+which still reads only the problem and the outcome.  :func:`verify_outcome`
+derives the same form from an outcome alone, and reports a missing point,
+value or ray as a violation.
 """
 
 from __future__ import annotations
@@ -292,6 +302,12 @@ class LinearSystem:
         field, so equality, hashing and repr never see it."""
         return _feasible_start(self)
 
+    @cached_property
+    def _outcomes(self) -> dict[tuple, LpOutcome]:
+        """Every outcome solved over this object, keyed by sense and integer
+        objective (see :func:`_ask`).  Cached like :attr:`_phase1`."""
+        return {}
+
 
 def per_owner(build):
     """Memoise a system builder on the object it is built from.
@@ -354,22 +370,36 @@ class LpOutcome:
     ray: Optional[tuple[Fraction, ...]] = None
 
 
+def _ask(problem: LpProblem) -> LpOutcome:
+    """The outcome of ``problem``, solved once per system object.
+
+    The memo lives on the system, keyed by the sense and the integer form
+    of the objective, which :func:`solve` reuses on a miss; a solve that
+    raises stores nothing.  Every entry point below asks through here."""
+    memo = problem.system._outcomes
+    key = (problem.sense, problem._integer_objective)
+    outcome = memo.get(key)
+    if outcome is None:
+        outcome = memo[key] = solve(problem)
+    return outcome
+
+
 def maximize(
     system: LinearSystem, objective: Sequence[int | str | Fraction]
 ) -> LpOutcome:
-    return solve(LpProblem("max", tuple(frac(c) for c in objective), system))
+    return _ask(LpProblem("max", tuple(frac(c) for c in objective), system))
 
 
 def minimize(
     system: LinearSystem, objective: Sequence[int | str | Fraction]
 ) -> LpOutcome:
-    return solve(LpProblem("min", tuple(frac(c) for c in objective), system))
+    return _ask(LpProblem("min", tuple(frac(c) for c in objective), system))
 
 
 def feasible_point(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
-    """A point of ``system``, or None when it is empty: one solve with a
+    """A point of ``system``, or None when it is empty: the minimum of a
     zero objective, whose optimum is the vertex phase 1 ends at."""
-    return solve(LpProblem("min", (ZERO,) * system.num_vars, system)).point
+    return _ask(LpProblem("min", (ZERO,) * system.num_vars, system)).point
 
 
 def exceeding_point(
@@ -386,7 +416,7 @@ def exceeding_point(
     """
     problem = LpProblem("max", tuple(frac(c) for c in objective), system)
     bound = frac(bound)
-    out = solve(problem)
+    out = _ask(problem)
     if out.status is LpStatus.INFEASIBLE:
         raise PreconditionError("an exceeding point needs a nonempty system")
     assert out.point is not None
@@ -771,16 +801,20 @@ def solve(problem: LpProblem) -> LpOutcome:
     basis = basis[:]
     total = std.ncols_total
 
-    # phase 2: the reduced costs times d, in one pass over the basic rows
-    obj = std.cost(problem)
-    cost = [d * c for c in obj]
-    cost.append(0)
-    for i, row in enumerate(tab):
-        f = obj[basis[i]]
-        if f:
-            for j, v in enumerate(row):
-                if v:
-                    cost[j] -= f * v
+    # phase 2: the reduced costs times d, in one pass over the basic rows.
+    # A zero objective has every reduced cost 0, so phase 2 stops at once
+    if any(problem.objective):
+        obj = std.cost(problem)
+        cost = [d * c for c in obj]
+        cost.append(0)
+        for i, row in enumerate(tab):
+            f = obj[basis[i]]
+            if f:
+                for j, v in enumerate(row):
+                    if v:
+                        cost[j] -= f * v
+    else:
+        cost = [0] * (total + 1)
     d, enter = _iterate(tab, cost, basis, total, d)
 
     u = [ZERO] * total

@@ -510,26 +510,36 @@ def density_hull_membership(m: Market, y: AdaptedProcess) -> DeflatorMembership:
     if y.initial > 1:
         return DeflatorMembership(False, reason="initial value above 1")
     for n in tree.non_terminal_nodes():
-        kids = tree.children[n]
-        k = len(kids)
-        rows = [LinearConstraint((ONE,) * k, EQ, y.values[n], "mass")]
-        for i in range(m.d):
-            rows.append(
-                LinearConstraint(
-                    tuple(m.prices[i].values[ch] for ch in kids),
-                    EQ,
-                    y.values[n] * m.prices[i].values[n],
-                    f"price[{i}]",
-                )
-            )
-        lower = [tree.edge_prob[ch] * y.values[ch] for ch in kids]
-        if feasible_point(LinearSystem.make(k, rows, lower=lower)) is None:
+        kids = tuple(y.values[ch] for ch in tree.children[n])
+        if feasible_point(_density_hull_system(m, n, y.values[n], kids)) is None:
             return DeflatorMembership(
                 False,
                 reason=f"no dominating likelihood ratio at {tree.labels[n]}",
                 node=n,
             )
     return DeflatorMembership(True)
+
+
+@per_owner
+def _density_hull_system(
+    m: Market, n: int, y_node: Fraction, y_kids: tuple[Fraction, ...]
+) -> LinearSystem:
+    """Scaled measure weights r over the children of ``n`` summing to
+    ``y_node``, pricing the assets at ``y_node`` times the spot and
+    dominating ``p(ch) y_kids(ch)``."""
+    kids = m.tree.children[n]
+    rows = [LinearConstraint((ONE,) * len(kids), EQ, y_node, "mass")]
+    for i in range(m.d):
+        rows.append(
+            LinearConstraint(
+                tuple(m.prices[i].values[ch] for ch in kids),
+                EQ,
+                y_node * m.prices[i].values[n],
+                f"price[{i}]",
+            )
+        )
+    lower = [m.tree.edge_prob[ch] * v for ch, v in zip(kids, y_kids)]
+    return LinearSystem.make(len(kids), rows, lower=lower)
 
 
 @per_owner
@@ -608,16 +618,26 @@ def _hedge(
     """Holdings at ``n`` whose gains dominate ``target(ch) - target(n)``
     into every child, or None when there are none: the one-period step of
     the optional decomposition, a feasibility LP in ``d`` free holdings."""
+    increments = tuple(target[ch] - target[n] for ch in m.tree.children[n])
+    return feasible_point(_hedge_system(m, n, increments))
+
+
+@per_owner
+def _hedge_system(
+    m: Market, n: int, increments: tuple[Fraction, ...]
+) -> LinearSystem:
+    """The system of :func:`_hedge`, with the target's increments into the
+    children of ``n`` as its right-hand side."""
     rows = [
         LinearConstraint(
             tuple(m.price_increment(i, ch) for i in range(m.d)),
             GE,
-            target[ch] - target[n],
+            inc,
             f"dominate@{m.tree.labels[ch]}",
         )
-        for ch in m.tree.children[n]
+        for ch, inc in zip(m.tree.children[n], increments)
     ]
-    return feasible_point(LinearSystem.make(m.d, rows, lower=None))
+    return LinearSystem.make(m.d, rows, lower=None)
 
 
 def xc_feasibility(m: Market, z: AdaptedProcess) -> XcFeasibility:

@@ -15,12 +15,14 @@ bipolar is the polar of the polar.  Both membership questions reduce to
 one small exact LP per block, and the central fact being exercised by the
 test-suite is that hull membership and bipolar membership always agree.
 
-The polar depends only on the generators, so its systems -- the whole
+Every system is memoised on the :class:`RvSet` with
+:func:`~procpolar.exact_lp.per_owner` and freed with it: the whole
 conditional polar and the per-block polar the bipolar oracle maximizes
-over -- are memoised on the :class:`RvSet` with
-:func:`~procpolar.exact_lp.per_owner` and freed with it.  The hull oracle
-and the unconditional cross-checks build their systems afresh: the hull's
-right-hand side is the probe itself.
+over, which depend only on the generators, and the per-block hull system,
+keyed by the block and the probe's values on it, since those values are
+its right-hand side.  Probes that agree on a block then ask one system
+object, which answers the question once.  The unconditional cross-checks
+build their systems afresh.
 
 Everything uses the convention 0/0 = 0.
 """
@@ -33,6 +35,7 @@ from typing import Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
 from .exact_lp import (
+    EQ,
     GE,
     LE,
     LinearConstraint,
@@ -44,7 +47,7 @@ from .exact_lp import (
     per_owner,
     vector,
 )
-from .tree import Partition, RandomVariable, cond_exp_partition
+from .tree import Partition, RandomVariable, SampleSpace, cond_exp_partition
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -172,21 +175,28 @@ def hull_contains(c: RvSet, h: RandomVariable) -> HullMembership:
     if h.space != c.space:
         raise PreconditionError("candidate lives on a different space")
     space = c.space
-    k = len(c.generators)
     weights: list[tuple[Fraction, ...]] = []
     for bi, block in enumerate(c.partition.blocks):
-        rows = [
-            LinearConstraint((ONE,) * k, "=", ONE, "convex"),
-        ]
-        for w in block:
-            i = space.index(w)
-            coeffs = tuple(f.values[i] for f in c.generators)
-            rows.append(LinearConstraint(coeffs, GE, h.values[i], f"dominate({w})"))
-        point = feasible_point(LinearSystem.make(k, rows, lower=0))
+        values = tuple(h.values[space.index(w)] for w in block)
+        point = feasible_point(_block_hull(c, bi, values))
         if point is None:
             return HullMembership(False, failing_block=bi)
         weights.append(point)
     return HullMembership(True, block_weights=tuple(weights))
+
+
+@per_owner
+def _block_hull(c: RvSet, bi: int, values: tuple[Fraction, ...]) -> LinearSystem:
+    """Convex weights over the generators whose mixture dominates
+    ``values``, a probe's values on block ``bi`` in block order."""
+    space = c.space
+    k = len(c.generators)
+    rows = [LinearConstraint((ONE,) * k, EQ, ONE, "convex")]
+    for w, v in zip(c.partition.blocks[bi], values):
+        i = space.index(w)
+        coeffs = tuple(f.values[i] for f in c.generators)
+        rows.append(LinearConstraint(coeffs, GE, v, f"dominate({w})"))
+    return LinearSystem.make(k, rows, lower=0)
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +376,21 @@ def pairwise_max_closure(
 # ---------------------------------------------------------------------------
 
 
+def _one_space(generators: Sequence[RandomVariable]) -> SampleSpace:
+    """The sample space every generator lives on."""
+    if not generators:
+        raise PreconditionError("at least one generator required")
+    space = generators[0].space
+    if any(f.space != space for f in generators):
+        raise PreconditionError("generators live on different spaces")
+    return space
+
+
 def unconditional_polar_constraints(
     generators: Sequence[RandomVariable],
 ) -> LinearSystem:
     """Polar of a set of nonnegative rvs: E[f*g] <= 1 per generator."""
-    if not generators:
-        raise PreconditionError("at least one generator required")
-    space = generators[0].space
+    space = _one_space(generators)
     rows = [
         LinearConstraint(
             tuple(p * v for p, v in zip(space.probs, f.values)), LE, ONE, f"gen[{i}]"
@@ -388,6 +406,8 @@ def unconditional_bipolar_contains(
     """max E[h*g] over the polar, compared against 1."""
     sys_ = unconditional_polar_constraints(generators)
     space = generators[0].space
+    if h.space != space:
+        raise PreconditionError("candidate lives on a different space")
     objective = [p * v for p, v in zip(space.probs, h.values)]
     return exceeding_point(sys_, objective, ONE) is None
 
@@ -396,9 +416,11 @@ def unconditional_hull_contains(
     generators: Sequence[RandomVariable], h: RandomVariable
 ) -> bool:
     """One global convex weight vector whose mixture dominates ``h``."""
-    space = generators[0].space
+    space = _one_space(generators)
+    if h.space != space:
+        raise PreconditionError("candidate lives on a different space")
     k = len(generators)
-    rows = [LinearConstraint((ONE,) * k, "=", ONE, "convex")]
+    rows = [LinearConstraint((ONE,) * k, EQ, ONE, "convex")]
     for i in range(space.size):
         rows.append(
             LinearConstraint(

@@ -131,10 +131,15 @@ def test_exceeding_point_walks_an_unbounded_ray():
     assert branches == {True, False}
 
 
-def test_exceeding_point_on_an_empty_system_raises():
+def test_exceeding_point_on_an_empty_system_raises(monkeypatch):
+    solved = _count_solves(monkeypatch)
     system = LinearSystem.make(1, [constraint([1], LE, -1)], lower=0)
-    with pytest.raises(PreconditionError):
-        exceeding_point(system, [1], 0)
+    # the infeasible outcome is stored, and every ask raises on it
+    for _ in range(3):
+        with pytest.raises(PreconditionError):
+            exceeding_point(system, [1], 0)
+    assert len(solved) == 1
+    assert feasible_point(system) is None and len(solved) == 2
 
 
 def test_inexact_pivot_division_raises():
@@ -334,16 +339,24 @@ def lp_corpus(rng: random.Random, count: int):
 CORPUS_DIGEST = "f1a3d026d9e80afce2fee7d17bedcfba68a3ff3f5a1dd3dbc8f130401a789247"
 
 
-def _corpus_digest(warm: bool) -> str:
+def _corpus_digest(warm: bool = False, twice: bool = False) -> str:
     """sha256 of the corpus's outcome reprs; ``warm`` first solves each
-    problem's opposite sense over the same system object."""
+    problem's opposite sense over the same system object, and ``twice``
+    asks each problem through :func:`maximize` or :func:`minimize` twice
+    and digests the second answer."""
     digest = hashlib.sha256()
     statuses = set()
     for problem in lp_corpus(random.Random(20070049), 300):
         if warm:
             other = "min" if problem.sense == "max" else "max"
             solve(LpProblem(other, problem.objective, problem.system))
-        out = solve(problem)
+        if twice:
+            ask = maximize if problem.sense == "max" else minimize
+            first = ask(problem.system, problem.objective)
+            out = ask(problem.system, problem.objective)
+            assert out is first
+        else:
+            out = solve(problem)
         statuses.add(out.status)
         digest.update(repr(out).encode())
     assert statuses == set(LpStatus)
@@ -365,6 +378,12 @@ def test_outcomes_pinned_after_a_solve_on_the_same_system():
     object, so an earlier solve over that object must leave the next
     outcome as it would be on a fresh system."""
     assert _corpus_digest(warm=True) == CORPUS_DIGEST
+
+
+def test_outcomes_pinned_when_every_question_is_asked_twice():
+    """The second ask of a question is answered from the system's memo: it
+    must be the outcome a fresh solve gives."""
+    assert _corpus_digest(twice=True) == CORPUS_DIGEST
 
 
 # _pivot calls over lp_corpus(random.Random(20070049), 300).  The digest
@@ -399,6 +418,10 @@ def test_phase1_cache_is_invisible_to_value_semantics():
     fresh = LinearSystem.make(2, rows(), lower=0)
     problem = LpProblem("max", (F(1), F(0)), solved)
     assert solve(problem).value == 1
+    # the outcome memo lives on the system object too
+    assert maximize(solved, [1, 0]).value == 1
+    assert feasible_point(solved) is not None
+    assert len(solved._outcomes) == 2
     assert solved.violations((F(0), F(1))) == ("row[1]",)
     for a, b in (
         (solved, fresh),
@@ -408,6 +431,107 @@ def test_phase1_cache_is_invisible_to_value_semantics():
         assert a == b
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
+
+
+def test_a_zero_objective_builds_no_cost_row(monkeypatch):
+    costed = []
+    cost = exact_lp._Standard.cost
+
+    def counting(std, problem):
+        costed.append(problem)
+        return cost(std, problem)
+
+    monkeypatch.setattr(exact_lp._Standard, "cost", counting)
+    zero = nonzero = 0
+    for problem in lp_corpus(random.Random(20070049), 300):
+        before = len(costed)
+        out = solve(problem)
+        if any(problem.objective):
+            nonzero += out.status is not LpStatus.INFEASIBLE
+        elif out.status is LpStatus.OPTIMAL:
+            zero += 1
+            assert len(costed) == before and out.value == 0
+    assert len(costed) == nonzero
+    assert zero >= 100 and nonzero >= 100
+
+
+# ---------------------------------------------------------------------------
+# One solve per question and system object
+# ---------------------------------------------------------------------------
+
+
+def _count_solves(monkeypatch) -> list:
+    """The problems the entry points hand to :func:`solve` from now on."""
+    solved = []
+
+    def counted(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(exact_lp, "solve", counted)
+    return solved
+
+
+def _small_system() -> LinearSystem:
+    return LinearSystem.make(
+        2, [constraint([1, 1], LE, 3), constraint([1, -1], GE, F(-1, 2))], lower=0
+    )
+
+
+def test_a_question_is_solved_once_per_system_object(monkeypatch):
+    solved = _count_solves(monkeypatch)
+    system = _small_system()
+    first = maximize(system, [1, 2])
+    assert first.value == F(19, 4)
+    assert maximize(system, [1, 2]) is first
+    assert len(solved) == 1
+    # ints, Fractions and strings are one objective
+    assert maximize(system, [F(1), F(2)]) is first
+    assert maximize(system, ["1", "4/2"]) is first
+    assert len(solved) == 1
+    # exceeding_point asks the same question
+    assert exceeding_point(system, [1, 2], first.value - 1) == first.point
+    assert exceeding_point(system, [1, 2], first.value) is None
+    assert len(solved) == 1
+    # a scaled objective is another question: its value differs, also when
+    # its integer terms are the same and only their lcm differs
+    assert maximize(system, [2, 4]).value == 2 * first.value
+    assert maximize(system, [F(1, 2), 1]).value == first.value / 2
+    assert len(solved) == 3
+    # the opposite sense is another question
+    low = minimize(system, [1, 2])
+    assert low.value == 0 and len(solved) == 4
+    assert minimize(system, [1, 2]) is low and len(solved) == 4
+    # feasible_point asks the zero-objective minimum
+    point = feasible_point(system)
+    assert len(solved) == 5
+    assert minimize(system, [0, 0]).point is point and len(solved) == 5
+    # an equal but distinct system object keeps its own memo
+    twin = _small_system()
+    assert twin == system and hash(twin) == hash(system)
+    again = maximize(twin, [1, 2])
+    assert again == first and again is not first
+    assert len(solved) == 6
+    assert [p.system for p in solved].count(twin) == 6
+    assert sum(p.system is twin for p in solved) == 1
+
+
+def test_a_solve_that_raises_stores_nothing(monkeypatch):
+    calls = []
+
+    def failing_once(problem):
+        calls.append(problem)
+        if len(calls) == 1:
+            raise PostconditionError("simulated defect")
+        return solve(problem)
+
+    monkeypatch.setattr(exact_lp, "solve", failing_once)
+    system = _small_system()
+    with pytest.raises(PostconditionError):
+        maximize(system, [1, 2])
+    assert maximize(system, [1, 2]).value == F(19, 4)
+    assert maximize(system, [1, 2]).value == F(19, 4)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from procpolar.market import (
     ConsumptionProcess,
     Market,
     Strategy,
+    _density_hull_system,
+    _hedge_system,
     budget_check,
     consumption_polytope,
     density_process,
@@ -161,6 +163,66 @@ def test_market_caches_are_freed_with_the_market(t1):
     del m
     gc.collect()
     assert ref() is None
+
+
+def test_probe_systems_are_memoised_on_the_market(t1):
+    s = AdaptedProcess.from_mapping(t1, {0: 4, 1: 8, 2: 2})
+    m = Market.of(t1, [s])
+    fixed = Market.of(t1, [s])
+    # one system object per market, node and probe data
+    y = density_process(m, (F(1, 3), F(2, 3)))
+    kids = (y.values[1], y.values[2])
+    hull = _density_hull_system(m, 0, y.initial, kids)
+    assert _density_hull_system(m, 0, y.initial, kids) is hull
+    assert _density_hull_system(m, 0, F(1, 2), kids) is not hull
+    assert _density_hull_system(m, 0, y.initial, (F(1), F(1))) is not hull
+    assert _density_hull_system(fixed, 0, y.initial, kids) is not hull
+    assert _density_hull_system(fixed, 0, y.initial, kids) == hull
+    increments = (F(2, 3), F(-1, 3))
+    hedge = _hedge_system(m, 0, increments)
+    assert _hedge_system(m, 0, increments) is hedge
+    assert _hedge_system(m, 0, (F(1), F(-1, 3))) is not hedge
+    assert _hedge_system(fixed, 0, increments) is not hedge
+    assert _hedge_system(fixed, 0, increments) == hedge
+    # the oracles ask over those objects
+    assert density_hull_membership(m, y).member and hull._outcomes
+    z = AdaptedProcess.from_mapping(t1, {0: 1, 1: "5/3", 2: "2/3"})
+    assert xc_feasibility(m, z).feasible and hedge._outcomes
+    # the memo is invisible to value semantics
+    assert m == fixed and hash(m) == hash(fixed) and repr(m) == repr(fixed)
+    ref = weakref.ref(m)
+    del m, hull, hedge
+    gc.collect()
+    assert ref() is None
+
+
+def test_memoised_market_oracles_match_fresh_markets():
+    rng = random.Random(31)
+    rejected = admissible = 0
+    for _ in range(6):
+        tree = random_tree(rng, 3, 2)
+        m = random_market(rng, tree, 2)
+
+        def twin():
+            return Market(m.tree, m.prices)  # equal, with an empty memo
+
+        # m is reused across probes; each twin answers its first probe
+        for y in deflator_probes_for(rng, m, 3):
+            reused = density_hull_membership(m, y)
+            assert reused == density_hull_membership(twin(), y)
+            rejected += not reused.member
+        for z in wealth_probes_for(rng, m, 3):
+            reused = xc_feasibility(m, z)
+            assert reused == xc_feasibility(twin(), z)
+            rejected += not reused.feasible
+        dens = random_consumption_density(rng, tree)
+        value = superhedge_value(m, dens)
+        assert value == superhedge_value(twin(), dens)
+        for x in (value.value, value.value + 1, value.value / 2):
+            reused = budget_check(m, dens, x)
+            assert reused == budget_check(twin(), dens, x)
+            admissible += reused.admissible
+    assert rejected >= 10 and admissible >= 12
 
 
 def test_consumption_polytope_reduces_to_pure(t1, m1):

@@ -16,6 +16,7 @@ from procpolar.fuzz import (
 from procpolar.rv_polar import (
     PartitionUnitBall,
     RvSet,
+    _block_hull,
     _block_polar,
     conditional_bipolar_contains,
     conditional_polar_constraints,
@@ -27,7 +28,7 @@ from procpolar.rv_polar import (
     unconditional_bipolar_contains,
     unconditional_hull_contains,
 )
-from procpolar.tree import Partition, RandomVariable, terminal_space
+from procpolar.tree import Partition, RandomVariable, SampleSpace, terminal_space
 
 
 @pytest.fixture
@@ -297,3 +298,69 @@ def test_memoised_bipolar_matches_fresh_sets():
             )
             rejected += not reused.member
     assert rejected >= 10
+
+
+def test_hull_systems_are_memoised_on_the_rv_set(four):
+    space, part, fixed = four
+    c = RvSet(fixed.generators, part)  # not held by the fixture, so it can die
+    before = (repr(c), hash(c))
+    probe = RandomVariable(space, (F(1), F(1, 2), F(2), F(1)))
+    on_block = (F(1), F(1, 2))
+    # one system object per block and probe values on the block
+    assert _block_hull(c, 0, on_block) is _block_hull(c, 0, on_block)
+    assert _block_hull(c, 0, on_block) is not _block_hull(c, 0, (F(1), F(1)))
+    assert _block_hull(c, 1, on_block) is not _block_hull(c, 0, on_block)
+    assert _block_hull(fixed, 0, on_block) is not _block_hull(c, 0, on_block)
+    assert _block_hull(fixed, 0, on_block) == _block_hull(c, 0, on_block)
+    verdict = hull_contains(c, probe)
+    assert verdict.member
+    # a probe that agrees on block 0 asks the same system: the same weights
+    other = RandomVariable(space, (F(1), F(1, 2), F(1), F(0)))
+    assert hull_contains(c, other).block_weights[0] is verdict.block_weights[0]
+    # the memo is invisible to value semantics
+    assert (repr(c), hash(c)) == before
+    assert c == fixed and hash(c) == hash(fixed) and repr(c) == repr(fixed)
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
+
+
+def test_memoised_hull_matches_fresh_sets():
+    rng = random.Random(9)
+    rejected = 0
+    for _ in range(15):
+        space = random_space(rng, 6)
+        c = random_rvset(rng, space, random_partition(rng, space, 3), 4)
+        for probe, _ in conditional_probes(rng, c, 6, F(1, 1000)):
+            # c is reused across probes; each twin answers its first probe
+            reused = hull_contains(c, probe)
+            assert reused == hull_contains(RvSet(c.generators, c.partition), probe)
+            assert hull_contains(c, probe) == reused
+            rejected += not reused.member
+    assert rejected >= 10
+
+
+def test_unconditional_cross_checks_need_one_space():
+    two = SampleSpace((0, 1), (F(1, 2), F(1, 2)))
+    skewed = SampleSpace((0, 1), (F(1, 3), F(2, 3)))
+    three = SampleSpace((0, 1, 2), (F(1, 3),) * 3)
+    gens = [RandomVariable(two, (F(2), F(2)))]
+    # the probe's third value is beyond the generators' space
+    longer = RandomVariable(three, (F(1), F(1), F(5)))
+    # same size, other probabilities
+    reweighted = RandomVariable(skewed, (F(1), F(1)))
+    for probe in (longer, reweighted):
+        with pytest.raises(PreconditionError):
+            unconditional_hull_contains(gens, probe)
+        with pytest.raises(PreconditionError):
+            unconditional_bipolar_contains(gens, probe)
+    mixed = gens + [RandomVariable(skewed, (F(1), F(1)))]
+    probe = RandomVariable(two, (F(1), F(1)))
+    for oracle in (unconditional_hull_contains, unconditional_bipolar_contains):
+        with pytest.raises(PreconditionError):
+            oracle(mixed, probe)
+        with pytest.raises(PreconditionError):
+            oracle([], probe)
+        # on one space both answer
+        assert oracle(gens, probe)
