@@ -37,6 +37,7 @@ from .exact_lp import (
     feasible_interior_point,
     feasible_point,
     maximize,
+    minimize,
     per_owner,
     vector,
 )
@@ -78,9 +79,23 @@ class Market:
         return len(self.prices)
 
     def price_increment(self, asset: int, child: int) -> Fraction:
-        par = self.tree.parent[child]
-        assert par is not None
-        return self.prices[asset].values[child] - self.prices[asset].values[par]
+        """``S(child) - S(parent)`` of one asset; the root has none."""
+        if self.tree.parent[child] is None:
+            raise PreconditionError("the root has no price increment")
+        return _price_increments(self)[child][asset]
+
+
+@per_owner
+def _price_increments(m: Market) -> tuple[Optional[tuple[Fraction, ...]], ...]:
+    """Per node, the increments of all assets along the edge into it (None
+    at the root): subtracted once per market, not on every read."""
+    tree = m.tree
+    return tuple(
+        None
+        if par is None
+        else tuple(s.values[n] - s.values[par] for s in m.prices)
+        for n, par in enumerate(tree.parent)
+    )
 
 
 @dataclass(frozen=True)
@@ -285,17 +300,13 @@ def wealth_values(
     if any(h is not None and len(h) != m.d for h in strategy.holdings):
         raise PreconditionError(f"holdings must give one position per asset ({m.d})")
     x = frac(x)
+    increments = _price_increments(m)
     vals: list[Fraction] = [ZERO] * tree.num_nodes
     vals[0] = x
     for n in range(1, tree.num_nodes):
         par = tree.parent[n]
-        assert par is not None
         gain = sum(
-            (
-                strategy.at(par)[i] * m.price_increment(i, n)
-                for i in range(m.d)
-            ),
-            ZERO,
+            (h * ds for h, ds in zip(strategy.at(par), increments[n])), ZERO
         )
         vals[n] = vals[par] + gain - consumption.increment(n)
     return tuple(vals)
@@ -357,6 +368,7 @@ def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> LinearSyst
     """
     tree = m.tree
     n_nodes = tree.num_nodes
+    increments = _price_increments(m)
     hcols = _holding_columns(m, n_nodes)
     n_hold = len(hcols) * m.d
     cons = n_nodes + n_hold  # column of C(root)
@@ -368,7 +380,7 @@ def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> LinearSyst
         par = tree.parent[ch]
         assert par is not None
         terms = [(ch, ONE), (par, -ONE)]
-        terms += ((c, -m.price_increment(i, ch)) for i, c in enumerate(hcols[par]))
+        terms += ((c, -ds) for c, ds in zip(hcols[par], increments[ch]))
         if with_consumption:
             terms += ((cons + ch, ONE), (cons + par, -ONE))
         rows.append(
@@ -628,12 +640,10 @@ def _hedge_system(
 ) -> LinearSystem:
     """The system of :func:`_hedge`, with the target's increments into the
     children of ``n`` as its right-hand side."""
+    price_increments = _price_increments(m)
     rows = [
         LinearConstraint(
-            tuple(m.price_increment(i, ch) for i in range(m.d)),
-            GE,
-            inc,
-            f"dominate@{m.tree.labels[ch]}",
+            price_increments[ch], GE, inc, f"dominate@{m.tree.labels[ch]}"
         )
         for ch, inc in zip(m.tree.children[n], increments)
     ]
@@ -705,6 +715,7 @@ def _terminal_obligation(
     return ConsumptionProcess.zero(tree), claim
 
 
+@per_owner
 def superhedge_value(
     m: Market, claim: RandomVariable | ConsumptionDensity
 ) -> SuperhedgeResult:
@@ -715,7 +726,9 @@ def superhedge_value(
     polytope.  The hedging strategy solving each per-node domination LP
     turns the envelope into wealth minus a nondecreasing residual, which
     is re-checked exactly, as is envelope >= cumulative stream.
-    """
+
+    The result depends only on the market and the claim, so it is
+    memoised on the market, one recursion per claim."""
     tree = m.tree
     cum, payout = _terminal_obligation(m, claim)
     env = [ZERO] * tree.num_nodes
@@ -792,14 +805,14 @@ class BudgetOutcome:
 def budget_check(
     m: Market, density: ConsumptionDensity, x: int | str | Fraction
 ) -> BudgetOutcome:
-    """Is the density consumable from capital ``x``?  Two oracles, one verdict.
+    """Is the density consumable from capital ``x``?  Two oracles, one value.
 
-    Primal: feasibility of a holdings-only system with one solvency row
-    per node -- ``x`` plus the trading gains along the path to the node
-    covers the density's cumulative consumption there (certificate: the
-    strategy).  Dual: the superhedge value of the cumulative stream
-    compared with ``x`` (certificate: the expectation-maximizing measure).
-    The two must coincide; disagreement is a defect, not a result.
+    Primal: the least capital of :func:`_least_capital` (certificate: its
+    strategy, replayed as admissible at ``x``).  Dual: the superhedge value
+    of the cumulative stream (certificate: the expectation-maximizing
+    measure, whose expectation must exceed ``x``).  Neither depends on
+    ``x``, so each is computed once per density; the two values must be
+    equal, and a difference is a defect, not a result.
     """
     x = frac(x)
     if x < 0:
@@ -807,54 +820,61 @@ def budget_check(
     if density.density.tree != m.tree:
         raise PreconditionError("consumption density on a different tree")
     cum = density.cumulative()
-    tree = m.tree
 
     sh = superhedge_value(m, density)
-    dual_ok = sh.value <= x
-
-    # primal: wealth variables eliminated into (holdings); wealth must stay >= 0
-    hcols = _holding_columns(m, 0)
-    n_vars = len(hcols) * m.d
-    measure_rows: list[LinearConstraint] = []
-    # wealth at node n equals x + sum of gains - C(n); express gains recursively
-    # via path sums: W(n) = x - C(n) + sum_{edges e on path} h(par(e)) . dS(e)
-    paths: dict[int, list[tuple[int, int]]] = {0: []}
-    for ch in range(1, tree.num_nodes):
-        par = tree.parent[ch]
-        assert par is not None
-        paths[ch] = paths[par] + [(par, ch)]
-    for n in range(tree.num_nodes):
-        terms = (
-            (c, m.price_increment(i, ch))
-            for par, ch in paths[n]
-            for i, c in enumerate(hcols[par])
-        )
-        measure_rows.append(
-            LinearConstraint(
-                vector(n_vars, terms),
-                GE,
-                cum.cumulative.values[n] - x,
-                f"solvency@{tree.labels[n]}",
-            )
-        )
-    point = feasible_point(LinearSystem.make(n_vars, measure_rows, lower=None))
-    primal_ok = point is not None
-
-    if primal_ok != dual_ok:
+    least, strategy = _least_capital(m, density)
+    if least != sh.value:
         raise PostconditionError(
-            "budget oracles disagree: primal feasibility vs superhedge value"
+            f"budget oracles disagree: least capital {least} "
+            f"vs superhedge value {sh.value}"
         )
-    if not primal_ok:
+    if sh.value > x:
         q = sh.argmax_measure
         expected = _expected_terminal(m, q, cum)
         if expected != sh.value or expected <= x:
             raise PostconditionError("violating measure fails to certify")
         return BudgetOutcome(False, sh.value, violating_measure=q)
-
-    strategy = _decode_strategy(m, hcols, point)
     if not is_admissible(m, x, strategy, cum):
         raise PostconditionError("primal certificate is not admissible")
     return BudgetOutcome(True, sh.value, strategy=strategy)
+
+
+@per_owner
+def _least_capital(
+    m: Market, density: ConsumptionDensity
+) -> tuple[Fraction, Strategy]:
+    """The least initial capital ``w`` from which some strategy covers the
+    density's cumulative consumption, and that strategy.
+
+    One LP per density: minimize ``w`` subject to one ``solvency@n`` row per
+    node, ``w`` plus the gains ``h(par) . dS(ch)`` over the edges on the
+    path to ``n`` at least ``C(n)``, with ``w`` (column 0) and the holdings
+    free.  Its system is built here, apart from the superhedge systems.
+    """
+    tree = m.tree
+    cum = density.cumulative().cumulative.values
+    increments = _price_increments(m)
+    hcols = _holding_columns(m, 1)
+    n_vars = 1 + len(hcols) * m.d
+    # the terms of w plus the gains along the path to each node
+    paths: list[list[tuple[int, Fraction]]] = [[(0, ONE)]]
+    for ch in range(1, tree.num_nodes):
+        par = tree.parent[ch]
+        assert par is not None
+        paths.append(paths[par] + list(zip(hcols[par], increments[ch])))
+    rows = [
+        LinearConstraint(
+            vector(n_vars, terms), GE, cum[n], f"solvency@{tree.labels[n]}"
+        )
+        for n, terms in enumerate(paths)
+    ]
+    names = ["w"] + [f"h({tree.labels[n]},{i})" for n in hcols for i in range(m.d)]
+    system = LinearSystem.make(n_vars, rows, lower=None, var_names=names)
+    out = minimize(system, vector(n_vars, ((0, ONE),)))
+    if out.status is not LpStatus.OPTIMAL:
+        raise PostconditionError(f"least-capital LP is {out.status.value}")
+    assert out.value is not None and out.point is not None
+    return out.value, _decode_strategy(m, hcols, out.point)
 
 
 def _expected_terminal(

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from procpolar.errors import PreconditionError
+from procpolar import exact_lp, market
+from procpolar.errors import PostconditionError, PreconditionError
 from procpolar.fuzz import (
     deflator_probes_for,
     random_consumption_density,
@@ -20,6 +21,7 @@ from procpolar.market import (
     Strategy,
     _density_hull_system,
     _hedge_system,
+    _least_capital,
     budget_check,
     consumption_polytope,
     density_process,
@@ -492,6 +494,113 @@ def test_budget_coincidence_on_random_markets():
         assert budget_check(m, dens, value + 1).admissible
         if value > 0:
             assert not budget_check(m, dens, value - F(1, 1000)).admissible
+
+
+def test_budget_check_asks_each_oracle_once_per_density(monkeypatch, m2, t3):
+    recursions = []
+    obligation = market._terminal_obligation  # called once per recursion
+    monkeypatch.setattr(
+        market,
+        "_terminal_obligation",
+        lambda m, claim: recursions.append(claim) or obligation(m, claim),
+    )
+    primal = []  # solves over a least-capital system
+    solve = exact_lp.solve
+    monkeypatch.setattr(
+        exact_lp,
+        "solve",
+        lambda problem: (
+            any(r.label.startswith("solvency@") for r in problem.system.rows)
+            and primal.append(problem)
+        )
+        or solve(problem),
+    )
+    dens = ConsumptionDensity(
+        AdaptedProcess.from_mapping(t3, {0: 0, 1: 3, 2: 0, 3: 0}), (F(0), F(1))
+    )
+    # value 1: one capital below, one at and one above it
+    verdicts = [budget_check(m2, dens, x).admissible for x in ("99/100", 1, 2)]
+    assert verdicts == [False, True, True]
+    assert len(recursions) == 1 and len(primal) == 1
+    twin = Market(m2.tree, m2.prices)  # equal, with its own memo
+    assert budget_check(twin, dens, 1).admissible
+    assert len(recursions) == 2 and len(primal) == 2
+
+
+def _budget_cases(m1, t1):
+    """Markets and densities: seeded random markets, a zero and a constant
+    density on ``m1``, and a one-node market."""
+    rng = random.Random(29)
+    for _ in range(6):
+        tree = random_tree(rng, 3, 2)
+        m = random_market(rng, tree, 2)
+        yield m, random_consumption_density(rng, tree)
+    yield m1, ConsumptionDensity(AdaptedProcess.constant(t1, 0), (F(0), F(1)))
+    yield m1, ConsumptionDensity(AdaptedProcess.constant(t1, 1), (F(0), F(1)))
+    from procpolar.tree import EventTree
+
+    root = EventTree.build([None], [None], ["root"])
+    yield (
+        Market.of(root, [AdaptedProcess.constant(root, 4)]),
+        ConsumptionDensity(AdaptedProcess.constant(root, 0), (F(1),)),
+    )
+
+
+def test_least_capital_equals_the_superhedge_value(m1, t1):
+    values = []
+    for m, dens in _budget_cases(m1, t1):
+        least, strategy = _least_capital(m, dens)
+        assert least == superhedge_value(m, dens).value
+        assert is_admissible(m, least, strategy, dens.cumulative())
+        values.append(least)
+    assert values[-3:] == [0, 1, 0] and any(v > 0 for v in values[:-3])
+
+
+def test_budget_check_rejects_a_shifted_least_capital(monkeypatch, m1, t1):
+    least_capital = market._least_capital
+    for shift in (F(1, 100), F(-1, 100)):
+        monkeypatch.setattr(
+            market,
+            "_least_capital",
+            lambda m, dens: (least_capital(m, dens)[0] + shift, None),
+        )
+        for m, dens in _budget_cases(m1, t1):
+            value = superhedge_value(m, dens).value
+            with pytest.raises(PostconditionError, match="least capital") as exc:
+                budget_check(m, dens, value)
+            assert f"least capital {value + shift} " in str(exc.value)
+            assert str(exc.value).endswith(f"superhedge value {value}")
+
+
+def test_price_increments_are_price_differences(m1, m2):
+    rng = random.Random(3)
+    for m in [m1, m2] + [random_market(rng, random_tree(rng, 3, 2), 2) for _ in range(3)]:
+        for i, s in enumerate(m.prices):
+            with pytest.raises(PreconditionError):
+                m.price_increment(i, 0)
+            for ch in range(1, m.tree.num_nodes):
+                par = m.tree.parent[ch]
+                assert m.price_increment(i, ch) == s.values[ch] - s.values[par]
+
+
+def test_claim_memos_are_freed_with_the_market(t3):
+    s = AdaptedProcess.from_mapping(t3, {0: 4, 1: 8, 2: 4, 3: 2})
+    m = Market.of(t3, [s])
+    fresh = Market(t3, (s,))
+    before = (hash(m), repr(m))
+    dens = ConsumptionDensity(
+        AdaptedProcess.from_mapping(t3, {0: 0, 1: 3, 2: 0, 3: 0}), (F(0), F(1))
+    )
+    claim = RandomVariable(terminal_space(t3), (F(3), F(0), F(0)))
+    assert superhedge_value(m, claim).value == 1
+    assert budget_check(m, dens, 1).admissible
+    assert not budget_check(m, dens, "1/2").admissible
+    # the memo is invisible to value semantics
+    assert m == fresh and (hash(m), repr(m)) == before == (hash(fresh), repr(fresh))
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
 
 
 def test_local_polytope_matches_global_interior(m2, t3):
