@@ -34,6 +34,7 @@ from .market import (
     Market,
     Strategy,
     SuperhedgeResult,
+    WealthMap,
     budget_check,
     consumption_polytope,
     density_hull_membership,
@@ -44,6 +45,7 @@ from .market import (
     superhedge_value,
     verify_structure,
     wealth_bipolar_contains,
+    wealth_map,
     wealth_process,
     wealth_values,
     xc_feasibility,

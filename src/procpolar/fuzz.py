@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import PostconditionError, PreconditionError
-from .exact_lp import LpStatus, maximize, vector
+from .exact_lp import LpStatus, maximize
 from .market import (
     ConsumptionDensity,
     Market,
@@ -35,6 +35,7 @@ from .market import (
     sample_consumption_wealth,
     superhedge_value,
     verify_structure,
+    wealth_map,
 )
 from .processes import (
     AdaptedProcess,
@@ -666,11 +667,11 @@ def wealth_probes_for(
     probes: list[AdaptedProcess] = []
     pairs = sample_consumption_wealth(m, 2, rng)
     probes.extend(w for w, _ in pairs)
-    system = pure_investment_polytope(m, 1)
-    terms = [(n, Fraction(rng.randint(-1, 2))) for n in range(tree.num_nodes)]
-    res = maximize(system, vector(system.num_vars, terms))
+    wealth = wealth_map(m, False)
+    weights = [Fraction(rng.randint(-1, 2)) for _ in range(tree.num_nodes)]
+    res = maximize(pure_investment_polytope(m, 1), wealth.objective(weights))
     assert res.status is LpStatus.OPTIMAL and res.point is not None
-    probes.append(AdaptedProcess(tree, res.point[: tree.num_nodes]))
+    probes.append(wealth.decode(res.point)[0])
     while len(probes) < count + 3:
         kind = rng.randrange(3)
         base = rng.choice(probes[:3])

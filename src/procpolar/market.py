@@ -15,6 +15,12 @@ polytopes make every pricing question a small exact LP:
   descriptions whose agreement is exactly the structural duality this
   package verifies.
 
+The wealth polytopes and the least-capital LP of the budget check share
+one :class:`WealthMap` per market: wealth as a linear map of the capital,
+the holdings and the consumption increments, with one ``solvency@n`` row
+per non-root node.  Objectives reach its columns through its transpose,
+and its decoder turns a point back into wealth, strategy and consumption.
+
 Everything is exact; every certificate is substitution-checked.
 """
 
@@ -41,7 +47,7 @@ from .exact_lp import (
     per_owner,
     vector,
 )
-from .process_polar import first_defect
+from .process_polar import defect_objective, first_defect
 from .processes import AdaptedProcess, is_martingale, is_supermartingale
 from .rational import frac
 from .tree import EventTree, RandomVariable, terminal_space
@@ -155,8 +161,10 @@ class ConsumptionProcess:
         return cls(AdaptedProcess.constant(tree, 0))
 
     def increment(self, child: int) -> Fraction:
+        """``C(child) - C(parent)``; the root has none."""
         par = self.cumulative.tree.parent[child]
-        assert par is not None
+        if par is None:
+            raise PreconditionError("the root has no consumption increment")
         return self.cumulative.values[child] - self.cumulative.values[par]
 
 
@@ -335,75 +343,121 @@ def wealth_process(
 
 
 # ---------------------------------------------------------------------------
-# Wealth polytopes (H-representations of X(x) and XC(x))
+# The wealth map, and the wealth polytopes X(x) and XC(x) over it
 # ---------------------------------------------------------------------------
 
 
-def _holding_columns(m: Market, start: int) -> dict[int, range]:
-    """The columns of the ``d`` holdings at each non-terminal node, laid out
-    node by node from column ``start``."""
-    return {
-        n: range(start + r * m.d, start + (r + 1) * m.d)
-        for r, n in enumerate(m.tree.non_terminal_nodes())
-    }
+@dataclass(frozen=True, eq=False)
+class WealthMap:
+    """Wealth as a linear map of LP columns,
+    ``X(n) = w0 + sum of h(par) . dS(ch) over the edges to n - C(n)``.
+
+    Column 0 is the capital ``w0 >= 0``, the ``d`` free holdings of each
+    non-terminal node follow, and with consumption one increment
+    ``c(n) >= 0`` per non-root node, ``C(n)`` being their sum along the
+    path.  ``edges[n]`` holds the terms of ``X(n) - X(parent)``.
+    """
+
+    tree: EventTree
+    holdings: dict[int, range]  # the columns of the holdings at each node
+    consumption: range  # the columns of c(1), c(2), ...; empty without
+    edges: tuple[tuple[tuple[int, Fraction], ...], ...]
+    names: tuple[str, ...]
+
+    def system(
+        self, floor: Sequence[Fraction], budget: Optional[Fraction] = None
+    ) -> LinearSystem:
+        """Wealth of at least ``floor(n)`` at every non-root node from a
+        capital of at most ``budget``: one ``solvency@n`` row
+        ``-X(n) <= -floor(n)`` each, over the path form of ``X(n)``.  With
+        a zero floor every row is ``<=`` with rhs 0, so phase 1 starts from
+        the slack basis and needs no artificial."""
+        tree, n_vars = self.tree, len(self.names)
+        forms = [((0, ONE),)]
+        rows = []
+        for n in range(1, tree.num_nodes):
+            forms.append(forms[tree.parent[n]] + self.edges[n])
+            coeffs = vector(n_vars, ((j, -a) for j, a in forms[n]))
+            rows.append(
+                LinearConstraint(coeffs, LE, -floor[n], f"solvency@{tree.labels[n]}")
+            )
+        n_free = self.consumption.start - 1
+        lower = (ZERO,) + (None,) * n_free + (ZERO,) * len(self.consumption)
+        upper = (budget,) + (None,) * (n_vars - 1)
+        return LinearSystem.make(
+            n_vars, rows, lower=lower, upper=upper, var_names=self.names
+        )
+
+    def objective(
+        self, weights: Sequence[Fraction], consumed: Sequence[Fraction] = ()
+    ) -> tuple[Fraction, ...]:
+        """``sum weights(n) X(n) + sum consumed(n) C(n)`` over the columns:
+        the map's transpose, in which each edge's terms weigh the weights
+        summed over the subtree below it, so no path form is composed."""
+        below = _subtree_sums(self.tree, weights)
+        terms = [(0, below[0])]
+        for n in range(1, len(below)):
+            if below[n]:
+                terms += ((j, a * below[n]) for j, a in self.edges[n])
+        if consumed:
+            terms += zip(self.consumption, _subtree_sums(self.tree, consumed)[1:])
+        return vector(len(self.names), terms)
+
+    def decode(
+        self, point: Sequence[Fraction]
+    ) -> tuple[AdaptedProcess, Strategy, ConsumptionProcess]:
+        """The wealth, strategy and consumption held by a point of a system
+        over the map."""
+        tree = self.tree
+        wealth = [point[0]]
+        for n in range(1, tree.num_nodes):
+            gain = sum((a * point[j] for j, a in self.edges[n] if point[j]), ZERO)
+            wealth.append(wealth[tree.parent[n]] + gain)
+        cumulative = [ZERO] * tree.num_nodes
+        for n, c in enumerate(self.consumption, 1):
+            cumulative[n] = cumulative[tree.parent[n]] + point[c]
+        holdings: list[Optional[tuple[Fraction, ...]]] = [None] * tree.num_nodes
+        for n, cols in self.holdings.items():
+            holdings[n] = tuple(point[c] for c in cols)
+        return (
+            AdaptedProcess(tree, tuple(wealth)),
+            Strategy(tree, tuple(holdings)),
+            ConsumptionProcess(AdaptedProcess(tree, tuple(cumulative))),
+        )
 
 
-def _decode_strategy(
-    m: Market, columns: dict[int, range], point: Sequence[Fraction]
-) -> Strategy:
-    """The strategy an LP point holds in the given holding columns."""
-    holdings: list[Optional[tuple[Fraction, ...]]] = [None] * m.tree.num_nodes
-    for n, cols in columns.items():
-        holdings[n] = tuple(point[c] for c in cols)
-    return Strategy(m.tree, tuple(holdings))
+def _subtree_sums(tree: EventTree, weights: Sequence[Fraction]) -> list[Fraction]:
+    sums = list(weights)
+    for n in range(tree.num_nodes - 1, 0, -1):
+        if sums[n]:
+            sums[tree.parent[n]] += sums[n]
+    return sums
 
 
 @per_owner
-def _wealth_system(m: Market, x: Fraction, with_consumption: bool) -> LinearSystem:
-    """LP encoding of admissible wealth processes with budget ``x``.
-
-    Column ``n`` is the wealth at node ``n``; ``d`` holdings per
-    non-terminal node follow, and with consumption the last ``N`` columns
-    are the cumulative consumption at each node.
-    """
+def wealth_map(m: Market, consumption: bool) -> WealthMap:
+    """The wealth map of ``m``, with or without consumption columns."""
     tree = m.tree
-    n_nodes = tree.num_nodes
     increments = _price_increments(m)
-    hcols = _holding_columns(m, n_nodes)
-    n_hold = len(hcols) * m.d
-    cons = n_nodes + n_hold  # column of C(root)
-    n_cons = n_nodes if with_consumption else 0
-    n_vars = n_nodes + n_hold + n_cons
+    holdings = {
+        n: range(1 + r * m.d, 1 + (r + 1) * m.d)
+        for r, n in enumerate(tree.non_terminal_nodes())
+    }
+    start = 1 + len(holdings) * m.d
+    spent = range(start, start + tree.num_nodes - 1 if consumption else start)
+    edges: list[tuple[tuple[int, Fraction], ...]] = [()]
+    for ch in range(1, tree.num_nodes):
+        gains = tuple(zip(holdings[tree.parent[ch]], increments[ch]))
+        edges.append(gains + ((spent[ch - 1], -ONE),) if consumption else gains)
+    names = ["w0"] + [f"h({tree.labels[n]},{i})" for n in holdings for i in range(m.d)]
+    names += [f"c({tree.labels[n]})" for n in range(1, len(spent) + 1)]
+    return WealthMap(tree, holdings, spent, tuple(edges), tuple(names))
 
-    rows = [LinearConstraint(vector(n_vars, ((0, ONE),)), LE, x, "budget")]
-    for ch in range(1, n_nodes):
-        par = tree.parent[ch]
-        assert par is not None
-        terms = [(ch, ONE), (par, -ONE)]
-        terms += ((c, -ds) for c, ds in zip(hcols[par], increments[ch]))
-        if with_consumption:
-            terms += ((cons + ch, ONE), (cons + par, -ONE))
-        rows.append(
-            LinearConstraint(vector(n_vars, terms), EQ, ZERO, f"edge@{tree.labels[ch]}")
-        )
-    if with_consumption:
-        coeffs = vector(n_vars, ((cons, ONE),))
-        rows.append(LinearConstraint(coeffs, EQ, ZERO, "consumption-start"))
-        for ch in range(1, n_nodes):
-            par = tree.parent[ch]
-            coeffs = vector(n_vars, ((cons + ch, ONE), (cons + par, -ONE)))
-            rows.append(
-                LinearConstraint(coeffs, GE, ZERO, f"nondecreasing@{tree.labels[ch]}")
-            )
 
-    lower: list[Optional[Fraction]] = [ZERO] * n_nodes
-    lower += [None] * n_hold
-    lower += [ZERO] * n_cons
-    names = [f"X({lab})" for lab in tree.labels]
-    names += [f"h({tree.labels[n]},{i})" for n in hcols for i in range(m.d)]
-    if with_consumption:
-        names += [f"C({lab})" for lab in tree.labels]
-    return LinearSystem.make(n_vars, rows, lower=lower, var_names=names)
+@per_owner
+def _wealth_system(m: Market, x: Fraction, consumption: bool) -> LinearSystem:
+    """Admissible wealth from a capital of at most ``x``."""
+    return wealth_map(m, consumption).system((ZERO,) * m.tree.num_nodes, x)
 
 
 def pure_investment_polytope(m: Market, x: int | str | Fraction) -> LinearSystem:
@@ -439,46 +493,45 @@ class DeflatorMembership:
 
 
 def _polar_of_wealth_system(
-    m: Market, system: LinearSystem, y: AdaptedProcess
+    m: Market, consumption: bool, y: AdaptedProcess
 ) -> DeflatorMembership:
-    """Is deflated wealth a supermartingale for every process in ``system``,
-    a wealth system of ``m`` at budget 1?
+    """Is deflated wealth a supermartingale for every point of the wealth
+    system at budget 1, with or without consumption?
 
     One LP per non-terminal node maximizing the one-step defect of the
-    product over the whole polytope; the root condition reduces to
+    product over the whole polytope, its objective carried through the
+    map by :meth:`WealthMap.objective`; the root condition reduces to
     y(root) <= 1 because initial wealth is capped at 1, and its witness
-    is the constant unit wealth.
+    is the constant unit wealth ``w0 = 1``.
     """
-    if y.tree != m.tree:
+    tree = m.tree
+    if y.tree != tree:
         raise PreconditionError("deflator lives on a different tree")
+    system = _wealth_system(m, ONE, consumption)
     if y.initial > 1:
         # wealth 1 everywhere, held in cash and never consumed
-        point = vector(system.num_vars, ((n, ONE) for n in range(y.tree.num_nodes)))
+        point = vector(system.num_vars, ((0, ONE),))
         if not system.satisfied_by(point):
             raise PostconditionError("constant unit wealth left the wealth system")
         return DeflatorMembership(False, "initial value above 1", witness_point=point)
-    return _defect_membership(system, y)
-
-
-def _defect_membership(system: LinearSystem, y: AdaptedProcess) -> DeflatorMembership:
-    """A member unless some point of ``system`` gives its product with
-    ``y`` a positive one-step defect; that point is the witness."""
-    defect = first_defect(system, y)
-    if defect is None:
-        return DeflatorMembership(True)
-    n, point = defect
-    reason = f"positive defect at {y.tree.labels[n]}"
-    return DeflatorMembership(False, reason, node=n, witness_point=point)
+    wealth = wealth_map(m, consumption)
+    for n in tree.non_terminal_nodes():
+        objective = wealth.objective(defect_objective(y, n, tree.num_nodes))
+        point = exceeding_point(system, objective, ZERO)
+        if point is not None:
+            reason = f"positive defect at {tree.labels[n]}"
+            return DeflatorMembership(False, reason, node=n, witness_point=point)
+    return DeflatorMembership(True)
 
 
 def y_enlargement_membership(m: Market, y: AdaptedProcess) -> DeflatorMembership:
     """Membership in the polar of pure-investment wealth at budget 1."""
-    return _polar_of_wealth_system(m, pure_investment_polytope(m, 1), y)
+    return _polar_of_wealth_system(m, False, y)
 
 
 def xc_polar_membership(m: Market, y: AdaptedProcess) -> DeflatorMembership:
     """Membership in the polar of invest-and-consume wealth at budget 1."""
-    return _polar_of_wealth_system(m, consumption_polytope(m, 1), y)
+    return _polar_of_wealth_system(m, True, y)
 
 
 def xc_measure_membership(m: Market, z: AdaptedProcess) -> DeflatorMembership:
@@ -611,7 +664,12 @@ def wealth_bipolar_contains(m: Market, z: AdaptedProcess) -> DeflatorMembership:
         return DeflatorMembership(
             False, reason="initial product exceeds 1", witness_point=point
         )
-    return _defect_membership(lifted, z)
+    defect = first_defect(lifted, z)
+    if defect is None:
+        return DeflatorMembership(True)
+    n, point = defect
+    reason = f"positive defect at {m.tree.labels[n]}"
+    return DeflatorMembership(False, reason, node=n, witness_point=point)
 
 
 @dataclass(frozen=True)
@@ -843,38 +901,21 @@ def budget_check(
 def _least_capital(
     m: Market, density: ConsumptionDensity
 ) -> tuple[Fraction, Strategy]:
-    """The least initial capital ``w`` from which some strategy covers the
+    """The least initial capital ``w0`` from which some strategy covers the
     density's cumulative consumption, and that strategy.
 
-    One LP per density: minimize ``w`` subject to one ``solvency@n`` row per
-    node, ``w`` plus the gains ``h(par) . dS(ch)`` over the edges on the
-    path to ``n`` at least ``C(n)``, with ``w`` (column 0) and the holdings
-    free.  Its system is built here, apart from the superhedge systems.
+    One LP per density over the columns of ``wealth_map(m, False)``:
+    minimize ``w0`` subject to one ``solvency@n`` row per non-root node,
+    ``w0`` plus the gains along the path to ``n`` at least ``C(n)``.  Its
+    system is built here, apart from the superhedge systems.
     """
-    tree = m.tree
-    cum = density.cumulative().cumulative.values
-    increments = _price_increments(m)
-    hcols = _holding_columns(m, 1)
-    n_vars = 1 + len(hcols) * m.d
-    # the terms of w plus the gains along the path to each node
-    paths: list[list[tuple[int, Fraction]]] = [[(0, ONE)]]
-    for ch in range(1, tree.num_nodes):
-        par = tree.parent[ch]
-        assert par is not None
-        paths.append(paths[par] + list(zip(hcols[par], increments[ch])))
-    rows = [
-        LinearConstraint(
-            vector(n_vars, terms), GE, cum[n], f"solvency@{tree.labels[n]}"
-        )
-        for n, terms in enumerate(paths)
-    ]
-    names = ["w"] + [f"h({tree.labels[n]},{i})" for n in hcols for i in range(m.d)]
-    system = LinearSystem.make(n_vars, rows, lower=None, var_names=names)
-    out = minimize(system, vector(n_vars, ((0, ONE),)))
+    wealth = wealth_map(m, False)
+    system = wealth.system(density.cumulative().cumulative.values)
+    out = minimize(system, vector(system.num_vars, ((0, ONE),)))
     if out.status is not LpStatus.OPTIMAL:
         raise PostconditionError(f"least-capital LP is {out.status.value}")
     assert out.value is not None and out.point is not None
-    return out.value, _decode_strategy(m, hcols, out.point)
+    return out.value, wealth.decode(out.point)[1]
 
 
 def _expected_terminal(
@@ -921,27 +962,25 @@ def sample_consumption_wealth(
     m: Market, count: int, rng: random.Random | int
 ) -> list[tuple[AdaptedProcess, ConsumptionProcess]]:
     """Vertices of the invest-and-consume polytope at budget 1 under random
-    objectives."""
+    objectives in the wealth and the cumulative consumption."""
     if isinstance(rng, int):
         rng = random.Random(rng)
     system = consumption_polytope(m, 1)
-    tree = m.tree
-    n_nodes = tree.num_nodes
-    cons = system.num_vars - n_nodes  # column of C(root)
+    wealth = wealth_map(m, True)
     out: list[tuple[AdaptedProcess, ConsumptionProcess]] = []
     for _ in range(count):
-        terms = []
-        for n in range(n_nodes):
-            terms.append((n, Fraction(rng.randint(-2, 3))))
-            terms.append((cons + n, Fraction(rng.randint(-2, 2))))
-        res = maximize(system, vector(system.num_vars, terms))
+        weights, consumed = [], []
+        for _n in range(m.tree.num_nodes):
+            weights.append(Fraction(rng.randint(-2, 3)))
+            consumed.append(Fraction(rng.randint(-2, 2)))
+        res = maximize(system, wealth.objective(weights, consumed))
         if res.status is not LpStatus.OPTIMAL:
             raise PostconditionError(
                 "consumption polytope should be bounded in wealth and consumption"
             )
         assert res.point is not None
-        wealth = AdaptedProcess(tree, res.point[:n_nodes])
-        out.append((wealth, ConsumptionProcess(AdaptedProcess(tree, res.point[cons:]))))
+        x, _strategy, consumption = wealth.decode(res.point)
+        out.append((x, consumption))
     return out
 
 

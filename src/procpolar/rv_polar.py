@@ -22,7 +22,9 @@ over, which depend only on the generators, and the per-block hull system,
 keyed by the block and the probe's values on it, since those values are
 its right-hand side.  Probes that agree on a block then ask one system
 object, which answers the question once.  The unconditional cross-checks
-build their systems afresh.
+build their systems afresh, and the bipolar one asks the dual of the polar
+LP, so it checks the conditional oracle's LP on the trivial partition
+instead of asking it again.
 
 Everything uses the convention 0/0 = 0.
 """
@@ -386,30 +388,31 @@ def _one_space(generators: Sequence[RandomVariable]) -> SampleSpace:
     return space
 
 
-def unconditional_polar_constraints(
-    generators: Sequence[RandomVariable],
-) -> LinearSystem:
-    """Polar of a set of nonnegative rvs: E[f*g] <= 1 per generator."""
-    space = _one_space(generators)
-    rows = [
-        LinearConstraint(
-            tuple(p * v for p, v in zip(space.probs, f.values)), LE, ONE, f"gen[{i}]"
-        )
-        for i, f in enumerate(generators)
-    ]
-    return LinearSystem.make(space.size, rows, lower=0)
-
-
 def unconditional_bipolar_contains(
     generators: Sequence[RandomVariable], h: RandomVariable
 ) -> bool:
-    """max E[h*g] over the polar, compared against 1."""
-    sys_ = unconditional_polar_constraints(generators)
-    space = generators[0].space
+    """The dual of max E[h*g] over the polar, compared against 1.
+
+    The least total weight ``sum_i l_i`` over ``l >= 0`` whose cover
+    ``sum_i l_i p(w) f_i(w)`` dominates ``p(w) h(w)`` at every outcome
+    ``w``: by LP duality it equals the polar maximum, so this asks another
+    LP than the conditional oracle on the trivial partition.  No cover at
+    all means that maximum is unbounded, and ``h`` is not a member."""
+    space = _one_space(generators)
     if h.space != space:
         raise PreconditionError("candidate lives on a different space")
-    objective = [p * v for p, v in zip(space.probs, h.values)]
-    return exceeding_point(sys_, objective, ONE) is None
+    rows = [
+        LinearConstraint(
+            tuple(p * f.values[i] for f in generators),
+            GE,
+            p * h.values[i],
+            f"cover({i})",
+        )
+        for i, p in enumerate(space.probs)
+    ]
+    k = len(generators)
+    out = minimize(LinearSystem.make(k, rows, lower=0), (ONE,) * k)
+    return out.status is LpStatus.OPTIMAL and out.value <= 1
 
 
 def unconditional_hull_contains(

@@ -35,6 +35,7 @@ from procpolar.market import (
     superhedge_value,
     verify_structure,
     wealth_bipolar_contains,
+    wealth_map,
     wealth_process,
     wealth_values,
     xc_feasibility,
@@ -54,7 +55,7 @@ from procpolar.exact_lp import (
     minimize,
     vector,
 )
-from procpolar.tree import RandomVariable, terminal_space
+from procpolar.tree import RandomVariable, cond_exp_one_step, terminal_space
 
 
 def test_wealth_zero_strategy_constant(t1, m1):
@@ -127,17 +128,23 @@ def test_density_requires_feasible_point(m1):
 
 
 def test_pure_investment_polytope_contents(t1, m1):
+    # columns: w0, then the holding at the root
     ws = pure_investment_polytope(m1, 1)
-    assert ws.satisfied_by((F(1), F(1), F(1), F(0)))  # X=1, h=0
-    assert ws.satisfied_by((F(1), F(5, 3), F(2, 3), F(1, 6)))
-    assert not ws.satisfied_by((F(1), F(2), F(2), F(0)))  # breaks the recursion
+    assert ws.var_names == ("w0", "h(root,0)")
+    assert ws.satisfied_by((F(1), F(0)))  # X = 1, h = 0
+    assert ws.satisfied_by((F(1), F(1, 6)))
+    assert ws.satisfied_by((F(1), F(1, 2)))  # wealth 0 at d
+    assert ws.violations((F(1), F(1))) == ("solvency@d",)
+    assert ws.violations((F(2), F(0))) == ("w0 above upper bound",)
+    wealth = wealth_map(m1, False)
+    assert wealth.decode((F(1), F(1, 6)))[0].values == (F(1), F(5, 3), F(2, 3))
     # every feasible point prices to at most x under the unique measure
     rng = random.Random(0)
     for _ in range(10):
         objective = [F(rng.randint(-2, 2)) for _ in range(ws.num_vars)]
         out = maximize(ws, objective)
         if out.status is LpStatus.OPTIMAL:
-            x = out.point[:3]
+            x = wealth.decode(out.point)[0].values
             assert F(1, 3) * x[1] + F(2, 3) * x[2] <= 1
 
 
@@ -228,13 +235,100 @@ def test_memoised_market_oracles_match_fresh_markets():
 
 
 def test_consumption_polytope_reduces_to_pure(t1, m1):
+    # columns: w0, the holding at the root, then c(u) and c(d)
     ws = consumption_polytope(m1, 1)
-    point = (F(1), F(5, 3), F(2, 3), F(1, 6), F(0), F(0), F(0))
-    assert ws.satisfied_by(point)
-    consume_all = (F(1), F(5, 3), F(0), F(1, 6), F(0), F(0), F(2, 3))
+    pure = pure_investment_polytope(m1, 1)
+    for point in ((F(1), F(1, 6)), (F(1), F(1, 2)), (F(1), F(1)), (F(2), F(0))):
+        assert ws.satisfied_by(point + (F(0), F(0))) is pure.satisfied_by(point)
+    consume_all = (F(1), F(1, 6), F(0), F(2, 3))
     assert ws.satisfied_by(consume_all)
-    negative_increment = (F(1), F(5, 3), F(2, 3), F(1, 6), F(1, 2), F(0), F(0))
-    assert not ws.satisfied_by(negative_increment)
+    wealth, strategy, consumption = wealth_map(m1, True).decode(consume_all)
+    assert wealth.values == (F(1), F(5, 3), F(0))
+    assert consumption.cumulative.values == (F(0), F(0), F(2, 3))
+    assert wealth_values(m1, 1, strategy, consumption) == wealth.values
+    assert ws.violations((F(1), F(1, 6), F(-1, 2), F(0))) == ("c(u) below lower bound",)
+    assert ws.violations((F(1), F(1, 6), F(0), F(1))) == ("solvency@d",)
+
+
+def _map_cases():
+    """Seeded markets, each with its wealth maps and their systems at
+    budget 1, without and with consumption."""
+    rng = random.Random(43)
+    for _ in range(10):
+        m = random_market(rng, random_tree(rng, 3, 2), 2)
+        for consumption, build in (
+            (False, pure_investment_polytope),
+            (True, consumption_polytope),
+        ):
+            yield rng, m, wealth_map(m, consumption), build(m, 1)
+
+
+def test_map_objective_is_the_transpose_of_the_decoded_wealth():
+    checked = consumed = 0
+    for rng, m, wealth, system in _map_cases():
+        n_nodes = m.tree.num_nodes
+        points = []
+        for _ in range(3):
+            objective = [F(rng.randint(-2, 2)) for _ in range(system.num_vars)]
+            # a point of the system, whether its maximum is bounded or not
+            points.append(maximize(system, objective).point)
+        for _ in range(10):
+            weights = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n_nodes)]
+            spent = []
+            if wealth.consumption:
+                spent = [F(rng.randint(-2, 2)) for _ in range(n_nodes)]
+            objective = wealth.objective(weights, spent)
+            assert len(objective) == system.num_vars
+            for point in points:
+                x, _, cons = wealth.decode(point)
+                expected = sum(a * v for a, v in zip(weights, x.values))
+                if spent:
+                    c = cons.cumulative.values
+                    expected += sum(b * v for b, v in zip(spent, c))
+                    consumed += any(c)
+                assert sum(a * v for a, v in zip(objective, point)) == expected
+                checked += 1
+    assert checked == 600 and consumed > 0
+
+
+def test_wealth_systems_make_no_phase_one_pivot(monkeypatch):
+    pivots = []
+    pivot = exact_lp._pivot
+    monkeypatch.setattr(
+        exact_lp, "_pivot", lambda *args: pivots.append(args[3:]) or pivot(*args)
+    )
+    seen = 0
+    for _, m, _, system in _map_cases():
+        assert all(r.relation == "<=" and r.rhs == 0 for r in system.rows)
+        pivots.clear()  # building the market pivots
+        assert exact_lp._feasible_start(system) is not None
+        assert not pivots
+        seen += 1
+        # the counter counts: the lifted deflator system's rows need artificials
+        exact_lp._feasible_start(lifted_deflator_system(m))
+        assert pivots
+    assert seen == 20
+
+
+def test_a_consumption_vertex_replays_as_wealth():
+    consumed = 0
+    for rng, m, wealth, system in _map_cases():
+        for _ in range(4):
+            weights = [F(rng.randint(-2, 3)) for _ in range(m.tree.num_nodes)]
+            out = maximize(system, wealth.objective(weights))
+            assert out.status is LpStatus.OPTIMAL
+            x, strategy, consumption = wealth.decode(out.point)
+            assert wealth_values(m, out.point[0], strategy, consumption) == x.values
+            assert is_admissible(m, 1, strategy, consumption)
+            consumed += any(consumption.cumulative.values)
+    assert consumed > 0
+
+
+def test_the_root_has_no_consumption_increment(t1):
+    cons = ConsumptionProcess(AdaptedProcess.from_mapping(t1, {0: 0, 1: 1, 2: 2}))
+    assert (cons.increment(1), cons.increment(2)) == (F(1), F(2))
+    with pytest.raises(PreconditionError):
+        cons.increment(0)
 
 
 def test_deflator_oracles_fixture(t1, m1):
@@ -332,19 +426,27 @@ def test_every_no_carries_a_witness_that_substitutes():
         m = random_market(rng, random_tree(rng, 3, 2), 2)
         tree = m.tree
         for y in deflator_probes_for(rng, m, 3):
-            for oracle, system in (
-                (y_enlargement_membership, pure_investment_polytope(m, 1)),
-                (xc_polar_membership, consumption_polytope(m, 1)),
+            for oracle, build, consumption in (
+                (y_enlargement_membership, pure_investment_polytope, False),
+                (xc_polar_membership, consumption_polytope, True),
             ):
                 res = oracle(m, y)
                 if res.member:
                     continue
+                system = build(m, 1)
+                assert system.satisfied_by(res.witness_point)
+                # the witness as a wealth process, checked without the map's objective
+                wealth = wealth_map(m, consumption).decode(res.witness_point)[0]
+                product = y.pointwise_mul(wealth)
                 if res.node is None:
-                    assert system.satisfied_by(res.witness_point)
-                    assert y.initial * res.witness_point[0] > 1
+                    assert res.witness_point == vector(system.num_vars, ((0, F(1)),))
+                    assert wealth == AdaptedProcess.constant(tree, 1)
+                    assert product.initial > 1
                     kinds["unit-wealth"] += 1
                 else:
-                    _check_defect_witness(system, y, res)
+                    values = dict(enumerate(product.values))
+                    n = res.node
+                    assert cond_exp_one_step(tree, values, n) > product.values[n]
                     kinds["defect"] += 1
         for z in wealth_probes_for(rng, m, 3):
             res = wealth_bipolar_contains(m, z)

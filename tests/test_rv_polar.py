@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from procpolar import exact_lp
 from procpolar.errors import PreconditionError
 from procpolar.fuzz import (
     conditional_probes,
@@ -211,6 +212,35 @@ def test_trivial_partition_matches_unconditional():
         assert bool(
             conditional_bipolar_contains(c, probe)
         ) == unconditional_bipolar_contains(c.generators, probe)
+
+
+def test_unconditional_bipolar_asks_the_polar_dual(monkeypatch):
+    asked = []
+    ask = exact_lp._ask
+    monkeypatch.setattr(
+        exact_lp, "_ask", lambda problem: asked.append(problem) or ask(problem)
+    )
+    rng = random.Random(19)
+    verdicts = []
+    for _ in range(30):
+        space = random_space(rng, 5)
+        c = random_rvset(rng, space, Partition.trivial(space), 3)
+        probe = random_rv(rng, space)
+        asked.clear()
+        verdict = unconditional_bipolar_contains(c.generators, probe)
+        # not the trivial partition's block polar: another LP, by value
+        (problem,) = asked
+        assert problem.system != _block_polar(c, 0)[2]
+        assert problem.sense == "min"
+        assert verdict == bool(conditional_bipolar_contains(c, probe))
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    # a probe positive where every generator is 0 has no cover at all
+    space = SampleSpace((0, 1), (F(1, 2), F(1, 2)))
+    gens = [RandomVariable(space, (F(2), F(0)))]
+    inside, uncovered = (F(1), F(0)), (F(0), F(1, 9))
+    assert unconditional_bipolar_contains(gens, RandomVariable(space, inside))
+    assert not unconditional_bipolar_contains(gens, RandomVariable(space, uncovered))
 
 
 def _two_generator_hull_by_intervals(c: RvSet, h: RandomVariable) -> bool:
