@@ -33,12 +33,15 @@ bound of 0 rather than an explicit row, which keeps the tableaus small.
 Phase 1 reads only a system's rows and bounds, never the objective.  It
 runs once per :class:`LinearSystem` object, and its result (the integer
 tableau at a feasible basis, or infeasibility) is cached on the object;
-every solve over that object copies the tableau and runs phase 2 from
-there.  The pivot sequence and the outcome are the ones a fresh phase 1
-would give.  Callers that solve many objectives over one region get the
-reuse by passing the same system object; :func:`per_owner` memoises a
-system builder on the object the system is built from, so that every
-caller gets that one object.
+every solve over that object runs phase 2 from there.  A pivot replaces
+the rows it changes by new lists and never writes one in place, so phase 2
+runs over a shallow copy of the cached tableau; a zero objective has every
+reduced cost 0 and runs no phase 2 at all, reading its point from the
+cached tableau as it is.  The pivot sequence and the outcome are the ones
+a fresh phase 1 would give.  Callers that solve many objectives over one
+region get the reuse by passing the same system object; :func:`per_owner`
+memoises a system builder on the object the system is built from, so that
+every caller gets that one object.
 
 Each question is solved once per system object, too.  The four entry
 points below ask through one memo kept on the system beside its phase-1
@@ -61,19 +64,35 @@ bound.  That point is the separating witness behind every "not a
 member"; it lies in the system and beats the bound, which substitution
 confirms.
 
-The substitution check behind :meth:`LinearSystem.violations` and
-:func:`verify_outcome` runs on integers too, over sparse rows cached on
-each :class:`LinearConstraint`: the nonzero terms and the rhs times the
-lcm of their denominators.  A point or ray is brought to one common
+Each row is brought to integers once: :class:`LinearConstraint` caches its
+integer form, the nonzero terms and the rhs times the lcm of their
+denominators, with that lcm.  The substitution check behind
+:meth:`LinearSystem.violations` and :func:`verify_outcome` reads it, and
+so does the standard form.  A point or ray is brought to one common
 denominator ``D``, and each row ``a.x <= b`` is tested as
 ``sum(a_j * n_j) <= b * D`` on its integer numerators ``n``.  The check
 reads only a system's rows and bounds and the problem's objective, never
-the standard form or the tableau, so it stays independent of the solver.
+the standard form or the tableau, so it stays independent of the solver;
+sharing the row's integer form adds no blind spot, since each side would
+compute it with the same function.  The problem's objective is
+brought to integers once as well, and the outcome memo, the cost row and
+the check's value all read that form.  Every value in a row, a bound or an
+objective must be an ``int`` or a ``Fraction``: anything else (a float)
+is refused with :class:`PreconditionError`, a row's on its integer pass
+and a bound when its system is built.
 
-A solve makes one integer pass into the tableau and one out.  Going in, a
-variable with a lower bound of 0 is its column as it is, so rows and
-objectives over it need no shift arithmetic, and a zero objective builds
-no cost row at all: phase 2 stops at the vertex phase 1 ended at.  Coming
+A solve makes one integer pass into the tableau and one out.  Going in,
+each row's integer form is carried to the u-columns in integers: a
+column with a lower bound of 0 passes its term through, an upper-bounded
+column negates it, and a free column splits it.  A nonzero lower or upper
+bound moves ``a*bound`` into the rhs; the row is then multiplied by the
+new rhs's denominator and divided by the gcd of its scale and every
+entry, which is again the row times the lcm of its denominators, the
+scale and the duplicate key above.  The cost row is the objective's
+integer form carried the same way, a positive multiple of the
+lcm-scaled rewritten objective; Bland's rule reads only its signs, and the
+value is taken from the point, so the multiple changes nothing.  A zero
+objective builds no cost row.  Coming
 out, the point is read from the tableau as ``Fraction`` values, a zero
 offset or a zero side of a free variable costing no arithmetic, and
 brought to its integer form ``(nums, D)`` once: the objective value and
@@ -90,7 +109,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
@@ -118,28 +137,43 @@ class LinearConstraint:
 
     def holds_at(self, point: Sequence[Fraction]) -> bool:
         nums, den = _integer_point(point)
-        terms, rhs = self._integer
+        terms, rhs, _ = self._integer
         return _compare(_substitute(terms, nums), self.relation, rhs * den)
 
     @cached_property
-    def _integer(self) -> tuple[tuple[tuple[int, int], ...], int]:
+    def _integer(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
         """The nonzero ``(column, coefficient)`` terms and the rhs, times the
-        lcm of their denominators.  It lives in the instance dict, not in a
-        field, so equality, hashing and repr never see it."""
-        terms, rhs, _ = _integral(_nonzero(self.coeffs), self.rhs)
-        return terms, rhs
+        lcm of their denominators, and that lcm: the one integer form of the
+        row, which the standard form and the substitution check both read.
+        It lives in the instance dict, not in a field, so equality, hashing
+        and repr never see it."""
+        return _integral(_nonzero(self.coeffs), self.rhs)
 
 
 def _integral(
     terms: Sequence[tuple[int, Fraction]], rhs: Fraction
 ) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    """A row times the lcm of its denominators: integer terms, rhs, scale."""
-    scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
+    """A row times the lcm of its denominators: integer terms, rhs, scale.
+
+    Every value must be an ``int`` or a ``Fraction``; anything else (a
+    float, say) is refused here, on the one pass every row makes."""
+    try:
+        scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
+    except AttributeError:
+        bad = next(v for v in (rhs, *(a for _, a in terms)) if not _rational(v))
+        raise PreconditionError(
+            f"cannot use {type(bad).__name__} {bad!r} as an exact rational"
+        ) from None
     return (
         tuple((j, a.numerator * (scale // a.denominator)) for j, a in terms),
         rhs.numerator * (scale // rhs.denominator),
         scale,
     )
+
+
+def _rational(value) -> bool:
+    """An ``int`` or a ``Fraction``, the values the exact core reads."""
+    return isinstance(value, (int, Fraction))
 
 
 def _nonzero(coeffs: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
@@ -219,6 +253,11 @@ class LinearSystem:
             raise PreconditionError("bound vectors must match the variable count")
         if self.var_names is not None and len(self.var_names) != self.num_vars:
             raise PreconditionError("var_names must match the variable count")
+        for b in self.lower + self.upper:
+            if b is not None and not _rational(b):
+                raise PreconditionError(
+                    f"cannot use {type(b).__name__} {b!r} as an exact bound"
+                )
 
     @classmethod
     def make(
@@ -259,7 +298,7 @@ class LinearSystem:
             raise PreconditionError("point dimension mismatch")
         out = []
         for i, row in enumerate(self.rows):
-            terms, rhs = row._integer
+            terms, rhs, _ = row._integer
             lhs = 0
             for j, a in terms:
                 lhs += a * nums[j]
@@ -502,7 +541,9 @@ class _Standard:
     Row i is the rewritten rational row times ``scale[i]``, the lcm of its
     denominators, except that its slack entry stays +-1: the slack column is
     the row-scaled one divided by ``scale[i]``.  ``rows`` hold the dense
-    integer coefficients with the rhs appended.
+    integer coefficients with the rhs appended.  Each row is built from the
+    integer form its :class:`LinearConstraint` caches for the substitution
+    check (see :meth:`_rewrite`), never from its ``Fraction`` coefficients.
     """
 
     def __init__(self, sys_: LinearSystem):
@@ -529,7 +570,7 @@ class _Standard:
         for row in sys_.rows:
             # the scale is in the key: (1/2, 1/2) <= 1/2 and (1, 1) <= 1
             # are two rows of the rational system
-            key = (*_integral(*self._rewrite(row.coeffs, row.rhs)), row.relation)
+            key = (*self._rewrite(*row._integer), row.relation)
             if key in seen:
                 continue  # duplicate constraint: the one presolve step
             seen.add(key)
@@ -537,8 +578,10 @@ class _Standard:
         for j in range(n):
             lo, up = sys_.lower[j], sys_.upper[j]
             if lo is not None and up is not None:
-                col = self.transforms[j][1]
-                rows.append((*_integral(((col, ONE),), up - lo), LE))
+                # u_j <= up - lo, times the denominator of up - lo
+                width = up - lo
+                den = width.denominator
+                rows.append((((self.transforms[j][1], den),), width.numerator, den, LE))
 
         slack_cols = sum(1 for *_, rel in rows if rel != EQ)
         total = ncols + slack_cols
@@ -575,37 +618,64 @@ class _Standard:
         self.ncols_total = total
 
     def cost(self, problem: LpProblem) -> list[int]:
-        """The integer cost row of ``problem``'s objective, to be minimized."""
-        obj, _, _ = _integral(*self._rewrite(problem.objective, ZERO))
+        """An integer cost row of ``problem``'s objective, to be minimized.
+
+        It is the objective's integer form carried to the u-columns, a
+        positive multiple of the lcm-scaled rewritten objective: Bland's rule
+        reads only the signs of the reduced costs, and the value is taken
+        from the point, so the multiple changes neither the pivots nor the
+        outcome."""
         sign = -1 if problem.sense == "max" else 1
         out = [0] * self.ncols_total
-        for col, c in obj:
-            out[col] = sign * c
+        for j, c in problem._integer_objective[0]:
+            kind, col, aux = self.transforms[j]
+            if kind == _MIRROR:
+                out[col] = -sign * c
+            else:
+                out[col] = sign * c
+                if kind == _SPLIT:
+                    out[aux] = -sign * c
         return out
 
     def _rewrite(
-        self, coeffs: Sequence[Fraction], rhs: Fraction
-    ) -> tuple[list[tuple[int, Fraction]], Fraction]:
-        """Nonzero ``(u-column, value)`` terms of a row, in column order, and
-        its rhs less the shift of the transforms."""
-        terms: list[tuple[int, Fraction]] = []
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
+        self, terms: Sequence[tuple[int, int]], rhs: int, scale: int
+    ) -> tuple[tuple[tuple[int, int], ...], int, int]:
+        """A row's integer form carried to the u-columns: its nonzero
+        ``(u-column, value)`` terms in column order, its rhs less the shift
+        of the transforms, and its scale, all as the rewritten rational row
+        times the lcm of its denominators.
+
+        A lower bound of 0 passes a term through, an upper bound negates it
+        and a free column splits it.  A nonzero shift ``a*lo`` moves into
+        the rhs; when it does, the row is multiplied by the denominator of
+        the new rhs and divided by the gcd of its scale and every entry,
+        which gives the lcm-scaled row again."""
+        out: list[tuple[int, int]] = []
+        shift = 0
+        for j, a in terms:
             kind, col, aux = self.transforms[j]
             if kind == _PLAIN:
-                terms.append((col, c))
+                out.append((col, a))
             elif kind == _SHIFT:
-                terms.append((col, c))
-                rhs -= c * aux
+                out.append((col, a))
+                shift += a * aux
             elif kind == _MIRROR:
-                terms.append((col, -c))
+                out.append((col, -a))
                 if aux:
-                    rhs -= c * aux
+                    shift += a * aux
             else:
-                terms.append((col, c))
-                terms.append((aux, -c))
-        return terms, rhs
+                out.append((col, a))
+                out.append((aux, -a))
+        if not shift:
+            return tuple(out), rhs, scale
+        moved = rhs - shift
+        q, num = moved.denominator, moved.numerator
+        g = gcd(q * gcd(scale, *(a for _, a in out)), num)
+        return (
+            tuple((col, a * q // g) for col, a in out),
+            num // g,
+            scale * q // g,
+        )
 
     def to_original_point(self, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """The original point of ``u``; a zero offset or a zero side of a
@@ -651,30 +721,42 @@ def _pivot(tab: list[list[int]], cost: list[int], d: int, r: int, c: int) -> int
     cost row included, becomes ``(row*p - row[c]*tab[r]) / d`` and ``p`` is
     the new denominator.  Every entry is then, up to sign, a minor of the
     starting tableau, so each division is exact; a remainder is a defect
-    and raises.
+    and raises.  Each changed row of ``tab`` is replaced by a new list, never
+    written in place, so a shallow copy of ``tab`` keeps the original
+    tableau intact; the cost row is written in place.
     """
     prow = tab[r]
     p = prow[c]
     if p < 0:  # only when driving out an artificial; keeps d > 0
         prow = tab[r] = [-w for w in prow]
         p = -p
-    for row in (*tab, cost):
-        if row is prow:
+    psum = sum(prow) if d != 1 else 0
+    m = len(tab)
+    for i, row in enumerate((*tab, cost)):
+        if i == r:
             continue
         f = row[c]
         if f:
-            vals = [v * p - f * w for v, w in zip(row, prow)]
+            if d == 1:
+                new = [v * p - f * w for v, w in zip(row, prow)]
+            else:
+                new = [(v * p - f * w) // d for v, w in zip(row, prow)]
+                # floor remainders lie in [0, d): the sums of the exact and
+                # the floored rows agree only if every remainder is 0
+                if p * sum(row) - f * psum != d * sum(new):
+                    raise PostconditionError("inexact division in an integer pivot")
         elif p == d:
             continue
+        elif d == 1:
+            new = [v * p for v in row]
         else:
-            vals = [v * p for v in row]
-        if d != 1:
-            quot = [x // d for x in vals]
-            # floor remainders lie in [0, d): the sums agree only if all are 0
-            if sum(vals) != d * sum(quot):
+            new = [v * p // d for v in row]
+            if p * sum(row) != d * sum(new):
                 raise PostconditionError("inexact division in an integer pivot")
-            vals = quot
-        row[:] = vals
+        if i < m:
+            tab[i] = new
+        else:
+            row[:] = new
     return p
 
 
@@ -790,32 +872,34 @@ def solve(problem: LpProblem) -> LpOutcome:
     Deterministic: Bland's rule with lowest-index tie-breaking throughout.
     An all-zero objective is legal and reduces to a feasibility check.
     Phase 1 runs once per :class:`LinearSystem` object; each solve runs
-    phase 2 on a copy of its result.
+    phase 2 on a shallow copy of its result, and a zero objective reads the
+    phase-1 vertex without running phase 2.
     """
     start = problem.system._phase1
     if start is None:
         return LpOutcome(LpStatus.INFEASIBLE)
     std, tab, basis, d = start
-    # _pivot writes the rows in place: keep the cached tableau intact
-    tab = [row[:] for row in tab]
-    basis = basis[:]
     total = std.ncols_total
+    obj = problem._integer_objective[0]
 
-    # phase 2: the reduced costs times d, in one pass over the basic rows.
-    # A zero objective has every reduced cost 0, so phase 2 stops at once
-    if any(problem.objective):
-        obj = std.cost(problem)
-        cost = [d * c for c in obj]
+    # phase 2 from the cached phase-1 result.  A zero objective has every
+    # reduced cost 0, so its optimum is the vertex phase 1 ended at: it reads
+    # the cached tableau as it is.  Otherwise the reduced costs times d are
+    # built in one pass over the basic rows, and _pivot, which replaces rows
+    # rather than writing them, runs over a shallow copy of the tableau
+    enter = None
+    if obj:
+        c = std.cost(problem)
+        cost = [d * v for v in c]
         cost.append(0)
         for i, row in enumerate(tab):
-            f = obj[basis[i]]
+            f = c[basis[i]]
             if f:
                 for j, v in enumerate(row):
                     if v:
                         cost[j] -= f * v
-    else:
-        cost = [0] * (total + 1)
-    d, enter = _iterate(tab, cost, basis, total, d)
+        tab, basis = tab[:], basis[:]
+        d, enter = _iterate(tab, cost, basis, total, d)
 
     u = [ZERO] * total
     for i, row in enumerate(tab):
@@ -834,7 +918,7 @@ def solve(problem: LpProblem) -> LpOutcome:
         ray = std.to_original_ray(du)
         outcome = LpOutcome(LpStatus.UNBOUNDED, point=point, ray=ray)
     else:
-        obj, scale = problem._integer_objective
+        scale = problem._integer_objective[1]
         value = Fraction(_substitute(obj, nums), scale * den)
         outcome = LpOutcome(LpStatus.OPTIMAL, value=value, point=point)
 

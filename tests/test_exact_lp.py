@@ -2,6 +2,7 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,16 @@ from hypothesis import strategies as st
 
 from procpolar import exact_lp
 from procpolar.errors import PostconditionError, PreconditionError
+from procpolar.fuzz import (
+    ConditionalFuzzConfig,
+    MarketFuzzConfig,
+    PolarClosureConfig,
+    ProcessFuzzConfig,
+    run_conditional_suite,
+    run_market_suite,
+    run_polar_closure_suite,
+    run_process_suite,
+)
 from procpolar.exact_lp import (
     EQ,
     GE,
@@ -453,6 +464,251 @@ def test_a_zero_objective_builds_no_cost_row(monkeypatch):
             assert len(costed) == before and out.value == 0
     assert len(costed) == nonzero
     assert zero >= 100 and nonzero >= 100
+
+
+def test_a_zero_objective_reads_the_cached_tableau(monkeypatch):
+    """A zero objective is answered at the phase-1 vertex without phase 2,
+    and no solve, zero or not, changes the cached phase-1 tableau."""
+    iterated = []
+    iterate = exact_lp._iterate
+
+    def counting(*args):
+        iterated.append(args)
+        return iterate(*args)
+
+    monkeypatch.setattr(exact_lp, "_iterate", counting)
+    zero = 0
+    for problem in lp_corpus(random.Random(20070049), 300):
+        start = problem.system._phase1  # phase 1 runs _iterate on its own
+        if start is None:
+            continue
+        _, tab, basis, d = start
+        before = ([row[:] for row in tab], basis[:], d)
+        n = problem.system.num_vars
+        iterated.clear()
+        out = solve(LpProblem(problem.sense, (F(0),) * n, problem.system))
+        assert out.status is LpStatus.OPTIMAL and not iterated
+        zero += 1
+        solve(problem)
+        solve(LpProblem("min" if problem.sense == "max" else "max",
+                        problem.objective, problem.system))
+        _, tab, basis, d = problem.system._phase1
+        assert ([row[:] for row in tab], basis[:], d) == before
+    assert zero >= 150
+
+
+# ---------------------------------------------------------------------------
+# The standard form against the Fraction rewrite it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_integral(terms, rhs):
+    scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
+    return tuple((j, int(a * scale)) for j, a in terms), int(rhs * scale), scale
+
+
+def _reference_standard(system: LinearSystem):
+    """The standard form as the dense ``Fraction`` path built it: each row
+    rewritten over the u-columns in ``Fraction``s, then multiplied by the
+    lcm of its denominators.  Returns the transforms' rewrite, the form's
+    ``(rows, scale, ray_scale, basis_hint)``, or None on crossing bounds."""
+    transforms, ncols = [], 0
+    for lo, up in zip(system.lower, system.upper):
+        if lo is not None:
+            if up is not None and up < lo:
+                return None
+            transforms.append(("shift", ncols, lo))
+            ncols += 1
+        elif up is not None:
+            transforms.append(("mirror", ncols, up))
+            ncols += 1
+        else:
+            transforms.append(("split", ncols, ncols + 1))
+            ncols += 2
+
+    def rewrite(coeffs, rhs):
+        terms = []
+        for j, c in enumerate(coeffs):
+            if not c:
+                continue
+            kind, col, aux = transforms[j]
+            if kind == "split":
+                terms += [(col, c), (aux, -c)]
+            else:
+                terms.append((col, -c if kind == "mirror" else c))
+                rhs -= c * aux
+        return _reference_integral(terms, F(rhs))
+
+    keys = []
+    for row in system.rows:
+        key = (*rewrite(row.coeffs, row.rhs), row.relation)
+        if key not in keys:
+            keys.append(key)
+    for (kind, col, lo), up in zip(transforms, system.upper):
+        if kind == "shift" and up is not None:
+            keys.append((*_reference_integral([(col, F(1))], up - lo), LE))
+    total = ncols + sum(1 for *_, rel in keys if rel != EQ)
+    rows, scales, hints, ray_scale = [], [], [], [1] * total
+    s = ncols
+    for terms, rhs, scale, rel in keys:
+        row = [0] * (total + 1)
+        for col, a in terms:
+            row[col] = a
+        row[-1] = rhs
+        if rel != EQ:
+            row[s] = 1 if rel == LE else -1
+        if rhs < 0:
+            row = [-x for x in row]
+        hint = None
+        if rel != EQ:
+            hint = s if row[s] == 1 else None
+            ray_scale[s] = scale
+            s += 1
+        rows.append(row)
+        scales.append(scale)
+        hints.append(hint)
+    return rewrite, (rows, scales, ray_scale, hints)
+
+
+def _assert_standard_matches_reference(problem: LpProblem) -> None:
+    """Rows, scales, ray scales, basis hints and dropped duplicates equal
+    the reference's, and the cost row is a positive multiple of its cost
+    row, so it has the same signs."""
+    system = problem.system
+    reference = _reference_standard(system)
+    try:
+        std = exact_lp._Standard(system)
+    except exact_lp._InfeasibleBounds:
+        assert reference is None
+        return
+    assert reference is not None
+    rewrite, form = reference
+    assert (std.rows, std.scale, std.ray_scale, std.basis_hint) == form
+    old, _, _ = rewrite(problem.objective, F(0))
+    old_cost = [0] * std.ncols_total
+    for col, c in old:
+        old_cost[col] = c if problem.sense == "min" else -c
+    cost = std.cost(problem)
+    assert [(c > 0) - (c < 0) for c in cost] == [(c > 0) - (c < 0) for c in old_cost]
+    ratios = {F(a, b) for a, b in zip(old_cost, cost) if b}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
+def test_standard_form_matches_the_fraction_rewrite_on_the_corpus():
+    for problem in lp_corpus(random.Random(20070049), 300):
+        _assert_standard_matches_reference(problem)
+    for problem in lp_corpus(random.Random(100), 200):
+        _assert_standard_matches_reference(problem)
+
+
+def test_standard_form_matches_the_fraction_rewrite_on_the_suites(monkeypatch):
+    """Every problem the seeded cbt, fbt and market instances solve."""
+    solved = _count_solves(monkeypatch)
+    run_conditional_suite(ConditionalFuzzConfig(count=8, seed=42))
+    run_process_suite(ProcessFuzzConfig(count=4, seed=7))
+    run_polar_closure_suite(PolarClosureConfig(instances=2, seed=1))
+    run_market_suite(MarketFuzzConfig(count=3, seed=11))
+    assert len(solved) >= 500
+    shifted = 0
+    for problem in solved:
+        _assert_standard_matches_reference(problem)
+        shifted += any(lo for lo in problem.system.lower if lo is not None)
+    assert shifted >= 1
+
+
+def _hand_system(rows, lower, upper) -> LinearSystem:
+    return LinearSystem.make(len(lower), rows, lower=lower, upper=upper)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        # shifted, mirrored (by 0 and by 5/2), split and boxed columns
+        _hand_system(
+            [
+                constraint([F(1, 2), F(2, 3), -1, F(3, 4), 2], LE, F(5, 6)),
+                constraint([1, F(-1, 3), F(1, 6), 0, F(-2, 5)], GE, F(-7, 2)),
+                constraint([F(3, 7), 0, 0, 1, F(1, 2)], EQ, 2),
+            ],
+            [F(1, 3), None, None, F(-3, 2), 0],
+            [None, 0, F(5, 2), F(9, 4), None],
+        ),
+        # every column shifted or mirrored; a shift that clears the rhs
+        _hand_system(
+            [
+                constraint([F(1, 2), F(1, 4)], LE, F(1, 6) - F(1, 2)),
+                constraint([2, -1], GE, F(2, 3) + F(3, 2)),
+            ],
+            [F(1, 3), None],
+            [None, F(-2)],
+        ),
+        # duplicates: an exact repeat goes, a scaled copy and a copy that
+        # only meets the first after the shift stay
+        _hand_system(
+            [
+                constraint([F(1, 2), F(1, 2)], LE, F(1, 2)),
+                constraint([1, 1], LE, 1),
+                constraint([F(1, 2), F(1, 2)], LE, F(1, 2)),
+                constraint([1, 1], LE, F(4, 3)),
+            ],
+            [F(1, 3), 0],
+            [None, None],
+        ),
+        # free columns only, and a row that is zero on them
+        _hand_system(
+            [constraint([F(2, 9), F(-4, 3)], EQ, F(1, 3)), constraint([0, 0], LE, 1)],
+            [None, None],
+            [None, None],
+        ),
+    ],
+)
+def test_standard_form_matches_the_fraction_rewrite_by_hand(system):
+    n = system.num_vars
+    for objective in ((F(3, 4),) * n, tuple(F(j - 1, j + 2) for j in range(n))):
+        for sense in ("max", "min"):
+            problem = LpProblem(sense, objective, system)
+            _assert_standard_matches_reference(problem)
+            solve(problem)  # substitution-checked
+
+
+def test_a_cancelling_shift_reduces_the_row():
+    """(1/2)x <= 1/6 with x >= 1/3 is u <= 0 at scale 2, not 3u <= 0 at 6."""
+    system = LinearSystem.make(1, [constraint([F(1, 2)], LE, F(1, 6))], lower=F(1, 3))
+    std = exact_lp._Standard(system)
+    assert (std.rows, std.scale, std.ray_scale, std.basis_hint) == (
+        [[1, 1, 0]], [2], [1, 2], [1]
+    )
+    assert system.rows[0]._integer == (((0, 3),), 1, 6)
+    assert maximize(system, [1]).value == F(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Values the exact core cannot read
+# ---------------------------------------------------------------------------
+
+
+def test_floats_are_refused_as_input():
+    """A float in a row, a bound or an objective is bad input, refused with
+    PreconditionError, not an AttributeError from deep in the solver."""
+    good = exact_lp.LinearConstraint((F(1), F(1)), LE, F(1))
+    for row in (
+        exact_lp.LinearConstraint((0.5, F(1)), LE, F(1)),
+        exact_lp.LinearConstraint((F(1), F(1)), LE, 1.0),
+    ):
+        system = LinearSystem(2, (good, row), (F(0), F(0)), (None, None))
+        with pytest.raises(PreconditionError, match="float"):
+            feasible_point(system)
+        with pytest.raises(PreconditionError, match="float"):
+            system.violations((F(0), F(0)))
+    for lower, upper in (((0.0, F(0)), (None, None)), ((F(0), None), (None, 2.5))):
+        with pytest.raises(PreconditionError, match="float"):
+            LinearSystem(2, (good,), lower, upper)
+    system = LinearSystem(2, (good,), (F(0), F(0)), (None, None))
+    with pytest.raises(PreconditionError, match="float"):
+        solve(LpProblem("max", (F(1), 0.5), system))
+    # ints are exact and stay accepted
+    ints = LinearSystem(2, (exact_lp.LinearConstraint((1, 1), LE, 1),), (0, 0), (None, 1))
+    assert maximize(ints, [1, 1]).value == 1
 
 
 # ---------------------------------------------------------------------------
