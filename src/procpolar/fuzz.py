@@ -619,15 +619,18 @@ def _sample_measures(
     assert poly.interior is not None
     out = [poly.interior]
     for _ in range(count - 1):
-        objective = [Fraction(rng.randint(-2, 2)) for _ in poly.var_nodes]
-        res = maximize(poly.system, objective)
-        assert res.status is LpStatus.OPTIMAL and res.point is not None
+        objective = [Fraction(rng.randint(-2, 2)) for _ in poly.interior]
+        # a vertex of the product: each block maximizes its slice
+        vertex = list(poly.interior)
+        for kids, local in poly.blocks:
+            res = maximize(local, [objective[ch - 1] for ch in kids])
+            assert res.status is LpStatus.OPTIMAL and res.point is not None
+            for ch, v in zip(kids, res.point):
+                vertex[ch - 1] = v
         # mix toward the interior to keep the measure equivalent
         t = Fraction(rng.randint(1, 3), 4)
         out.append(
-            tuple(
-                t * v + (ONE - t) * i for v, i in zip(res.point, poly.interior)
-            )
+            tuple(t * v + (ONE - t) * i for v, i in zip(vertex, poly.interior))
         )
     return out
 

@@ -4,8 +4,9 @@ Discounted asset prices live on an event tree; strategies are predictable
 holdings over the outgoing edges.  The one-step martingale-measure
 polytopes make every pricing question a small exact LP:
 
-* the global measure polytope and its relative interior (the equivalent
-  martingale measures) decide market validity;
+* validity is decided node by node: the measure polytope is the product
+  of the one-step polytopes, so an equivalent martingale measure exists
+  exactly when every one-step polytope has a strictly positive point;
 * the superhedging value of a claim or consumption stream is the backward
   maximum of expected payoffs over the one-step polytopes, and the
   optional decomposition (wealth minus a nondecreasing residual) is
@@ -208,17 +209,23 @@ class ConsumptionDensity:
 class EmmPolytope:
     """One-step transition probabilities under which prices are martingales.
 
-    Variables are q(child) for every non-root node.  The relative interior
-    (all q positive) corresponds exactly to the equivalent martingale
-    measures; boundary points are absolutely continuous ones.
+    A point holds q(child) of every non-root node at position ``child - 1``.
+    The polytope is the product of one :func:`local_polytope` block per
+    non-terminal node, held with that node's children.  Its relative
+    interior (all q positive) corresponds exactly to the equivalent
+    martingale measures; boundary points are absolutely continuous ones.
     """
 
-    system: LinearSystem
-    var_nodes: tuple[int, ...]
+    blocks: tuple[tuple[tuple[int, ...], LinearSystem], ...]
     interior: Optional[tuple[Fraction, ...]]
 
     def contains(self, q: Sequence[Fraction]) -> bool:
-        return self.system.satisfied_by(q)
+        if len(q) != sum(len(kids) for kids, _ in self.blocks):
+            raise PreconditionError("one q per non-root node required")
+        return all(
+            local.satisfied_by([q[ch - 1] for ch in kids])
+            for kids, local in self.blocks
+        )
 
 
 @per_owner
@@ -244,27 +251,21 @@ def local_polytope(m: Market, node: int) -> LinearSystem:
 
 @per_owner
 def emm_polytope(m: Market) -> EmmPolytope:
-    """The global measure polytope plus an interior point if one exists."""
+    """The measure polytope plus an interior point if one exists: the
+    blocks share no variable, so the interior is the product of one strictly
+    positive point per block, and None at the first block without one."""
     tree = m.tree
-    var_nodes = tuple(n for n in range(tree.num_nodes) if tree.parent[n] is not None)
-    pos = {n: i for i, n in enumerate(var_nodes)}
-    n_vars = len(var_nodes)
-    rows: list[LinearConstraint] = []
-    for n in tree.non_terminal_nodes():
-        kids = tree.children[n]
-        coeffs = vector(n_vars, ((pos[ch], ONE) for ch in kids))
-        rows.append(LinearConstraint(coeffs, EQ, ONE, f"prob@{tree.labels[n]}"))
-        for i in range(m.d):
-            price = m.prices[i].values
-            coeffs = vector(n_vars, ((pos[ch], price[ch]) for ch in kids))
-            rows.append(
-                LinearConstraint(coeffs, EQ, price[n], f"price[{i}]@{tree.labels[n]}")
-            )
-    system = LinearSystem.make(
-        n_vars, rows, lower=0, var_names=[f"q({tree.labels[n]})" for n in var_nodes]
+    blocks = tuple(
+        (tree.children[n], local_polytope(m, n)) for n in tree.non_terminal_nodes()
     )
-    interior = feasible_interior_point(system, range(n_vars))
-    return EmmPolytope(system, var_nodes, interior)
+    q = [ZERO] * (tree.num_nodes - 1)
+    for kids, local in blocks:
+        point = feasible_interior_point(local, range(len(kids)))
+        if point is None:
+            return EmmPolytope(blocks, None)
+        for ch, v in zip(kids, point):
+            q[ch - 1] = v
+    return EmmPolytope(blocks, tuple(q))
 
 
 def density_process(m: Market, q: Sequence[Fraction]) -> AdaptedProcess:
@@ -273,16 +274,13 @@ def density_process(m: Market, q: Sequence[Fraction]) -> AdaptedProcess:
     Starts at 1 and is re-checked to be a martingale under the reference
     measure.
     """
-    poly = emm_polytope(m)
     q = tuple(frac(v) for v in q)
-    if not poly.contains(q):
+    if not emm_polytope(m).contains(q):
         raise PreconditionError("q is not a feasible measure point")
     tree = m.tree
     vals = [ONE] * tree.num_nodes
-    for i, n in enumerate(poly.var_nodes):
-        par = tree.parent[n]
-        assert par is not None
-        vals[n] = vals[par] * q[i] / tree.edge_prob[n]
+    for n in range(1, tree.num_nodes):
+        vals[n] = vals[tree.parent[n]] * q[n - 1] / tree.edge_prob[n]
     y = AdaptedProcess(tree, tuple(vals))
     if not is_martingale(y):
         raise PostconditionError("density process failed the martingale check")
@@ -792,7 +790,7 @@ def superhedge_value(
     env = [ZERO] * tree.num_nodes
     for w in payout.space.outcomes:
         env[w] = payout[w]
-    argmax: dict[int, tuple[Fraction, ...]] = {}
+    q_vals = [ZERO] * (tree.num_nodes - 1)
     for t in range(tree.horizon - 1, -1, -1):
         for n in tree.nodes_at(t):
             kids = tree.children[n]
@@ -805,7 +803,8 @@ def superhedge_value(
                 raise PostconditionError("one-step polytopes are bounded")
             assert out.value is not None and out.point is not None
             env[n] = out.value
-            argmax[n] = out.point
+            for ch, v in zip(kids, out.point):
+                q_vals[ch - 1] = v
     envelope = AdaptedProcess(tree, tuple(env))
     if not all(
         envelope.values[n] >= cum.cumulative.values[n] for n in range(tree.num_nodes)
@@ -834,11 +833,6 @@ def superhedge_value(
     if residual.initial != 0:
         raise PostconditionError("superhedge residual must start at 0")
 
-    q_vals = [ZERO] * (tree.num_nodes - 1)
-    pos = {n: i for i, n in enumerate(emm_polytope(m).var_nodes)}
-    for n, local in argmax.items():
-        for ch, v in zip(tree.children[n], local):
-            q_vals[pos[ch]] = v
     return SuperhedgeResult(
         value=env[0],
         envelope=envelope,
@@ -923,12 +917,9 @@ def _expected_terminal(
 ) -> Fraction:
     """E_Q of the terminal cumulative value under one-step probabilities q."""
     tree = m.tree
-    poly = emm_polytope(m)
     prob = [ONE] * tree.num_nodes
-    for i, n in enumerate(poly.var_nodes):
-        par = tree.parent[n]
-        assert par is not None
-        prob[n] = prob[par] * q[i]
+    for n in range(1, tree.num_nodes):
+        prob[n] = prob[tree.parent[n]] * q[n - 1]
     return sum(
         (prob[w] * cum.cumulative.values[w] for w in tree.terminal_nodes()), ZERO
     )

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,19 @@ import pytest
 from procpolar.market import Market
 from procpolar.processes import AdaptedProcess
 from procpolar.tree import EventTree
+
+
+@pytest.fixture
+def gc_off():
+    """The cyclic garbage collector switched off for one test: an owner is
+    then freed by reference counting alone, and a memo that refers back to
+    its owner keeps it alive."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture

@@ -55,7 +55,12 @@ from procpolar.exact_lp import (
     minimize,
     vector,
 )
-from procpolar.tree import RandomVariable, cond_exp_one_step, terminal_space
+from procpolar.tree import (
+    EventTree,
+    RandomVariable,
+    cond_exp_one_step,
+    terminal_space,
+)
 
 
 def test_wealth_zero_strategy_constant(t1, m1):
@@ -102,6 +107,115 @@ def test_market_without_measure_rejected(t1):
     with pytest.raises(PreconditionError):
         Market.of(t1, [s])
     assert emm_polytope(Market(t1, (s,))).interior is None
+
+
+def _whole_tree_emm(m):
+    """Reference for ``emm_polytope``: one system over every non-root q,
+    with the probability and price rows of every non-terminal node, and its
+    interior point found by one LP with an auxiliary eps column."""
+    tree = m.tree
+    var_nodes = tuple(n for n in range(tree.num_nodes) if tree.parent[n] is not None)
+    pos = {n: i for i, n in enumerate(var_nodes)}
+    n_vars = len(var_nodes)
+    rows = []
+    for n in tree.non_terminal_nodes():
+        kids = tree.children[n]
+        coeffs = vector(n_vars, ((pos[ch], F(1)) for ch in kids))
+        rows.append(LinearConstraint(coeffs, EQ, F(1), f"prob@{tree.labels[n]}"))
+        for i in range(m.d):
+            price = m.prices[i].values
+            coeffs = vector(n_vars, ((pos[ch], price[ch]) for ch in kids))
+            rows.append(
+                LinearConstraint(coeffs, EQ, price[n], f"price[{i}]@{tree.labels[n]}")
+            )
+    system = LinearSystem.make(n_vars, rows, lower=0)
+    return system, exact_lp.feasible_interior_point(system, range(n_vars))
+
+
+def _random_prices(rng, tree):
+    """Prices that are martingales under a hidden one-step measure, which is
+    strictly positive, or has zeros, or is not there at all (random prices
+    on every node): valid, borderline and mostly invalid markets."""
+    kind = rng.randrange(3)
+    prices = []
+    for _ in range(rng.randint(1, 2)):
+        vals = [F(rng.randint(1, 6)) for _ in range(tree.num_nodes)]
+        for n in tree.non_terminal_nodes() if kind < 2 else ():
+            kids = tree.children[n]
+            q = [F(rng.randint(0 if kind else 1, 3)) for _ in kids]
+            q[rng.randrange(len(kids))] += 1
+            mean = sum(a * vals[ch] for a, ch in zip(q, kids)) / sum(q)
+            for ch in kids:
+                vals[ch] *= vals[n] / mean
+        prices.append(AdaptedProcess(tree, tuple(vals)))
+    return prices
+
+
+def test_validity_matches_the_whole_tree_reference():
+    rng = random.Random(16)
+    accepted = rejected = 0
+    for _ in range(320):
+        tree = random_tree(rng, 3, 3)
+        prices = _random_prices(rng, tree)
+        unchecked = Market(tree, tuple(prices))
+        system, reference = _whole_tree_emm(unchecked)
+        try:
+            m = Market.of(tree, prices)
+        except PreconditionError:
+            assert reference is None
+            assert emm_polytope(unchecked).interior is None
+            rejected += 1
+            continue
+        assert reference is not None
+        poly = emm_polytope(m)
+        assert all(v > 0 for v in poly.interior)
+        assert system.satisfied_by(poly.interior)
+        assert poly.contains(reference)
+        assert density_process(m, poly.interior).initial == 1
+        accepted += 1
+    assert accepted >= 60 and rejected >= 60
+
+
+def test_measure_points_of_the_wrong_length_are_rejected(m1, m2):
+    for m in (m1, m2):
+        q = emm_polytope(m).interior
+        assert emm_polytope(m).contains(q)
+        for wrong in (q[:-1], q + (F(0),)):
+            with pytest.raises(PreconditionError):
+                emm_polytope(m).contains(wrong)
+            with pytest.raises(PreconditionError):
+                density_process(m, wrong)
+
+
+def _binary_tree(depth):
+    parents, probs = [None], [None]
+    for n in range(2**depth - 1):
+        parents += [n, n]
+        probs += ["1/2", "1/2"]
+    return EventTree.build(parents, probs)
+
+
+def test_large_markets_solve_only_node_sized_systems(monkeypatch):
+    tree = _binary_tree(9)
+    assert tree.num_nodes == 1023
+    widths = []
+    solve = exact_lp.solve
+    monkeypatch.setattr(
+        exact_lp,
+        "solve",
+        lambda problem: widths.append(problem.system.num_vars) or solve(problem),
+    )
+    m = random_market(random.Random(5), tree, 1)
+    assert m.d == 1 and len(widths) == 511
+    assert max(widths) <= max(len(kids) for kids in tree.children) + 1
+    one = AdaptedProcess.constant(tree, 1)
+    assert xc_feasibility(m, one).feasible
+    assert xc_measure_membership(m, one).member
+    # one unit more at a leaf: no holdings reach it, and every equivalent
+    # measure sees it
+    bumped = one.with_value(1022, F(2))
+    assert not xc_feasibility(m, bumped).feasible
+    assert not xc_measure_membership(m, bumped).member
 
 
 def test_density_process_fixture(m1):
@@ -171,6 +285,22 @@ def test_market_caches_are_freed_with_the_market(t1):
     ref = weakref.ref(m)
     del m
     gc.collect()
+    assert ref() is None
+
+
+def test_a_market_is_freed_without_the_cyclic_collector(gc_off):
+    rng = random.Random(7)
+    tree = random_tree(rng, 3, 2)
+    m = random_market(rng, tree, 2)
+    report = verify_structure(
+        m, deflator_probes_for(rng, m, 3), wealth_probes_for(rng, m, 3), rng=rng
+    )
+    assert report.all_ok
+    budget_check(m, random_consumption_density(rng, tree), 1)
+    memos = ("_memo_emm_polytope", "_memo_superhedge_value", "_memo__least_capital")
+    assert all(key in vars(m) for key in memos)
+    ref = weakref.ref(m)
+    del m
     assert ref() is None
 
 
@@ -639,8 +769,6 @@ def _budget_cases(m1, t1):
         yield m, random_consumption_density(rng, tree)
     yield m1, ConsumptionDensity(AdaptedProcess.constant(t1, 0), (F(0), F(1)))
     yield m1, ConsumptionDensity(AdaptedProcess.constant(t1, 1), (F(0), F(1)))
-    from procpolar.tree import EventTree
-
     root = EventTree.build([None], [None], ["root"])
     yield (
         Market.of(root, [AdaptedProcess.constant(root, 4)]),
@@ -762,8 +890,6 @@ def test_superhedge_homogeneous_monotone_subadditive():
 
 def test_superhedge_matches_concave_envelope_on_one_step_markets():
     rng = random.Random(53)
-    from procpolar.tree import EventTree
-
     for _ in range(30):
         k = rng.randint(2, 4)
         weights = [rng.randint(1, 3) for _ in range(k)]
@@ -790,8 +916,6 @@ def test_superhedge_matches_concave_envelope_on_one_step_markets():
 
 
 def test_single_node_market():
-    from procpolar.tree import EventTree
-
     tree = EventTree.build([None], [None], ["root"])
     m = Market.of(tree, [AdaptedProcess.constant(tree, 4)])
     assert emm_polytope(m).interior == ()
@@ -808,8 +932,6 @@ def test_single_node_market():
 
 
 def test_market_inputs_on_another_tree_are_rejected(t1, m1):
-    from procpolar.tree import EventTree
-
     chain = EventTree.build([None, 0, 1], [None, 1, 1], ["root", "a", "b"])
     dens = ConsumptionDensity(AdaptedProcess.constant(chain, 3), (F(0), F(0), F(1)))
     with pytest.raises(PreconditionError):

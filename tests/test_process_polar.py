@@ -280,6 +280,17 @@ def test_polar_systems_are_memoised_on_the_process_set(t2):
     assert ref() is None
 
 
+def test_a_process_set_is_freed_without_the_cyclic_collector(gc_off):
+    rng = random.Random(13)
+    c = random_process_set(rng, random_tree(rng, 3, 2), 3)
+    probes, hull = process_probes(rng, c, ProcessFuzzConfig())
+    assert verify_process_bipolar(c, probes, hull).all_ok
+    assert increment_set(c, 0) is increment_set(c, 0)
+    ref = weakref.ref(c)
+    del c
+    assert ref() is None
+
+
 def test_memoised_oracles_match_fresh_sets():
     rng = random.Random(21)
     cfg = ProcessFuzzConfig()

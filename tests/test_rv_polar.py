@@ -314,6 +314,19 @@ def test_polar_systems_are_memoised_on_the_rv_set(four):
     assert ref() is None
 
 
+def test_an_rv_set_is_freed_without_the_cyclic_collector(gc_off):
+    rng = random.Random(12)
+    space = random_space(rng, 6)
+    c = random_rvset(rng, space, random_partition(rng, space, 3), 4)
+    for probe, _ in conditional_probes(rng, c, 6, F(1, 1000)):
+        in_hull = hull_contains(c, probe).member
+        assert in_hull == conditional_bipolar_contains(c, probe).member
+    assert conditional_polar_constraints(c).num_vars == space.size
+    ref = weakref.ref(c)
+    del c
+    assert ref() is None
+
+
 def test_memoised_bipolar_matches_fresh_sets():
     rng = random.Random(8)
     rejected = 0
