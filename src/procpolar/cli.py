@@ -20,10 +20,10 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import PostconditionError, PreconditionError, ProcpolarError
 from .fuzz import (
+    BUMP,
     ConditionalFuzzConfig,
     MarketFuzzConfig,
     PolarClosureConfig,
@@ -203,7 +203,7 @@ def _check_cbt(inst: Instance, report: Report, args) -> None:
     c = inst.rv_set()
     rng = instance_rng("check-cbt", report.seed, 0)
     named = sorted(inst.probe_rvs().items())
-    generated = conditional_probes(rng, c, args.probes, Fraction(1, 1000))
+    generated = conditional_probes(rng, c, args.probes, BUMP)
     for name, probe in named:
         a = bool(hull_contains(c, probe))
         b = bool(conditional_bipolar_contains(c, probe))

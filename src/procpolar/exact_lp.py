@@ -52,8 +52,10 @@ as distinct objects keep distinct memos, and the paired oracles build
 their own systems, so one side of a check never reads the other side's
 answer.
 
-Rows and objectives are built with :func:`vector` from ``(column, value)``
-pairs and stored dense.
+A row is its nonzero terms: :class:`LinearConstraint` holds its
+``(column, coefficient)`` pairs in column order, and only this module knows
+how a row is stored; :func:`constraint` builds a row from dense
+coefficients.  Objectives stay dense, built with :func:`vector`.
 
 The oracles ask the core one of two questions.  The hull side asks
 :func:`feasible_point`: a point of a system, or None when it is empty.
@@ -126,7 +128,12 @@ _RELATIONS = (LE, EQ, GE)
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    coeffs: tuple[Fraction, ...]
+    """The row ``sum(a * x[j] for j, a in terms) relation rhs``: ``terms``,
+    any iterable of ``(column, coefficient)`` pairs, is stored sorted into
+    column order, and the integer form drops a zero in it.  A row has no
+    width: the :class:`LinearSystem` holding it checks its columns."""
+
+    terms: tuple[tuple[int, Fraction], ...]
     relation: str
     rhs: Fraction
     label: str = ""
@@ -134,11 +141,12 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise PreconditionError(f"unknown relation {self.relation!r}")
+        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
 
-    def holds_at(self, point: Sequence[Fraction]) -> bool:
-        nums, den = _integer_point(point)
-        terms, rhs, _ = self._integer
-        return _compare(_substitute(terms, nums), self.relation, rhs * den)
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The nonzero coefficients, in column order."""
+        return tuple(a for _, a in self.terms if a)
 
     @cached_property
     def _integer(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
@@ -147,13 +155,13 @@ class LinearConstraint:
         row, which the standard form and the substitution check both read.
         It lives in the instance dict, not in a field, so equality, hashing
         and repr never see it."""
-        return _integral(_nonzero(self.coeffs), self.rhs)
+        return _integral(self.terms, self.rhs)
 
 
 def _integral(
     terms: Sequence[tuple[int, Fraction]], rhs: Fraction
 ) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    """A row times the lcm of its denominators: integer terms, rhs, scale.
+    """A row times the lcm of its denominators: nonzero terms, rhs, scale.
 
     Every value must be an ``int`` or a ``Fraction``; anything else (a
     float, say) is refused here, on the one pass every row makes."""
@@ -164,11 +172,10 @@ def _integral(
         raise PreconditionError(
             f"cannot use {type(bad).__name__} {bad!r} as an exact rational"
         ) from None
-    return (
-        tuple((j, a.numerator * (scale // a.denominator)) for j, a in terms),
-        rhs.numerator * (scale // rhs.denominator),
-        scale,
+    out = tuple(  # a zero has numerator 0, so only the nonzero terms stay
+        (j, v) for j, a in terms if (v := a.numerator * (scale // a.denominator))
     )
+    return out, rhs.numerator * (scale // rhs.denominator), scale
 
 
 def _rational(value) -> bool:
@@ -176,8 +183,8 @@ def _rational(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-def _nonzero(coeffs: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    return [(j, a) for j, a in enumerate(coeffs) if a]
+def _nonzero(objective: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(j, a) for j, a in enumerate(objective) if a]
 
 
 def _integer_point(point: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -206,8 +213,8 @@ def _compare(lhs: int, relation: str, rhs: int) -> bool:
 def vector(
     num_vars: int, terms: Iterable[tuple[int, Fraction]]
 ) -> tuple[Fraction, ...]:
-    """Dense coefficients from ``(column, value)`` pairs; a repeated column
-    sums its values and every other column is ZERO."""
+    """A dense objective or point from ``(column, value)`` pairs; a
+    repeated column sums its values and every other column is ZERO."""
     out = [ZERO] * num_vars
     for j, a in terms:
         # assign the first value: adding it to ZERO costs a Fraction addition
@@ -221,9 +228,10 @@ def constraint(
     rhs: int | str | Fraction,
     label: str = "",
 ) -> LinearConstraint:
-    return LinearConstraint(
-        tuple(frac(a) for a in coeffs), relation, frac(rhs), label
-    )
+    """A row from dense coefficients, ``coeffs[j]`` in column ``j``; the
+    columns past ``coeffs`` have coefficient 0."""
+    terms = [(j, a) for j, a in enumerate(map(frac, coeffs)) if a]
+    return LinearConstraint(terms, relation, frac(rhs), label)
 
 
 @dataclass(frozen=True)
@@ -241,13 +249,16 @@ class LinearSystem:
     var_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
+        n = self.num_vars
+        if n < 0:
             raise PreconditionError("a variable count cannot be negative")
         for row in self.rows:
-            if len(row.coeffs) != self.num_vars:
+            terms = row.terms  # in column order, so its ends bound its columns
+            if terms and (
+                terms[0][0] < 0 or terms[-1][0] >= n or len(dict(terms)) < len(terms)
+            ):
                 raise PreconditionError(
-                    f"row {row.label!r} has {len(row.coeffs)} coefficients, "
-                    f"expected {self.num_vars}"
+                    f"row {row.label!r}: a column outside 0..{n - 1} or named twice"
                 )
         if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
             raise PreconditionError("bound vectors must match the variable count")
@@ -944,19 +955,12 @@ def feasible_interior_point(
         return feasible_point(system)
 
     n = system.num_vars
-    rows = [
-        LinearConstraint(row.coeffs + (ZERO,), row.relation, row.rhs, row.label)
-        for row in system.rows
-    ]
-    for j in strict:
-        coeffs = vector(n + 1, ((j, ONE), (n, -ONE)))
-        rows.append(LinearConstraint(coeffs, GE, ZERO, f"strict[{j}]"))
-    ext = LinearSystem(
-        num_vars=n + 1,
-        rows=tuple(rows),
-        lower=system.lower + (None,),
-        upper=system.upper + (None,),
+    # the rows go through as they are: their terms never name column n
+    rows = system.rows + tuple(
+        LinearConstraint(((j, ONE), (n, -ONE)), GE, ZERO, f"strict[{j}]")
+        for j in strict
     )
+    ext = LinearSystem(n + 1, rows, system.lower + (None,), system.upper + (None,))
     # eps is free, so ext is empty exactly when system is
     if ext._phase1 is None:
         return None

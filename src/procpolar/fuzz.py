@@ -68,6 +68,14 @@ from .tree import EventTree, Partition, RandomVariable, SampleSpace
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# the bump past a hull boundary, the most hull moves behind a known process
+# hull member, and the deflator probes, wealth probes and pairs of a market
+BUMP = Fraction(1, 1000)
+HULL_DEPTH = 2
+DEFLATOR_PROBES = 3
+WEALTH_PROBES = 3
+PAIR_SAMPLES = 2
+
 
 # ---------------------------------------------------------------------------
 # Random building blocks
@@ -319,7 +327,6 @@ class ConditionalFuzzConfig:
     max_blocks: int = 3
     max_generators: int = 4
     probes: int = 10
-    bump: Fraction = Fraction(1, 1000)
 
 
 def _hull_mixture(rng: random.Random, c: RvSet, scale: Fraction) -> RandomVariable:
@@ -405,7 +412,7 @@ def check_conditional_instance(rng: random.Random, cfg: ConditionalFuzzConfig) -
     checks = 0
 
     # dual-oracle equivalence on probes of all three kinds
-    for probe, expected in conditional_probes(rng, c, cfg.probes, cfg.bump):
+    for probe, expected in conditional_probes(rng, c, cfg.probes, BUMP):
         in_hull = bool(hull_contains(c, probe))
         in_bipolar = bool(conditional_bipolar_contains(c, probe))
         if in_hull != in_bipolar:
@@ -484,8 +491,6 @@ class ProcessFuzzConfig:
     max_generators: int = 4
     probes: int = 4
     hull_probes: int = 2
-    hull_depth: int = 2
-    bump: Fraction = Fraction(1, 1000)
 
 
 def process_probes(
@@ -497,14 +502,14 @@ def process_probes(
     hull: list[AdaptedProcess] = []
     for _ in range(cfg.hull_probes):
         hull.append(
-            random_hull_element(c, rng.randint(0, cfg.hull_depth), rng).process
+            random_hull_element(c, rng.randint(0, HULL_DEPTH), rng).process
         )
     while len(probes) < cfg.probes:
         kind = rng.randrange(4)
         if kind == 0:  # bumped hull element: at or just past the boundary
             base = rng.choice(hull)
             n = rng.randrange(tree.num_nodes)
-            probes.append(base.with_value(n, base.values[n] + cfg.bump))
+            probes.append(base.with_value(n, base.values[n] + BUMP))
         elif kind == 1:  # random unit supermartingale
             probes.append(random_supermartingale(rng, tree))
         elif kind == 2:  # scaled generator leaving the unit class
@@ -607,9 +612,6 @@ class MarketFuzzConfig:
     max_depth: int = 3
     max_branching: int = 3
     max_assets: int = 2
-    deflator_probes: int = 3
-    wealth_probes: int = 3
-    pair_samples: int = 2
 
 
 def _sample_measures(
@@ -693,9 +695,9 @@ def check_market_instance(rng: random.Random, cfg: MarketFuzzConfig) -> tuple[in
     m = random_market(rng, tree, cfg.max_assets)
     report = verify_structure(
         m,
-        deflator_probes_for(rng, m, cfg.deflator_probes),
-        wealth_probes_for(rng, m, cfg.wealth_probes),
-        pair_samples=cfg.pair_samples,
+        deflator_probes_for(rng, m, DEFLATOR_PROBES),
+        wealth_probes_for(rng, m, WEALTH_PROBES),
+        pair_samples=PAIR_SAMPLES,
         rng=rng,
     )
     if not report.all_ok:

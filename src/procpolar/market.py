@@ -48,7 +48,7 @@ from .exact_lp import (
     per_owner,
     vector,
 )
-from .process_polar import defect_objective, first_defect
+from .process_polar import defect_terms, first_defect
 from .processes import AdaptedProcess, is_martingale, is_supermartingale
 from .rational import frac
 from .tree import EventTree, RandomVariable, terminal_space
@@ -238,11 +238,11 @@ def local_polytope(m: Market, node: int) -> LinearSystem:
     if tree.is_terminal(node):
         raise PreconditionError("terminal nodes have no one-step polytope")
     kids = tree.children[node]
-    rows = [LinearConstraint((ONE,) * len(kids), EQ, ONE, "prob")]
+    rows = [LinearConstraint(enumerate((ONE,) * len(kids)), EQ, ONE, "prob")]
     for i in range(m.d):
-        coeffs = tuple(m.prices[i].values[ch] for ch in kids)
+        terms = enumerate(m.prices[i].values[ch] for ch in kids)
         rows.append(
-            LinearConstraint(coeffs, EQ, m.prices[i].values[node], f"price[{i}]")
+            LinearConstraint(terms, EQ, m.prices[i].values[node], f"price[{i}]")
         )
     return LinearSystem.make(
         len(kids), rows, lower=0, var_names=[f"q({tree.labels[ch]})" for ch in kids]
@@ -375,9 +375,9 @@ class WealthMap:
         rows = []
         for n in range(1, tree.num_nodes):
             forms.append(forms[tree.parent[n]] + self.edges[n])
-            coeffs = vector(n_vars, ((j, -a) for j, a in forms[n]))
+            terms = ((j, -a) for j, a in forms[n])
             rows.append(
-                LinearConstraint(coeffs, LE, -floor[n], f"solvency@{tree.labels[n]}")
+                LinearConstraint(terms, LE, -floor[n], f"solvency@{tree.labels[n]}")
             )
         n_free = self.consumption.start - 1
         lower = (ZERO,) + (None,) * n_free + (ZERO,) * len(self.consumption)
@@ -514,7 +514,7 @@ def _polar_of_wealth_system(
         return DeflatorMembership(False, "initial value above 1", witness_point=point)
     wealth = wealth_map(m, consumption)
     for n in tree.non_terminal_nodes():
-        objective = wealth.objective(defect_objective(y, n, tree.num_nodes))
+        objective = wealth.objective(vector(tree.num_nodes, defect_terms(y, n)))
         point = exceeding_point(system, objective, ZERO)
         if point is not None:
             reason = f"positive defect at {tree.labels[n]}"
@@ -591,11 +591,11 @@ def _density_hull_system(
     ``y_node``, pricing the assets at ``y_node`` times the spot and
     dominating ``p(ch) y_kids(ch)``."""
     kids = m.tree.children[n]
-    rows = [LinearConstraint((ONE,) * len(kids), EQ, y_node, "mass")]
+    rows = [LinearConstraint(enumerate((ONE,) * len(kids)), EQ, y_node, "mass")]
     for i in range(m.d):
         rows.append(
             LinearConstraint(
-                tuple(m.prices[i].values[ch] for ch in kids),
+                enumerate(m.prices[i].values[ch] for ch in kids),
                 EQ,
                 y_node * m.prices[i].values[n],
                 f"price[{i}]",
@@ -620,7 +620,7 @@ def lifted_deflator_system(m: Market) -> LinearSystem:
     tree = m.tree
     n_nodes = tree.num_nodes
     n_vars = n_nodes + (n_nodes - 1)
-    rows = [LinearConstraint(vector(n_vars, ((0, ONE),)), LE, ONE, "initial")]
+    rows = [LinearConstraint(((0, ONE),), LE, ONE, "initial")]
 
     def ridx(child: int) -> int:
         # one r per non-root node, laid out after the y block
@@ -628,20 +628,18 @@ def lifted_deflator_system(m: Market) -> LinearSystem:
 
     for n in tree.non_terminal_nodes():
         kids = tree.children[n]
-        coeffs = vector(n_vars, [(ridx(ch), ONE) for ch in kids] + [(n, -ONE)])
-        rows.append(LinearConstraint(coeffs, EQ, ZERO, f"mass@{tree.labels[n]}"))
+        terms = [(ridx(ch), ONE) for ch in kids] + [(n, -ONE)]
+        rows.append(LinearConstraint(terms, EQ, ZERO, f"mass@{tree.labels[n]}"))
         for i in range(m.d):
             price = m.prices[i].values
             terms = [(ridx(ch), price[ch]) for ch in kids] + [(n, -price[n])]
             rows.append(
-                LinearConstraint(
-                    vector(n_vars, terms), EQ, ZERO, f"price[{i}]@{tree.labels[n]}"
-                )
+                LinearConstraint(terms, EQ, ZERO, f"price[{i}]@{tree.labels[n]}")
             )
         for ch in kids:
-            coeffs = vector(n_vars, ((ch, tree.edge_prob[ch]), (ridx(ch), -ONE)))
+            terms = ((ch, tree.edge_prob[ch]), (ridx(ch), -ONE))
             rows.append(
-                LinearConstraint(coeffs, LE, ZERO, f"dominate@{tree.labels[ch]}")
+                LinearConstraint(terms, LE, ZERO, f"dominate@{tree.labels[ch]}")
             )
     names = [f"y({lab})" for lab in tree.labels]
     names += [f"r({tree.labels[ch]})" for ch in range(1, n_nodes)]
@@ -699,7 +697,7 @@ def _hedge_system(
     price_increments = _price_increments(m)
     rows = [
         LinearConstraint(
-            price_increments[ch], GE, inc, f"dominate@{m.tree.labels[ch]}"
+            enumerate(price_increments[ch]), GE, inc, f"dominate@{m.tree.labels[ch]}"
         )
         for ch, inc in zip(m.tree.children[n], increments)
     ]

@@ -58,14 +58,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def defect_objective(z: AdaptedProcess, n: int, num_vars: int) -> tuple[Fraction, ...]:
+def defect_terms(z: AdaptedProcess, n: int) -> list[tuple[int, Fraction]]:
     """The one-step supermartingale defect ``E[zY | n] - z(n)Y(n)`` of the
-    product with ``z`` at node ``n``, as a linear functional of ``Y`` over
-    the node columns ``0..N-1``; every further column gets 0."""
+    product with ``z`` at node ``n``, as the ``(node, coefficient)`` terms
+    of a linear functional of ``Y`` over the node columns."""
     tree = z.tree
     terms = [(n, -z.values[n])]
     terms += ((ch, tree.edge_prob[ch] * z.values[ch]) for ch in tree.children[n])
-    return vector(num_vars, terms)
+    return terms
 
 
 def first_defect(
@@ -76,7 +76,8 @@ def first_defect(
     None when every such product is a supermartingale.  Column ``n`` of
     ``system`` holds the value at node ``n``."""
     for n in z.tree.non_terminal_nodes():
-        point = exceeding_point(system, defect_objective(z, n, system.num_vars), ZERO)
+        objective = vector(system.num_vars, defect_terms(z, n))
+        point = exceeding_point(system, objective, ZERO)
         if point is not None:
             return n, point
     return None
@@ -92,22 +93,20 @@ def polar_constraints(c: ProcessSet) -> LinearSystem:
     product-supermartingale property.  Column ``n`` is Y at node ``n``.
     """
     tree = c.tree
-    n_vars = tree.num_nodes
     rows: list[LinearConstraint] = []
     for gi, x in enumerate(c.generators):
-        coeffs = vector(n_vars, ((0, x.initial),))
-        rows.append(LinearConstraint(coeffs, LE, ONE, f"init[gen{gi}]"))
+        rows.append(LinearConstraint(((0, x.initial),), LE, ONE, f"init[gen{gi}]"))
         for n in tree.non_terminal_nodes():
             rows.append(
                 LinearConstraint(
-                    defect_objective(x, n, n_vars),
+                    defect_terms(x, n),
                     LE,
                     ZERO,
                     f"super[gen{gi}@{tree.labels[n]}]",
                 )
             )
     return LinearSystem.make(
-        n_vars, rows, lower=0, var_names=[f"Y({lab})" for lab in tree.labels]
+        tree.num_nodes, rows, lower=0, var_names=[f"Y({lab})" for lab in tree.labels]
     )
 
 

@@ -128,7 +128,7 @@ def conditional_polar_constraints(c: RvSet) -> LinearSystem:
             terms = ((i, space.probs[i] * f.values[i]) for i in map(space.index, block))
             rows.append(
                 LinearConstraint(
-                    vector(space.size, terms),
+                    terms,
                     LE,
                     c.partition.block_prob(block),
                     f"gen[{gi}]*block[{bi}]",
@@ -193,11 +193,11 @@ def _block_hull(c: RvSet, bi: int, values: tuple[Fraction, ...]) -> LinearSystem
     ``values``, a probe's values on block ``bi`` in block order."""
     space = c.space
     k = len(c.generators)
-    rows = [LinearConstraint((ONE,) * k, EQ, ONE, "convex")]
+    rows = [LinearConstraint(enumerate((ONE,) * k), EQ, ONE, "convex")]
     for w, v in zip(c.partition.blocks[bi], values):
         i = space.index(w)
-        coeffs = tuple(f.values[i] for f in c.generators)
-        rows.append(LinearConstraint(coeffs, GE, v, f"dominate({w})"))
+        terms = enumerate(f.values[i] for f in c.generators)
+        rows.append(LinearConstraint(terms, GE, v, f"dominate({w})"))
     return LinearSystem.make(k, rows, lower=0)
 
 
@@ -251,7 +251,7 @@ def _block_polar(c: RvSet, bi: int) -> tuple[tuple[int, ...], Fraction, LinearSy
     pb = c.partition.block_prob(block)
     rows = [
         LinearConstraint(
-            tuple(space.probs[i] * f.values[i] for i in idx), LE, pb, f"gen[{gi}]"
+            enumerate(space.probs[i] * f.values[i] for i in idx), LE, pb, f"gen[{gi}]"
         )
         for gi, f in enumerate(c.generators)
     ]
@@ -295,7 +295,7 @@ def product_decompose(
         # smallest total weight whose generator mixture dominates f on the block
         rows = [
             LinearConstraint(
-                tuple(g.values[i] for g in c.generators),
+                enumerate(g.values[i] for g in c.generators),
                 GE,
                 f.values[i],
                 f"dominate({space.outcomes[i]})",
@@ -403,7 +403,7 @@ def unconditional_bipolar_contains(
         raise PreconditionError("candidate lives on a different space")
     rows = [
         LinearConstraint(
-            tuple(p * f.values[i] for f in generators),
+            enumerate(p * f.values[i] for f in generators),
             GE,
             p * h.values[i],
             f"cover({i})",
@@ -423,11 +423,8 @@ def unconditional_hull_contains(
     if h.space != space:
         raise PreconditionError("candidate lives on a different space")
     k = len(generators)
-    rows = [LinearConstraint((ONE,) * k, EQ, ONE, "convex")]
+    rows = [LinearConstraint(enumerate((ONE,) * k), EQ, ONE, "convex")]
     for i in range(space.size):
-        rows.append(
-            LinearConstraint(
-                tuple(f.values[i] for f in generators), GE, h.values[i], f"dom({i})"
-            )
-        )
+        terms = enumerate(f.values[i] for f in generators)
+        rows.append(LinearConstraint(terms, GE, h.values[i], f"dom({i})"))
     return feasible_point(LinearSystem.make(k, rows, lower=0)) is not None

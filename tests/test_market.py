@@ -43,7 +43,7 @@ from procpolar.market import (
     xc_polar_membership,
     y_enlargement_membership,
 )
-from procpolar.process_polar import defect_objective
+from procpolar.process_polar import defect_terms
 from procpolar.processes import AdaptedProcess, is_martingale, is_supermartingale
 from procpolar.exact_lp import (
     EQ,
@@ -120,13 +120,13 @@ def _whole_tree_emm(m):
     rows = []
     for n in tree.non_terminal_nodes():
         kids = tree.children[n]
-        coeffs = vector(n_vars, ((pos[ch], F(1)) for ch in kids))
-        rows.append(LinearConstraint(coeffs, EQ, F(1), f"prob@{tree.labels[n]}"))
+        terms = [(pos[ch], F(1)) for ch in kids]
+        rows.append(LinearConstraint(terms, EQ, F(1), f"prob@{tree.labels[n]}"))
         for i in range(m.d):
             price = m.prices[i].values
-            coeffs = vector(n_vars, ((pos[ch], price[ch]) for ch in kids))
+            terms = [(pos[ch], price[ch]) for ch in kids]
             rows.append(
-                LinearConstraint(coeffs, EQ, price[n], f"price[{i}]@{tree.labels[n]}")
+                LinearConstraint(terms, EQ, price[n], f"price[{i}]@{tree.labels[n]}")
             )
     system = LinearSystem.make(n_vars, rows, lower=0)
     return system, exact_lp.feasible_interior_point(system, range(n_vars))
@@ -216,6 +216,30 @@ def test_large_markets_solve_only_node_sized_systems(monkeypatch):
     bumped = one.with_value(1022, F(2))
     assert not xc_feasibility(m, bumped).feasible
     assert not xc_measure_membership(m, bumped).member
+
+
+def test_rows_store_only_their_nonzero_terms(monkeypatch):
+    """A row holds its terms, not its system's width: on a 1023-node binary
+    market the lifted deflator system and the consumption polytope hold a
+    few terms per node, and the interior-point LP reuses the row objects of
+    the system it extends."""
+    tree = _binary_tree(9)
+    m = random_market(random.Random(5), tree, 1)
+    nodes = tree.num_nodes
+    lifted = lifted_deflator_system(m)
+    assert sum(len(row.terms) for row in lifted.rows) <= 6 * nodes
+    polytope = consumption_polytope(m, 1)
+    bound = (tree.horizon + 1) * (m.d + 1) * nodes
+    assert sum(len(row.terms) for row in polytope.rows) <= bound
+    system = local_polytope(m, 0)
+    asked = []
+    solve = exact_lp.solve
+    monkeypatch.setattr(exact_lp, "solve", lambda p: asked.append(p.system) or solve(p))
+    assert exact_lp.feasible_interior_point(system, range(system.num_vars)) is not None
+    (ext,) = asked
+    assert ext.num_vars == system.num_vars + 1
+    assert len(ext.rows) == len(system.rows) + system.num_vars
+    assert all(a is b for a, b in zip(ext.rows, system.rows))
 
 
 def test_density_process_fixture(m1):
@@ -507,16 +531,14 @@ def _whole_tree_xc_feasible(m, z):
     hold = {n: r * m.d for r, n in enumerate(tree.non_terminal_nodes())}
     n_hold = len(hold) * m.d
     n_vars = n_hold + tree.num_nodes
-    rows = [LinearConstraint(vector(n_vars, ((n_hold, F(1)),)), EQ, F(0))]
+    rows = [LinearConstraint(((n_hold, F(1)),), EQ, F(0))]
     for ch in range(1, tree.num_nodes):
         par = tree.parent[ch]
         terms = [(hold[par] + i, m.price_increment(i, ch)) for i in range(m.d)]
         terms += ((n_hold + ch, F(-1)), (n_hold + par, F(1)))
-        rows.append(
-            LinearConstraint(vector(n_vars, terms), EQ, z.values[ch] - z.values[par])
-        )
+        rows.append(LinearConstraint(terms, EQ, z.values[ch] - z.values[par]))
         cons = ((n_hold + ch, F(1)), (n_hold + par, F(-1)))
-        rows.append(LinearConstraint(vector(n_vars, cons), GE, F(0)))
+        rows.append(LinearConstraint(cons, GE, F(0)))
     lower = [None] * n_hold + [F(0)] * tree.num_nodes
     system = LinearSystem.make(n_vars, rows, lower=lower)
     return minimize(system, [0] * n_vars).status is not LpStatus.INFEASIBLE
@@ -545,8 +567,8 @@ def _check_defect_witness(system, z, res):
     """A "no" with a node must carry a point of ``system`` at which the
     product with ``z`` has a positive defect at that node."""
     assert system.satisfied_by(res.witness_point)
-    objective = defect_objective(z, res.node, system.num_vars)
-    assert sum(a * x for a, x in zip(objective, res.witness_point)) > 0
+    terms = defect_terms(z, res.node)
+    assert sum(a * res.witness_point[j] for j, a in terms) > 0
 
 
 def test_every_no_carries_a_witness_that_substitutes():
