@@ -40,7 +40,13 @@ from .fuzz import (
     wealth_probes_for,
 )
 from .instances import Instance, InstanceError, load_instance
-from .market import budget_check, density_process, emm_polytope, verify_structure
+from .market import (
+    Market,
+    budget_check,
+    density_process,
+    emm_polytope,
+    verify_structure,
+)
 from .processes import is_supermartingale, is_unit_supermartingale
 from .process_polar import (
     polar_constraints,
@@ -256,7 +262,7 @@ def _check_market(inst: Instance, report: Report, args) -> None:
 def _check_budget(inst: Instance, report: Report, args) -> None:
     if args.x is None:
         raise InstanceError("check budget requires --x CAPITAL")
-    m = inst.market()
+    m = Market.of(inst.tree, inst.market().prices)
     if inst.consumption is None:
         raise InstanceError("check budget requires a [consumption] section")
     x = parse_rational(args.x)

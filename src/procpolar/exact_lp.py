@@ -52,10 +52,10 @@ as distinct objects keep distinct memos, and the paired oracles build
 their own systems, so one side of a check never reads the other side's
 answer.
 
-A row is its nonzero terms: :class:`LinearConstraint` holds its
-``(column, coefficient)`` pairs in column order, and only this module knows
-how a row is stored; :func:`constraint` builds a row from dense
-coefficients.  Objectives stay dense, built with :func:`vector`.
+A row or an objective is its terms: :class:`LinearConstraint` and
+:class:`LpProblem` hold ``(column, coefficient)`` pairs in column order
+under one column rule, and only this module knows how they are stored;
+:func:`constraint` builds a row from dense coefficients.
 
 The oracles ask the core one of two questions.  The hull side asks
 :func:`feasible_point`: a point of a system, or None when it is empty.
@@ -183,8 +183,12 @@ def _rational(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-def _nonzero(objective: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    return [(j, a) for j, a in enumerate(objective) if a]
+def _check_columns(terms: Sequence[tuple[int, Fraction]], n: int, owner: str) -> None:
+    """The column rule of rows and objectives: in ``0..n-1``, none named twice."""
+    if terms and (  # in column order, so the ends bound the columns
+        terms[0][0] < 0 or terms[-1][0] >= n or len(dict(terms)) < len(terms)
+    ):
+        raise PreconditionError(f"{owner}: a column outside 0..{n - 1} or named twice")
 
 
 def _integer_point(point: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -213,7 +217,7 @@ def _compare(lhs: int, relation: str, rhs: int) -> bool:
 def vector(
     num_vars: int, terms: Iterable[tuple[int, Fraction]]
 ) -> tuple[Fraction, ...]:
-    """A dense objective or point from ``(column, value)`` pairs; a
+    """A dense point or node weights from ``(column, value)`` pairs; a
     repeated column sums its values and every other column is ZERO."""
     out = [ZERO] * num_vars
     for j, a in terms:
@@ -253,13 +257,7 @@ class LinearSystem:
         if n < 0:
             raise PreconditionError("a variable count cannot be negative")
         for row in self.rows:
-            terms = row.terms  # in column order, so its ends bound its columns
-            if terms and (
-                terms[0][0] < 0 or terms[-1][0] >= n or len(dict(terms)) < len(terms)
-            ):
-                raise PreconditionError(
-                    f"row {row.label!r}: a column outside 0..{n - 1} or named twice"
-                )
+            _check_columns(row.terms, n, f"row {row.label!r}")
         if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
             raise PreconditionError("bound vectors must match the variable count")
         if self.var_names is not None and len(self.var_names) != self.num_vars:
@@ -387,20 +385,25 @@ class LpStatus(enum.Enum):
 @dataclass(frozen=True)
 class LpProblem:
     sense: str  # "max" | "min"
-    objective: tuple[Fraction, ...]
+    terms: tuple[tuple[int, Fraction], ...]  # the objective, stored like a row's
     system: LinearSystem
 
     def __post_init__(self) -> None:
         if self.sense not in ("max", "min"):
             raise PreconditionError(f"sense must be max or min, got {self.sense!r}")
-        if len(self.objective) != self.system.num_vars:
-            raise PreconditionError("objective dimension mismatch")
+        object.__setattr__(self, "terms", tuple(sorted(self.terms)))
+        _check_columns(self.terms, self.system.num_vars, "objective")
+
+    @property
+    def objective(self) -> tuple[Fraction, ...]:
+        """The nonzero coefficients, in column order."""
+        return tuple(a for _, a in self.terms if a)
 
     @cached_property
     def _integer_objective(self) -> tuple[tuple[tuple[int, int], ...], int]:
         """The objective's nonzero integer terms and the lcm that scales
         them; cached like :attr:`LinearConstraint._integer`."""
-        terms, _, scale = _integral(_nonzero(self.objective), ZERO)
+        terms, _, scale = _integral(self.terms, ZERO)
         return terms, scale
 
 
@@ -435,36 +438,36 @@ def _ask(problem: LpProblem) -> LpOutcome:
 
 
 def maximize(
-    system: LinearSystem, objective: Sequence[int | str | Fraction]
+    system: LinearSystem, objective: Iterable[tuple[int, int | str | Fraction]]
 ) -> LpOutcome:
-    return _ask(LpProblem("max", tuple(frac(c) for c in objective), system))
+    return _ask(LpProblem("max", tuple((j, frac(c)) for j, c in objective), system))
 
 
 def minimize(
-    system: LinearSystem, objective: Sequence[int | str | Fraction]
+    system: LinearSystem, objective: Iterable[tuple[int, int | str | Fraction]]
 ) -> LpOutcome:
-    return _ask(LpProblem("min", tuple(frac(c) for c in objective), system))
+    return _ask(LpProblem("min", tuple((j, frac(c)) for j, c in objective), system))
 
 
 def feasible_point(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     """A point of ``system``, or None when it is empty: the minimum of a
     zero objective, whose optimum is the vertex phase 1 ends at."""
-    return _ask(LpProblem("min", (ZERO,) * system.num_vars, system)).point
+    return _ask(LpProblem("min", (), system)).point
 
 
 def exceeding_point(
     system: LinearSystem,
-    objective: Sequence[int | str | Fraction],
+    objective: Iterable[tuple[int, int | str | Fraction]],
     bound: int | str | Fraction,
 ) -> Optional[tuple[Fraction, ...]]:
-    """A point of ``system`` at which ``objective`` exceeds ``bound``, or
-    None when its maximum over ``system`` is at most ``bound``.
+    """A point of ``system`` at which the terms ``objective`` exceed
+    ``bound``, or None when their maximum over ``system`` is at most ``bound``.
 
     An unbounded maximum answers with the point one step along the
     improving ray, or further along it, where the objective reaches
     ``bound + 1``.  An empty system has no maximum and raises.
     """
-    problem = LpProblem("max", tuple(frac(c) for c in objective), system)
+    problem = LpProblem("max", tuple((j, frac(c)) for j, c in objective), system)
     bound = frac(bound)
     out = _ask(problem)
     if out.status is LpStatus.INFEASIBLE:
@@ -472,8 +475,8 @@ def exceeding_point(
     assert out.point is not None
     if out.status is LpStatus.UNBOUNDED:
         assert out.ray is not None
-        gain = sum(o * r for o, r in zip(problem.objective, out.ray))
-        current = sum(o * p for o, p in zip(problem.objective, out.point))
+        gain = sum(c * out.ray[j] for j, c in problem.terms)
+        current = sum(c * out.point[j] for j, c in problem.terms)
         step = ONE if current + gain > bound else (bound + 1 - current) / gain
         return tuple(p + step * r for p, r in zip(out.point, out.ray))
     assert out.value is not None
@@ -964,7 +967,7 @@ def feasible_interior_point(
     # eps is free, so ext is empty exactly when system is
     if ext._phase1 is None:
         return None
-    point = exceeding_point(ext, vector(n + 1, ((n, ONE),)), ZERO)
+    point = exceeding_point(ext, ((n, ONE),), ZERO)
     if point is None:
         return None
     inner = point[:n]

@@ -373,7 +373,7 @@ def _sample_polar_rvs(
     system = conditional_polar_constraints(c)
     out: list[RandomVariable] = []
     for _ in range(count):
-        objective = [Fraction(rng.randint(-1, 2)) for _ in range(system.num_vars)]
+        objective = [(j, Fraction(rng.randint(-1, 2))) for j in range(system.num_vars)]
         res = maximize(system, objective)
         assert res.point is not None
         point = res.point
@@ -625,7 +625,7 @@ def _sample_measures(
         # a vertex of the product: each block maximizes its slice
         vertex = list(poly.interior)
         for kids, local in poly.blocks:
-            res = maximize(local, [objective[ch - 1] for ch in kids])
+            res = maximize(local, enumerate(objective[ch - 1] for ch in kids))
             assert res.status is LpStatus.OPTIMAL and res.point is not None
             for ch, v in zip(kids, res.point):
                 vertex[ch - 1] = v

@@ -85,12 +85,6 @@ class Market:
     def d(self) -> int:
         return len(self.prices)
 
-    def price_increment(self, asset: int, child: int) -> Fraction:
-        """``S(child) - S(parent)`` of one asset; the root has none."""
-        if self.tree.parent[child] is None:
-            raise PreconditionError("the root has no price increment")
-        return _price_increments(self)[child][asset]
-
 
 @per_owner
 def _price_increments(m: Market) -> tuple[Optional[tuple[Fraction, ...]], ...]:
@@ -388,10 +382,10 @@ class WealthMap:
 
     def objective(
         self, weights: Sequence[Fraction], consumed: Sequence[Fraction] = ()
-    ) -> tuple[Fraction, ...]:
-        """``sum weights(n) X(n) + sum consumed(n) C(n)`` over the columns:
-        the map's transpose, in which each edge's terms weigh the weights
-        summed over the subtree below it, so no path form is composed."""
+    ) -> list[tuple[int, Fraction]]:
+        """``sum weights(n) X(n) + sum consumed(n) C(n)``, one term per column
+        in column order: the map's transpose, each edge's terms weighing the
+        weights summed over the subtree below it, so no path form is composed."""
         below = _subtree_sums(self.tree, weights)
         terms = [(0, below[0])]
         for n in range(1, len(below)):
@@ -399,7 +393,10 @@ class WealthMap:
                 terms += ((j, a * below[n]) for j, a in self.edges[n])
         if consumed:
             terms += zip(self.consumption, _subtree_sums(self.tree, consumed)[1:])
-        return vector(len(self.names), terms)
+        out: dict[int, Fraction] = {}
+        for j, a in terms:
+            out[j] = out[j] + a if j in out else a
+        return sorted(out.items())
 
     def decode(
         self, point: Sequence[Fraction]
@@ -546,7 +543,7 @@ def xc_measure_membership(m: Market, z: AdaptedProcess) -> DeflatorMembership:
     if z.initial > 1:
         return DeflatorMembership(False, reason="initial value above 1")
     for n in tree.non_terminal_nodes():
-        objective = [z.values[ch] for ch in tree.children[n]]
+        objective = enumerate(z.values[ch] for ch in tree.children[n])
         q = exceeding_point(local_polytope(m, n), objective, z.values[n])
         if q is not None:
             return DeflatorMembership(
@@ -655,7 +652,7 @@ def wealth_bipolar_contains(m: Market, z: AdaptedProcess) -> DeflatorMembership:
     if z.tree != m.tree:
         raise PreconditionError("candidate lives on a different tree")
     lifted = lifted_deflator_system(m)
-    point = exceeding_point(lifted, vector(lifted.num_vars, ((0, z.initial),)), ONE)
+    point = exceeding_point(lifted, ((0, z.initial),), ONE)
     if point is not None:
         return DeflatorMembership(
             False, reason="initial product exceeds 1", witness_point=point
@@ -792,7 +789,7 @@ def superhedge_value(
     for t in range(tree.horizon - 1, -1, -1):
         for n in tree.nodes_at(t):
             kids = tree.children[n]
-            out = maximize(local_polytope(m, n), [env[ch] for ch in kids])
+            out = maximize(local_polytope(m, n), enumerate(env[ch] for ch in kids))
             if out.status is LpStatus.INFEASIBLE:
                 raise PreconditionError(
                     "market admits no one-step martingale measure; reject it first"
@@ -903,7 +900,7 @@ def _least_capital(
     """
     wealth = wealth_map(m, False)
     system = wealth.system(density.cumulative().cumulative.values)
-    out = minimize(system, vector(system.num_vars, ((0, ONE),)))
+    out = minimize(system, ((0, ONE),))
     if out.status is not LpStatus.OPTIMAL:
         raise PostconditionError(f"least-capital LP is {out.status.value}")
     assert out.value is not None and out.point is not None

@@ -41,7 +41,6 @@ from .exact_lp import (
     exceeding_point,
     maximize,
     per_owner,
-    vector,
 )
 from .processes import (
     AdaptedProcess,
@@ -76,8 +75,7 @@ def first_defect(
     None when every such product is a supermartingale.  Column ``n`` of
     ``system`` holds the value at node ``n``."""
     for n in z.tree.non_terminal_nodes():
-        objective = vector(system.num_vars, defect_terms(z, n))
-        point = exceeding_point(system, objective, ZERO)
+        point = exceeding_point(system, defect_terms(z, n), ZERO)
         if point is not None:
             return n, point
     return None
@@ -154,7 +152,7 @@ def bipolar_contains_lp(
     tree = c.tree
     polar = polar_constraints(c)
 
-    bad = exceeding_point(polar, vector(tree.num_nodes, ((0, z.initial),)), ONE)
+    bad = exceeding_point(polar, ((0, z.initial),), ONE)
     if bad is not None:
         return ProcessBipolarMembership(
             False, "initial product exceeds 1", AdaptedProcess(tree, bad)
@@ -327,8 +325,7 @@ def sample_polar_elements(
     n = c.tree.num_nodes
     points: list[tuple[Fraction, ...]] = []
     while len(points) < count:
-        objective = [Fraction(rng.randint(-2, 3)) for _ in range(n)]
-        out = maximize(polar, objective)
+        out = maximize(polar, [(j, Fraction(rng.randint(-2, 3))) for j in range(n)])
         if out.status is LpStatus.INFEASIBLE:
             raise PostconditionError("a polar is never empty (0 belongs)")
         assert out.point is not None

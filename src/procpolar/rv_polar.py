@@ -232,7 +232,7 @@ def conditional_bipolar_contains(c: RvSet, h: RandomVariable) -> BipolarMembersh
     space = c.space
     for bi in range(len(c.partition.blocks)):
         idx, pb, sys_ = _block_polar(c, bi)
-        objective = [space.probs[i] * h.values[i] for i in idx]
+        objective = enumerate(space.probs[i] * h.values[i] for i in idx)
         local = exceeding_point(sys_, objective, pb)
         if local is not None:
             witness = _embed_block(space, idx, local)
@@ -302,7 +302,7 @@ def product_decompose(
             )
             for i in idx
         ]
-        out = minimize(LinearSystem.make(ngen, rows, lower=0), [1] * ngen)
+        out = minimize(LinearSystem.make(ngen, rows, lower=0), enumerate((ONE,) * ngen))
         if out.status is not LpStatus.OPTIMAL:
             raise PostconditionError(
                 "no generator mixture dominates a bipolar element on a block"
@@ -411,7 +411,7 @@ def unconditional_bipolar_contains(
         for i, p in enumerate(space.probs)
     ]
     k = len(generators)
-    out = minimize(LinearSystem.make(k, rows, lower=0), (ONE,) * k)
+    out = minimize(LinearSystem.make(k, rows, lower=0), enumerate((ONE,) * k))
     return out.status is LpStatus.OPTIMAL and out.value <= 1
 
 

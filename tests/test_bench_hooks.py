@@ -58,14 +58,14 @@ def test_tracer_reads_the_systems_of_real_solves():
     space = fuzz.random_space(rng)
     c = fuzz.random_rvset(rng, space, fuzz.random_partition(rng, space))
     hull = rv_polar._block_hull(c, 0, (F(1, 2),) * len(c.partition.blocks[0]))
-    initial = exact_lp.vector(lifted.num_vars, ((0, F(3, 2)),))
     for problem in (
-        exact_lp.LpProblem("max", initial, lifted),
-        exact_lp.LpProblem("min", (F(0),) * hull.num_vars, hull),
+        exact_lp.LpProblem("max", ((0, F(3, 2)),), lifted),
+        exact_lp.LpProblem("min", (), hull),
     ):
         outcome = exact_lp.solve(problem)
         system = problem.system
-        values = [*problem.objective, *(outcome.point or ()), *(outcome.ray or ())]
+        values = [a for _, a in problem.terms]
+        values += [*(outcome.point or ()), *(outcome.ray or ())]
         bounds = (*system.lower, *system.upper, outcome.value)
         values += [b for b in bounds if b is not None]
         for row in system.rows:

@@ -192,6 +192,26 @@ def test_single_node_market(tmp_path, capsys):
     assert "holdings none (the root is terminal)" in out
 
 
+NO_MARTINGALE_MEASURE_MARKET = (
+    "version 1\n[tree]\nnode root - -\nnode u root 1/2\nnode d root 1/2\n"
+    "[process S]\nroot 4\nu 8\nd 4\n[market]\nassets S\n"
+    "[consumption]\nnode root 0\nnode u 3\nnode d 0\nmu 0 0\nmu 1 1\n"
+)
+
+
+def test_budget_refuses_a_market_without_a_martingale_measure(tmp_path, capsys):
+    # S = (4; 8, 4) only rises: no measure makes it a martingale
+    inst = tmp_path / "arbitrage.instance"
+    inst.write_text(NO_MARTINGALE_MEASURE_MARKET)
+    code, out, _ = run(capsys, "check", "market", str(inst))
+    assert code == 1
+    assert "[FAIL] market: rejected: no equivalent martingale measure" in out
+    code, out, err = run(capsys, "check", "budget", str(inst), "--x", "0")
+    assert code == 2
+    assert "market invalid: no equivalent martingale measure" in err
+    assert "budget" not in body(out)
+
+
 @pytest.mark.parametrize("admissible", [True, False])
 def test_budget_outcome_without_certificate_is_a_defect(
     tmp_path, capsys, monkeypatch, admissible

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procpolar import exact_lp
-from procpolar.errors import PostconditionError, PreconditionError
+from procpolar.errors import PostconditionError, PreconditionError, RationalFormatError
 from procpolar.fuzz import (
     ConditionalFuzzConfig,
     MarketFuzzConfig,
@@ -42,13 +42,13 @@ from procpolar.exact_lp import (
 
 def test_single_cap():
     system = LinearSystem.make(1, [constraint([1], LE, 1)], lower=0)
-    out = maximize(system, [1])
+    out = maximize(system, [(0, 1)])
     assert out.status is LpStatus.OPTIMAL and out.value == 1
 
 
 def test_free_ray_unbounded():
     system = LinearSystem.make(1, [], lower=0)
-    out = maximize(system, [1])
+    out = maximize(system, [(0, 1)])
     assert out.status is LpStatus.UNBOUNDED
     assert out.ray == (F(1),)
 
@@ -60,7 +60,7 @@ def test_three_point_measure():
         [constraint([8, 4, 2], "=", 4), constraint([1, 1, 1], "=", 1)],
         lower=0,
     )
-    out = maximize(system, [3, 0, 0])
+    out = maximize(system, [(0, 3), (1, 0), (2, 0)])
     assert out.status is LpStatus.OPTIMAL
     assert out.value == 1
     assert out.point == (F(1, 3), F(0), F(2, 3))
@@ -68,12 +68,12 @@ def test_three_point_measure():
 
 def test_infeasible():
     system = LinearSystem.make(1, [constraint([1], LE, -1)], lower=0)
-    assert minimize(system, [0]).status is LpStatus.INFEASIBLE
+    assert minimize(system, [(0, 0)]).status is LpStatus.INFEASIBLE
 
 
 def test_zero_objective_is_feasibility():
     system = LinearSystem.make(2, [constraint([1, 1], "=", 1)], lower=0)
-    out = minimize(system, [0, 0])
+    out = minimize(system, [(0, 0), (1, 0)])
     assert out.status is LpStatus.OPTIMAL and out.value == 0
 
 
@@ -81,26 +81,26 @@ def test_free_variables_and_equalities():
     # min x + y with x + y = 3, x free, y >= 0: slide x to -inf? no: objective
     # is constant 3 on the feasible line
     system = LinearSystem.make(2, [constraint([1, 1], "=", 3)], lower=[None, F(0)])
-    out = minimize(system, [1, 1])
+    out = minimize(system, [(0, 1), (1, 1)])
     assert out.status is LpStatus.OPTIMAL and out.value == 3
 
 
 def test_upper_bounds_without_lower():
     system = LinearSystem.make(1, [], lower=None, upper=2)
-    out = maximize(system, [1])
+    out = maximize(system, [(0, 1)])
     assert out.status is LpStatus.OPTIMAL and out.value == 2
-    out = minimize(system, [1])
+    out = minimize(system, [(0, 1)])
     assert out.status is LpStatus.UNBOUNDED
 
 
 def test_crossing_bounds_infeasible():
     system = LinearSystem.make(1, [], lower=3, upper=2)
-    assert solve(LpProblem("max", (F(1),), system)).status is LpStatus.INFEASIBLE
+    assert solve(LpProblem("max", ((0, F(1)),), system)).status is LpStatus.INFEASIBLE
 
 
 def test_duplicate_rows_are_dropped():
     rows = [constraint([1], LE, 1), constraint([1], LE, 1)]
-    out = maximize(LinearSystem.make(1, rows, lower=0), [1])
+    out = maximize(LinearSystem.make(1, rows, lower=0), [(0, 1)])
     assert out.value == 1
 
 
@@ -113,26 +113,26 @@ def test_vector_sums_repeated_columns():
 
 def test_exceeding_point_above_and_at_the_bound():
     system = LinearSystem.make(2, [constraint([1, 2], LE, 4)], lower=0)
-    point = exceeding_point(system, [1, 1], 3)
+    point = exceeding_point(system, [(0, 1), (1, 1)], 3)
     assert point == (F(4), F(0))
-    assert exceeding_point(system, [1, 1], 4) is None  # the maximum is 4
-    assert exceeding_point(system, [F(1, 2), 1], F(2)) is None
+    assert exceeding_point(system, [(0, 1), (1, 1)], 4) is None  # the maximum is 4
+    assert exceeding_point(system, [(0, F(1, 2)), (1, 1)], F(2)) is None
 
 
 def test_exceeding_point_walks_an_unbounded_ray():
     # x - y <= 1 with x >= 3, y >= 0: 2x + y grows without bound
     system = LinearSystem.make(2, [constraint([1, -1], LE, 1)], lower=[3, 0])
-    objective = (F(2), F(1))
+    objective = ((0, F(2)), (1, F(1)))
     out = maximize(system, objective)
     assert out.status is LpStatus.UNBOUNDED
-    current = sum(o * p for o, p in zip(objective, out.point))
-    gain = sum(o * r for o, r in zip(objective, out.ray))
+    current = sum(o * out.point[j] for j, o in objective)
+    gain = sum(o * out.ray[j] for j, o in objective)
     one_step = tuple(p + r for p, r in zip(out.point, out.ray))
     branches = set()
     for bound in (F(0), current + gain + F(5, 2), current - 1, current + gain):
         point = exceeding_point(system, objective, bound)
         assert system.satisfied_by(point)
-        value = sum(o * p for o, p in zip(objective, point))
+        value = sum(o * point[j] for j, o in objective)
         assert value > bound
         if current + gain > bound:
             assert point == one_step
@@ -148,7 +148,7 @@ def test_exceeding_point_on_an_empty_system_raises(monkeypatch):
     # the infeasible outcome is stored, and every ask raises on it
     for _ in range(3):
         with pytest.raises(PreconditionError):
-            exceeding_point(system, [1], 0)
+            exceeding_point(system, [(0, 1)], 0)
     assert len(solved) == 1
     assert feasible_point(system) is None and len(solved) == 2
 
@@ -172,7 +172,7 @@ def test_degenerate_cycling_guard():
         ],
         lower=0,
     )
-    out = maximize(system, [F(3, 4), -20, F(1, 2), -6])
+    out = maximize(system, enumerate([F(3, 4), -20, F(1, 2), -6]))
     assert out.status is LpStatus.OPTIMAL
     assert out.value == F(5, 4)
 
@@ -200,11 +200,17 @@ def test_dimension_mismatch_rejected():
     # a row names its columns; a dense row shorter than its system is 0 after
     short = LinearSystem.make(2, [constraint([1], LE, 1)], lower=0)
     assert short.satisfied_by((F(1), F(5)))
+    # one column rule for rows and objectives: out of range, negative, repeated
+    system = LinearSystem.make(2, [], lower=0)
     for terms in (((2, F(1)),), ((-1, F(1)),), ((0, F(1)), (0, F(2)))):
         with pytest.raises(PreconditionError, match="column"):
             LinearSystem.make(2, [exact_lp.LinearConstraint(terms, LE, F(1))])
-    with pytest.raises(PreconditionError):
-        LpProblem("max", (F(1),), LinearSystem.make(2, [], lower=0))
+        with pytest.raises(PreconditionError, match="column"):
+            LpProblem("max", terms, system)
+        with pytest.raises(PreconditionError, match="column"):
+            maximize(system, terms)
+    # a short objective names fewer columns: 0 in the others
+    assert LpProblem("max", ((1, F(1)),), system).objective == (F(1),)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +220,8 @@ def test_dimension_mismatch_rejected():
 
 def random_primal_dual(rng: random.Random, n=3, m=3):
     """Primal max c.x, Ax <= b, x >= 0 (feasible, bounded by a box row).
-    Dual  min b.y, A^T y >= c, y >= 0."""
+    Dual  min b.y, A^T y >= c, y >= 0.  ``c`` and ``b`` are returned as
+    ``(column, coefficient)`` terms."""
     a = [[F(rng.randint(-3, 4)) for _ in range(n)] for _ in range(m)]
     b = [F(rng.randint(0, 6)) for _ in range(m)]
     c = [F(rng.randint(-3, 4)) for _ in range(n)]
@@ -228,7 +235,7 @@ def random_primal_dual(rng: random.Random, n=3, m=3):
         constraint([a[i][j] for i in range(m_all)], GE, c[j]) for j in range(n)
     ]
     dual = LinearSystem.make(m_all, dual_rows, lower=0)
-    return primal, c, dual, b
+    return primal, tuple(enumerate(c)), dual, tuple(enumerate(b))
 
 
 def test_randomized_strong_duality():
@@ -258,7 +265,7 @@ def test_randomized_certificates_substitute():
         lower = [F(0) if rng.random() < 0.7 else None for _ in range(n)]
         upper = [F(rng.randint(1, 5)) if rng.random() < 0.3 else None for _ in range(n)]
         system = LinearSystem.make(n, rows, lower=lower, upper=upper)
-        objective = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+        objective = tuple((j, F(rng.randint(-3, 3))) for j in range(n))
         problem = LpProblem(rng.choice(("max", "min")), objective, system)
         out = solve(problem)  # solve() already substitution-checks internally
         assert verify_outcome(problem, out) == ()
@@ -272,7 +279,8 @@ def _q(rng: random.Random) -> F:
 
 
 def _dense(row, n: int) -> list[F]:
-    """The ``n`` coefficients of ``row``, 0 in every column it does not name."""
+    """The ``n`` coefficients of ``row`` (or of an objective), 0 in every
+    column it does not name."""
     out = [F(0)] * n
     for j, a in row.terms:
         out[j] = a
@@ -329,7 +337,7 @@ def _random_lp(rng: random.Random) -> LpProblem:
     rng.shuffle(rows)
     system = LinearSystem.make(n, rows, lower=lower, upper=upper)
     zero = rng.random() < 0.3
-    objective = tuple(F(0) if zero else _q(rng) for _ in range(n))
+    objective = tuple((j, F(0) if zero else _q(rng)) for j in range(n))
     return LpProblem(rng.choice(("max", "min")), objective, system)
 
 
@@ -346,7 +354,7 @@ def _phase1_vertex_lp(rng: random.Random) -> LpProblem:
         rel = rng.choice((EQ, GE))
         at = sum(a * x for a, x in zip(coeffs, point))
         rows.append(constraint(coeffs, rel, at if rel == EQ else at - abs(_q(rng)) / 4))
-    return LpProblem("min", (F(0),) * n, LinearSystem.make(n, rows, lower=0))
+    return LpProblem("min", (), LinearSystem.make(n, rows, lower=0))
 
 
 def lp_corpus(rng: random.Random, count: int):
@@ -373,11 +381,11 @@ def _corpus_digest(warm: bool = False, twice: bool = False) -> str:
     for problem in lp_corpus(random.Random(20070049), 300):
         if warm:
             other = "min" if problem.sense == "max" else "max"
-            solve(LpProblem(other, problem.objective, problem.system))
+            solve(LpProblem(other, problem.terms, problem.system))
         if twice:
             ask = maximize if problem.sense == "max" else minimize
-            first = ask(problem.system, problem.objective)
-            out = ask(problem.system, problem.objective)
+            first = ask(problem.system, problem.terms)
+            out = ask(problem.system, problem.terms)
             assert out is first
         else:
             out = solve(problem)
@@ -440,16 +448,16 @@ def test_phase1_cache_is_invisible_to_value_semantics():
 
     solved = LinearSystem.make(2, rows(), lower=0)
     fresh = LinearSystem.make(2, rows(), lower=0)
-    problem = LpProblem("max", (F(1), F(0)), solved)
+    problem = LpProblem("max", ((0, F(1)), (1, F(0))), solved)
     assert solve(problem).value == 1
     # the outcome memo lives on the system object too
-    assert maximize(solved, [1, 0]).value == 1
+    assert maximize(solved, [(0, 1), (1, 0)]).value == 1
     assert feasible_point(solved) is not None
     assert len(solved._outcomes) == 2
     assert solved.violations((F(0), F(1))) == ("row[1]",)
     for a, b in (
         (solved, fresh),
-        (problem, LpProblem("max", (F(1), F(0)), fresh)),
+        (problem, LpProblem("max", ((1, F(0)), (0, F(1))), fresh)),
         *zip(solved.rows, fresh.rows),
     ):
         assert a == b
@@ -499,12 +507,12 @@ def test_a_zero_objective_reads_the_cached_tableau(monkeypatch):
         before = ([row[:] for row in tab], basis[:], d)
         n = problem.system.num_vars
         iterated.clear()
-        out = solve(LpProblem(problem.sense, (F(0),) * n, problem.system))
+        out = solve(LpProblem(problem.sense, (), problem.system))
         assert out.status is LpStatus.OPTIMAL and not iterated
         zero += 1
         solve(problem)
         solve(LpProblem("min" if problem.sense == "max" else "max",
-                        problem.objective, problem.system))
+                        problem.terms, problem.system))
         _, tab, basis, d = problem.system._phase1
         assert ([row[:] for row in tab], basis[:], d) == before
     assert zero >= 150
@@ -597,7 +605,7 @@ def _assert_standard_matches_reference(problem: LpProblem) -> None:
     assert reference is not None
     rewrite, form = reference
     assert (std.rows, std.scale, std.ray_scale, std.basis_hint) == form
-    old, _, _ = rewrite(problem.objective, F(0))
+    old, _, _ = rewrite(_dense(problem, system.num_vars), F(0))
     old_cost = [0] * std.ncols_total
     for col, c in old:
         old_cost[col] = c if problem.sense == "min" else -c
@@ -677,7 +685,10 @@ def _hand_system(rows, lower, upper) -> LinearSystem:
 )
 def test_standard_form_matches_the_fraction_rewrite_by_hand(system):
     n = system.num_vars
-    for objective in ((F(3, 4),) * n, tuple(F(j - 1, j + 2) for j in range(n))):
+    for objective in (
+        tuple((j, F(3, 4)) for j in range(n)),
+        tuple((j, F(j - 1, j + 2)) for j in range(n)),
+    ):
         for sense in ("max", "min"):
             problem = LpProblem(sense, objective, system)
             _assert_standard_matches_reference(problem)
@@ -692,7 +703,7 @@ def test_a_cancelling_shift_reduces_the_row():
         [[1, 1, 0]], [2], [1, 2], [1]
     )
     assert system.rows[0]._integer == (((0, 3),), 1, 6)
-    assert maximize(system, [1]).value == F(1, 3)
+    assert maximize(system, [(0, 1)]).value == F(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +729,16 @@ def test_floats_are_refused_as_input():
             LinearSystem(2, (good,), lower, upper)
     system = LinearSystem(2, (good,), (F(0), F(0)), (None, None))
     with pytest.raises(PreconditionError, match="float"):
-        solve(LpProblem("max", (F(1), 0.5), system))
+        solve(LpProblem("max", ((0, F(1)), (1, 0.5)), system))
+    # the entry points read each objective coefficient through frac
+    for ask in (maximize, minimize, lambda s, o: exceeding_point(s, o, 0)):
+        with pytest.raises(RationalFormatError, match="float"):
+            ask(system, [(0, F(1)), (1, 0.5)])
     # ints are exact and stay accepted
     ints = LinearSystem(
         2, (exact_lp.LinearConstraint(((0, 1), (1, 1)), LE, 1),), (0, 0), (None, 1)
     )
-    assert maximize(ints, [1, 1]).value == 1
+    assert maximize(ints, [(0, 1), (1, 1)]).value == 1
 
 
 # ---------------------------------------------------------------------------
@@ -752,35 +767,36 @@ def _small_system() -> LinearSystem:
 def test_a_question_is_solved_once_per_system_object(monkeypatch):
     solved = _count_solves(monkeypatch)
     system = _small_system()
-    first = maximize(system, [1, 2])
+    first = maximize(system, [(0, 1), (1, 2)])
     assert first.value == F(19, 4)
-    assert maximize(system, [1, 2]) is first
+    assert maximize(system, [(0, 1), (1, 2)]) is first
     assert len(solved) == 1
-    # ints, Fractions and strings are one objective
-    assert maximize(system, [F(1), F(2)]) is first
-    assert maximize(system, ["1", "4/2"]) is first
+    # ints, Fractions and strings are one objective, in any order
+    assert maximize(system, [(0, F(1)), (1, F(2))]) is first
+    assert maximize(system, [(0, "1"), (1, "4/2")]) is first
+    assert maximize(system, [(1, 2), (0, 1)]) is first
     assert len(solved) == 1
     # exceeding_point asks the same question
-    assert exceeding_point(system, [1, 2], first.value - 1) == first.point
-    assert exceeding_point(system, [1, 2], first.value) is None
+    assert exceeding_point(system, [(0, 1), (1, 2)], first.value - 1) == first.point
+    assert exceeding_point(system, [(0, 1), (1, 2)], first.value) is None
     assert len(solved) == 1
     # a scaled objective is another question: its value differs, also when
     # its integer terms are the same and only their lcm differs
-    assert maximize(system, [2, 4]).value == 2 * first.value
-    assert maximize(system, [F(1, 2), 1]).value == first.value / 2
+    assert maximize(system, [(0, 2), (1, 4)]).value == 2 * first.value
+    assert maximize(system, [(0, F(1, 2)), (1, 1)]).value == first.value / 2
     assert len(solved) == 3
     # the opposite sense is another question
-    low = minimize(system, [1, 2])
+    low = minimize(system, [(0, 1), (1, 2)])
     assert low.value == 0 and len(solved) == 4
-    assert minimize(system, [1, 2]) is low and len(solved) == 4
+    assert minimize(system, [(0, 1), (1, 2)]) is low and len(solved) == 4
     # feasible_point asks the zero-objective minimum
     point = feasible_point(system)
     assert len(solved) == 5
-    assert minimize(system, [0, 0]).point is point and len(solved) == 5
+    assert minimize(system, [(0, 0), (1, 0)]).point is point and len(solved) == 5
     # an equal but distinct system object keeps its own memo
     twin = _small_system()
     assert twin == system and hash(twin) == hash(system)
-    again = maximize(twin, [1, 2])
+    again = maximize(twin, [(0, 1), (1, 2)])
     assert again == first and again is not first
     assert len(solved) == 6
     assert [p.system for p in solved].count(twin) == 6
@@ -799,9 +815,9 @@ def test_a_solve_that_raises_stores_nothing(monkeypatch):
     monkeypatch.setattr(exact_lp, "solve", failing_once)
     system = _small_system()
     with pytest.raises(PostconditionError):
-        maximize(system, [1, 2])
-    assert maximize(system, [1, 2]).value == F(19, 4)
-    assert maximize(system, [1, 2]).value == F(19, 4)
+        maximize(system, [(0, 1), (1, 2)])
+    assert maximize(system, [(0, 1), (1, 2)]).value == F(19, 4)
+    assert maximize(system, [(0, 1), (1, 2)]).value == F(19, 4)
     assert len(calls) == 2
 
 
@@ -937,13 +953,13 @@ def test_verify_outcome_rejects_corrupted_certificates():
 def _optimal_problem() -> LpProblem:
     """max x over x + y = 1, x - y >= 1/3, x, y >= 0: the vertex (1, 0)."""
     rows = [constraint([1, 1], EQ, 1), constraint([1, -1], GE, F(1, 3))]
-    return LpProblem("max", (F(1), F(0)), LinearSystem.make(2, rows, lower=0))
+    return LpProblem("max", ((0, F(1)),), LinearSystem.make(2, rows, lower=0))
 
 
 def _unbounded_problem() -> LpProblem:
     """max x + y over x = y, x, y >= 0: unbounded from the origin."""
     rows = [constraint([1, -1], EQ, 0)]
-    return LpProblem("max", (F(1), F(1)), LinearSystem.make(2, rows, lower=0))
+    return LpProblem("max", ((0, F(1)), (1, F(1))), LinearSystem.make(2, rows, lower=0))
 
 
 @pytest.mark.parametrize("make", [_optimal_problem, _unbounded_problem])
@@ -1035,7 +1051,7 @@ def brute_force_max(system: LinearSystem, objective):
         point = _solve_square([c[0] for c in combo], [c[1] for c in combo])
         if point is None or not system.satisfied_by(point):
             continue
-        value = sum(c * x for c, x in zip(objective, point))
+        value = sum(c * point[j] for j, c in objective)
         if best is None or value > best:
             best = value
     return best
@@ -1066,7 +1082,7 @@ def test_simplex_agrees_with_vertex_enumeration():
         ]
         # box bounds keep the region bounded so vertices tell the whole story
         system = LinearSystem.make(n, rows, lower=0, upper=rng.randint(1, 5))
-        objective = [F(rng.randint(-3, 3)) for _ in range(n)]
+        objective = [(j, F(rng.randint(-3, 3))) for j in range(n)]
         _agrees_with_vertex_enumeration(system, objective)
     # second pass: rational coefficients, rhs and boxes with fractional gaps
     rng = random.Random(424243)
@@ -1079,7 +1095,7 @@ def test_simplex_agrees_with_vertex_enumeration():
         lower = [_q(rng) for _ in range(n)]
         upper = [lo + abs(_q(rng)) for lo in lower]
         system = LinearSystem.make(n, rows, lower=lower, upper=upper)
-        _agrees_with_vertex_enumeration(system, [_q(rng) for _ in range(n)])
+        _agrees_with_vertex_enumeration(system, [(j, _q(rng)) for j in range(n)])
 
 
 determinism_seeds = st.integers(min_value=0, max_value=10_000)
@@ -1098,7 +1114,7 @@ def test_feasible_point_is_the_zero_objective_optimum_on_the_corpus():
     statuses = set()
     for problem in lp_corpus(random.Random(20070049), 300):
         system = problem.system
-        out = minimize(system, [0] * system.num_vars)
+        out = minimize(system, [(j, 0) for j in range(system.num_vars)])
         point = feasible_point(system)
         assert point == out.point
         assert (point is None) is (out.status is LpStatus.INFEASIBLE)
