@@ -52,6 +52,7 @@ from .process_polar import (
     sample_polar_elements,
     verify_process_bipolar,
 )
+from .rational import dot, product
 from .rv_polar import (
     RvSet,
     conditional_bipolar_contains,
@@ -169,13 +170,11 @@ def random_supermartingale(
         raw = [Fraction(rng.randint(low, 4), rng.randint(1, 3)) for _ in kids]
         if martingale and all(r == 0 for r in raw):
             raw[rng.randrange(len(raw))] = ONE
-        mean = sum(
-            (tree.edge_prob[ch] * r for ch, r in zip(kids, raw)), ZERO
-        )
+        mean = dot((tree.edge_prob[ch], r) for ch, r in zip(kids, raw))
         if mean > 1 or (martingale and mean != 0):
             raw = [r / mean for r in raw]
         for ch, r in zip(kids, raw):
-            vals[ch] = vals[n] * r
+            vals[ch] = product(vals[n], r)
     return AdaptedProcess(tree, tuple(vals))
 
 
@@ -337,8 +336,8 @@ def _hull_mixture(rng: random.Random, c: RvSet, scale: Fraction) -> RandomVariab
         w = random_positive_weights(rng, len(c.generators))
         for outcome in block:
             i = c.space.index(outcome)
-            vals[i] = scale * sum(
-                (wi * g.values[i] for wi, g in zip(w, c.generators)), ZERO
+            vals[i] = product(
+                scale, dot((wi, g.values[i]) for wi, g in zip(w, c.generators))
             )
     return RandomVariable(c.space, tuple(vals))
 

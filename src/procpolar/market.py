@@ -779,7 +779,11 @@ def superhedge_value(
     is re-checked exactly, as is envelope >= cumulative stream.
 
     The result depends only on the market and the claim, so it is
-    memoised on the market, one recursion per claim."""
+    memoised on the market, one recursion per claim.  A market without an
+    equivalent martingale measure is refused, also when it was built with
+    ``Market(...)`` rather than :meth:`Market.of`."""
+    if emm_polytope(m).interior is None:
+        raise PreconditionError("market invalid: no equivalent martingale measure")
     tree = m.tree
     cum, payout = _terminal_obligation(m, claim)
     env = [ZERO] * tree.num_nodes
@@ -791,8 +795,9 @@ def superhedge_value(
             kids = tree.children[n]
             out = maximize(local_polytope(m, n), enumerate(env[ch] for ch in kids))
             if out.status is LpStatus.INFEASIBLE:
-                raise PreconditionError(
-                    "market admits no one-step martingale measure; reject it first"
+                raise PostconditionError(
+                    "one-step polytope empty although the market has an "
+                    "equivalent martingale measure"
                 )
             if out.status is LpStatus.UNBOUNDED:
                 raise PostconditionError("one-step polytopes are bounded")
@@ -859,7 +864,8 @@ def budget_check(
     of the cumulative stream (certificate: the expectation-maximizing
     measure, whose expectation must exceed ``x``).  Neither depends on
     ``x``, so each is computed once per density; the two values must be
-    equal, and a difference is a defect, not a result.
+    equal, and a difference is a defect, not a result.  A market without an
+    equivalent martingale measure is refused by :func:`superhedge_value`.
     """
     x = frac(x)
     if x < 0:

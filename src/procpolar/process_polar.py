@@ -50,11 +50,13 @@ from .processes import (
     increment,
     is_supermartingale,
 )
+from .rational import dot, product
 from .rv_polar import RvSet, conditional_bipolar_contains, conditional_polar_constraints
 from .tree import RandomVariable, level_partition, level_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 def defect_terms(z: AdaptedProcess, n: int) -> list[tuple[int, Fraction]]:
@@ -63,7 +65,8 @@ def defect_terms(z: AdaptedProcess, n: int) -> list[tuple[int, Fraction]]:
     of a linear functional of ``Y`` over the node columns."""
     tree = z.tree
     terms = [(n, -z.values[n])]
-    terms += ((ch, tree.edge_prob[ch] * z.values[ch]) for ch in tree.children[n])
+    probs, vals = tree.edge_prob, z.values
+    terms += ((ch, product(probs[ch], vals[ch])) for ch in tree.children[n])
     return terms
 
 
@@ -332,7 +335,7 @@ def sample_polar_elements(
         points.append(out.point)
         if len(points) >= 2 and len(points) < count:
             mid = tuple(
-                (a + b) / 2 for a, b in zip(points[-1], points[-2])
+                dot(((a, HALF), (b, HALF))) for a, b in zip(points[-1], points[-2])
             )
             points.append(mid)
     return [AdaptedProcess(c.tree, p) for p in points[:count]]

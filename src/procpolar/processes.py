@@ -8,7 +8,10 @@ it is supposed to enjoy: composing them can never silently leave the class
 of unit-initial supermartingales.
 
 Values are coerced through :func:`~procpolar.rational.frac`, so a float or
-a bool is refused and an int becomes a ``Fraction``.  The one-step
+a bool is refused and an int becomes a ``Fraction``.  Products of values
+go through :func:`~procpolar.rational.product` and sums of products
+through :func:`~procpolar.rational.dot`, and a quotient is built from its
+integer cross products, so each result is normalised once.  The one-step
 (super)martingale comparison at a node brings ``sum(p(c) * y(c))`` and
 ``y(n)`` to one common denominator (``math.lcm``) and compares integers;
 :class:`NonIncreasingProcess` compares each edge's two values by
@@ -20,8 +23,9 @@ new process, so each postcondition is still checked on its result afresh.
 A fork splice at time ``s`` computes one coefficient pair per time-``s``
 node ``n``, ``a(n) = y1(n) w(n) / y2(n)`` and ``b(n) = y1(n) (1 - w(n)) /
 y3(n)`` (0 when the weight or the divisor is 0), and sets every later node
-``m`` below ``n`` to ``a(n) y2(m) + b(n) y3(m)``: the same exact values as
-the increment form, in one pass down the tree.
+``m`` below ``n`` to ``a(n) y2(m) + b(n) y3(m)`` (a ``dot`` of two terms,
+or a ``product`` where a coefficient is 0): the same exact values as the
+increment form, in one pass down the tree.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from math import lcm
 from typing import Iterator, Mapping
 
 from .errors import PostconditionError, PreconditionError
-from .rational import frac, frac_tuple
+from .rational import dot, frac, frac_tuple, product
 from .tree import EventTree
 
 ZERO = Fraction(0)
@@ -84,13 +88,13 @@ class AdaptedProcess:
         f = frac(factor)
         if f < 0:
             raise PreconditionError("scale factor must be nonnegative")
-        return AdaptedProcess(self.tree, tuple(f * v for v in self.values))
+        return AdaptedProcess(self.tree, tuple(product(f, v) for v in self.values))
 
     def pointwise_mul(self, other: "AdaptedProcess") -> "AdaptedProcess":
         if other.tree != self.tree:
             raise PreconditionError("processes live on different trees")
         return AdaptedProcess(
-            self.tree, tuple(a * b for a, b in zip(self.values, other.values))
+            self.tree, tuple(map(product, self.values, other.values))
         )
 
     def with_value(self, node: int, value: int | str | Fraction) -> "AdaptedProcess":
@@ -215,7 +219,7 @@ def increment(y: AdaptedProcess, s: int, t: int, node_t: int) -> Fraction:
             "increment undefined: zero followed by a positive value "
             f"({tree.labels[anc]} -> {tree.labels[node_t]})"
         )
-    return num / den
+    return Fraction(num.numerator * den.denominator, num.denominator * den.numerator)
 
 
 def solid_multiply(y: AdaptedProcess, b: NonIncreasingProcess) -> AdaptedProcess:
@@ -279,24 +283,32 @@ def fork_splice(
         if t < s:
             continue
         if t == s:
-            w, base = wmap[m], v1[m]
+            wn, wd = wmap[m].numerator, wmap[m].denominator
             coefs[m] = (
-                base * w / v2[m] if w and v2[m] else ZERO,
-                base * (ONE - w) / v3[m] if w != 1 and v3[m] else ZERO,
+                _share(v1[m], wn, wd, v2[m]) if wn and v2[m] else ZERO,
+                _share(v1[m], wd - wn, wd, v3[m]) if wn != wd and v3[m] else ZERO,
             )
             continue
         a, b = coefs[m] = coefs[tree.parent[m]]
         if not b:
-            vals[m] = a * v2[m]
+            vals[m] = product(a, v2[m])
         elif not a:
-            vals[m] = b * v3[m]
+            vals[m] = product(b, v3[m])
         else:
-            vals[m] = a * v2[m] + b * v3[m]
+            vals[m] = dot(((a, v2[m]), (b, v3[m])))
     result = AdaptedProcess(tree, tuple(vals))
     if all(map(is_unit_supermartingale, (y1, y2, y3))):
         if not is_unit_supermartingale(result):
             raise PostconditionError("fork splice left the supermartingale class")
     return result
+
+
+def _share(base: Fraction, num: int, den: int, divisor: Fraction) -> Fraction:
+    """A fork coefficient ``base * (num / den) / divisor``, normalised once."""
+    return Fraction(
+        base.numerator * num * divisor.denominator,
+        base.denominator * den * divisor.numerator,
+    )
 
 
 @dataclass(frozen=True)
@@ -365,7 +377,7 @@ def random_nonincreasing_process(
         k = 2 if par is None else 3  # keep the root in (0, 1] mostly
         den = rng.randint(1, 3)
         factor = Fraction(k * den - rng.randint(0, den), k * den)
-        vals.append(factor if par is None else vals[par] * factor)
+        vals.append(factor if par is None else product(vals[par], factor))
     return NonIncreasingProcess(AdaptedProcess(tree, tuple(vals)))
 
 

@@ -1,14 +1,22 @@
-"""Exact rational parsing, formatting and coercion.
+"""Exact rational parsing, formatting, coercion and product kernels.
 
 Every number in this library is a ``fractions.Fraction``.  Floats are
 rejected everywhere: the library's claims are exact set equalities and a
 single rounded value would silently turn them into approximations.
+
+:func:`product` and :func:`dot` compute ``a * b`` and ``sum(a * b)`` on the
+numerators and denominators as integers and normalise the result once,
+where the ``Fraction`` operators normalise every product and every partial
+sum (deferred gcds, Knuth, TAOCP vol. 2, sec. 4.5.1).  They return the same
+normalised ``Fraction`` as the operators.  They do not coerce: their inputs
+are Fractions that have already passed :func:`frac`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import RationalFormatError
@@ -64,3 +72,22 @@ def frac_tuple(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
     if type(values) is tuple and all(isinstance(v, Fraction) for v in values):
         return values
     return tuple(map(frac, values))
+
+
+def product(a: Fraction, b: Fraction) -> Fraction:
+    """``a * b``, normalised once."""
+    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """``sum(a * b for a, b in pairs)``, 0 when there are none.
+
+    The numerator is kept over a running lcm of the term denominators and
+    the sum is normalised once, at the end."""
+    num, den = 0, 1
+    for a, b in pairs:
+        d = a.denominator * b.denominator
+        common = lcm(den, d)
+        num = num * (common // den) + a.numerator * b.numerator * (common // d)
+        den = common
+    return Fraction(num, den)

@@ -49,6 +49,7 @@ from .exact_lp import (
     per_owner,
     vector,
 )
+from .rational import product
 from .tree import Partition, RandomVariable, SampleSpace, cond_exp_partition
 
 ZERO = Fraction(0)
@@ -232,7 +233,7 @@ def conditional_bipolar_contains(c: RvSet, h: RandomVariable) -> BipolarMembersh
     space = c.space
     for bi in range(len(c.partition.blocks)):
         idx, pb, sys_ = _block_polar(c, bi)
-        objective = enumerate(space.probs[i] * h.values[i] for i in idx)
+        objective = enumerate(product(space.probs[i], h.values[i]) for i in idx)
         local = exceeding_point(sys_, objective, pb)
         if local is not None:
             witness = _embed_block(space, idx, local)
@@ -251,7 +252,10 @@ def _block_polar(c: RvSet, bi: int) -> tuple[tuple[int, ...], Fraction, LinearSy
     pb = c.partition.block_prob(block)
     rows = [
         LinearConstraint(
-            enumerate(space.probs[i] * f.values[i] for i in idx), LE, pb, f"gen[{gi}]"
+            enumerate(product(space.probs[i], f.values[i]) for i in idx),
+            LE,
+            pb,
+            f"gen[{gi}]",
         )
         for gi, f in enumerate(c.generators)
     ]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError
-from .rational import format_rational, frac, frac_tuple
+from .rational import dot, format_rational, frac, frac_tuple, product
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -334,14 +334,12 @@ class RandomVariable:
         return self.values[self.space.index(outcome)]
 
     def expectation(self) -> Fraction:
-        return sum(
-            (p * v for p, v in zip(self.space.probs, self.values)), ZERO
-        )
+        return dot(zip(self.space.probs, self.values))
 
     def pointwise_mul(self, other: "RandomVariable") -> "RandomVariable":
         self._same_space(other)
         return RandomVariable(
-            self.space, tuple(a * b for a, b in zip(self.values, other.values))
+            self.space, tuple(map(product, self.values, other.values))
         )
 
     def pointwise_max(self, other: "RandomVariable") -> "RandomVariable":
@@ -354,7 +352,7 @@ class RandomVariable:
         f = frac(factor)
         if f < 0:
             raise PreconditionError("scale factor must be nonnegative")
-        return RandomVariable(self.space, tuple(f * v for v in self.values))
+        return RandomVariable(self.space, tuple(product(f, v) for v in self.values))
 
     def dominates(self, other: "RandomVariable") -> bool:
         self._same_space(other)
@@ -438,7 +436,7 @@ def cond_exp_partition(rv: RandomVariable, g: Partition) -> RandomVariable:
     out = [ZERO] * rv.space.size
     for block in g.blocks:
         pb = g.block_prob(block)
-        avg = sum((rv.space.prob(w) * rv[w] for w in block), ZERO) / pb
+        avg = dot((rv.space.prob(w), rv[w]) for w in block) / pb
         for w in block:
             out[rv.space.index(w)] = avg
     return RandomVariable(rv.space, tuple(out))

@@ -50,6 +50,7 @@ from procpolar.exact_lp import (
     GE,
     LinearConstraint,
     LinearSystem,
+    LpOutcome,
     LpStatus,
     maximize,
     minimize,
@@ -107,6 +108,35 @@ def test_market_without_measure_rejected(t1):
     with pytest.raises(PreconditionError):
         Market.of(t1, [s])
     assert emm_polytope(Market(t1, (s,))).interior is None
+
+
+def test_superhedge_and_budget_refuse_a_market_without_a_martingale_measure(t1):
+    # S = (4; 8, 4): the one-step polytope is the single point q = (0, 1),
+    # which gives u no weight, so no equivalent martingale measure exists
+    m = Market(t1, (AdaptedProcess.from_mapping(t1, {0: 4, 1: 8, 2: 4}),))
+    assert emm_polytope(m).interior is None
+    dens = ConsumptionDensity(
+        AdaptedProcess.from_mapping(t1, {0: 0, 1: 3, 2: 0}), (F(0), F(1))
+    )
+    claim = RandomVariable(terminal_space(t1), (F(3), F(0)))
+    for ask in (
+        lambda: superhedge_value(m, claim),
+        lambda: superhedge_value(m, dens),
+        lambda: budget_check(m, dens, 0),
+    ):
+        with pytest.raises(PreconditionError, match="no equivalent martingale measure"):
+            ask()
+
+
+def test_an_empty_one_step_polytope_of_a_valid_market_is_a_defect(
+    monkeypatch, m1, t1
+):
+    monkeypatch.setattr(
+        market, "maximize", lambda system, terms: LpOutcome(LpStatus.INFEASIBLE)
+    )
+    claim = RandomVariable(terminal_space(t1), (F(3), F(0)))
+    with pytest.raises(PostconditionError, match="one-step polytope empty"):
+        superhedge_value(m1, claim)
 
 
 def _whole_tree_emm(m):

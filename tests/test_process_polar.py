@@ -10,6 +10,7 @@ from procpolar.fuzz import (
     ProcessFuzzConfig,
     process_probes,
     random_process_set,
+    random_supermartingale,
     random_tree,
 )
 from procpolar.processes import (
@@ -23,6 +24,7 @@ from procpolar.processes import (
 from procpolar.process_polar import (
     bipolar_contains_incremental,
     bipolar_contains_lp,
+    defect_terms,
     envelope_process,
     increment_conditional_polar,
     increment_set,
@@ -307,3 +309,14 @@ def test_memoised_oracles_match_fresh_sets():
                 ) == bipolar_contains_incremental(_twin(c), z)
                 compared += 1
     assert compared >= 30
+
+
+def test_defect_terms_match_operator_reference():
+    rng = random.Random(37)
+    for _ in range(60):
+        tree = random_tree(rng, 3, 3)
+        z = random_supermartingale(rng, tree)
+        for n in tree.non_terminal_nodes():
+            assert defect_terms(z, n) == [(n, -z.values[n])] + [
+                (ch, tree.edge_prob[ch] * z.values[ch]) for ch in tree.children[n]
+            ]

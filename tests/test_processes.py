@@ -61,6 +61,26 @@ def _reference_fork_splice(y1, y2, y3, s, weights) -> tuple:
     return tuple(vals)
 
 
+def _reference_supermartingale_values(
+    rng: random.Random, tree, strictly_positive: bool, martingale: bool
+) -> tuple:
+    """The draw of random_supermartingale, written in Fraction operators."""
+    low = 1 if strictly_positive else 0
+    vals = [F(0)] * tree.num_nodes
+    vals[0] = F(rng.randint(low, 4), 4)
+    for n in tree.non_terminal_nodes():
+        kids = tree.children[n]
+        raw = [F(rng.randint(low, 4), rng.randint(1, 3)) for _ in kids]
+        if martingale and all(r == 0 for r in raw):
+            raw[rng.randrange(len(raw))] = F(1)
+        mean = sum((tree.edge_prob[ch] * r for ch, r in zip(kids, raw)), F(0))
+        if mean > 1 or (martingale and mean != 0):
+            raw = [r / mean for r in raw]
+        for ch, r in zip(kids, raw):
+            vals[ch] = vals[n] * r
+    return tuple(vals)
+
+
 def _reference_nonincreasing_values(rng: random.Random, tree) -> tuple:
     """The draw of random_nonincreasing_process, one unit fraction per node."""
     vals = [F(1)] * tree.num_nodes
@@ -357,3 +377,35 @@ def test_random_nonincreasing_process_matches_reference_draw():
         b = random_nonincreasing_process(ours, tree)
         assert b.process.values == _reference_nonincreasing_values(reference, tree)
         assert ours.getstate() == reference.getstate()
+
+
+def test_random_supermartingale_matches_reference_draw():
+    shapes = random.Random(43)
+    for seed in range(60):
+        tree = random_tree(shapes, 3, 3)
+        for positive in (False, True):
+            for martingale in (False, True):
+                ours, reference = random.Random(seed), random.Random(seed)
+                y = random_supermartingale(ours, tree, positive, martingale)
+                assert y.values == _reference_supermartingale_values(
+                    reference, tree, positive, martingale
+                )
+                assert ours.getstate() == reference.getstate()
+
+
+def test_process_calculus_matches_operator_reference():
+    rng = random.Random(47)
+    for _ in range(80):
+        tree = random_tree(rng, 3, 3)
+        y, z = (random_supermartingale(rng, tree) for _ in range(2))
+        f = F(rng.randint(0, 7), rng.randint(1, 5))
+        assert y.pointwise_mul(z).values == tuple(
+            a * b for a, b in zip(y.values, z.values)
+        )
+        assert y.scale(f).values == tuple(f * v for v in y.values)
+        for m in range(tree.num_nodes):
+            t = tree.time[m]
+            for s in range(t + 1):
+                num, den = y.values[m], y.values[tree.ancestor_at(m, s)]
+                expected = F(1) if s == t else num / den if den else F(0)
+                assert increment(y, s, t, m) == expected

@@ -8,8 +8,10 @@ import pytest
 from procpolar import exact_lp
 from procpolar.errors import PreconditionError
 from procpolar.fuzz import (
+    _hull_mixture,
     conditional_probes,
     random_partition,
+    random_positive_weights,
     random_rv,
     random_rvset,
     random_space,
@@ -407,3 +409,30 @@ def test_unconditional_cross_checks_need_one_space():
             oracle([], probe)
         # on one space both answer
         assert oracle(gens, probe)
+
+
+def _reference_hull_mixture(rng: random.Random, c: RvSet, scale) -> tuple:
+    """The draw of _hull_mixture, written in Fraction operators."""
+    vals = [F(0)] * c.space.size
+    for block in c.partition.blocks:
+        w = random_positive_weights(rng, len(c.generators))
+        for outcome in block:
+            i = c.space.index(outcome)
+            vals[i] = scale * sum(
+                (wi * g.values[i] for wi, g in zip(w, c.generators)), F(0)
+            )
+    return tuple(vals)
+
+
+def test_hull_mixture_matches_reference_draw():
+    rng = random.Random(41)
+    for _ in range(60):
+        space = random_space(rng)
+        c = random_rvset(rng, space, random_partition(rng, space))
+        scale = F(rng.randint(0, 4), rng.randint(1, 4))
+        seed = rng.randrange(2**32)
+        ours, reference = random.Random(seed), random.Random(seed)
+        assert _hull_mixture(ours, c, scale).values == _reference_hull_mixture(
+            reference, c, scale
+        )
+        assert ours.getstate() == reference.getstate()

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procpolar.errors import PreconditionError, RationalFormatError
-from procpolar.rational import parse_rational
+from procpolar.fuzz import random_rv, random_space
+from procpolar.rational import dot, parse_rational, product
 from procpolar.tree import (
     EventTree,
     Partition,
@@ -22,6 +25,8 @@ from procpolar.tree import (
 )
 
 rationals = st.fractions(min_value=0, max_value=4, max_denominator=6)
+# signed, with large denominators, and zero drawn often
+factors = st.one_of(st.just(F(0)), st.fractions(max_denominator=10**12))
 
 
 def test_validate_uniform_binary(t1):
@@ -174,3 +179,54 @@ def test_parse_rational_strictness():
     for bad in ("0.5", "1e-3", "½", "1/0"):
         with pytest.raises(Exception):
             parse_rational(bad)
+
+
+def _is_normalised(x) -> bool:
+    return type(x) is F and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=factors, b=factors)
+def test_product_is_the_normalised_operator_product(a, b):
+    out = product(a, b)
+    assert _is_normalised(out)
+    expected = a * b
+    assert out.as_integer_ratio() == expected.as_integer_ratio()
+    if not (a and b):
+        assert out.as_integer_ratio() == (0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(factors, factors), max_size=12))
+def test_dot_is_the_normalised_operator_sum(pairs):
+    out = dot(pairs)
+    expected = sum((a * b for a, b in pairs), F(0))
+    assert _is_normalised(out)
+    assert out.as_integer_ratio() == expected.as_integer_ratio()
+    assert dot(iter(pairs)) == out  # any iterable of pairs, read once
+
+
+def test_dot_of_no_terms_and_of_zero_factors_is_zero():
+    for pairs in ([], iter(()), [(F(0), F(3, 7)), (F(5, 9), F(0))]):
+        out = dot(pairs)
+        assert _is_normalised(out) and out.as_integer_ratio() == (0, 1)
+    # terms that cancel leave a normalised zero as well
+    out = dot([(F(1, 6), F(3, 5)), (F(-1, 10), F(1))])
+    assert out.as_integer_ratio() == (0, 1)
+
+
+def test_random_variable_calculus_matches_operator_reference():
+    rng = random.Random(31)
+    for _ in range(80):
+        space = random_space(rng, 6)
+        x, y = random_rv(rng, space), random_rv(rng, space)
+        f = F(rng.randint(0, 7), rng.randint(1, 5))
+        assert x.expectation() == sum(
+            (p * v for p, v in zip(space.probs, x.values)), F(0)
+        )
+        assert x.pointwise_mul(y).values == tuple(
+            a * b for a, b in zip(x.values, y.values)
+        )
+        assert x.scale(f).values == tuple(f * v for v in x.values)
+        for out in (x.expectation(), *x.pointwise_mul(y).values, *x.scale(f).values):
+            assert _is_normalised(out)
