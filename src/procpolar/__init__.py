@@ -66,7 +66,6 @@ from .processes import (
     random_hull_element,
     replay_trace,
     solid_multiply,
-    zero_absorption_check,
 )
 from .process_polar import (
     bipolar_contains_incremental,
@@ -81,7 +80,6 @@ from .process_polar import (
 )
 from .rational import format_rational, frac, parse_rational
 from .rv_polar import (
-    PartitionUnitBall,
     RvSet,
     conditional_bipolar_contains,
     conditional_polar_constraints,
@@ -93,11 +91,9 @@ from .rv_polar import (
 )
 from .tree import (
     EventTree,
-    NodeMeasure,
     Partition,
     RandomVariable,
     SampleSpace,
-    atoms_at_time,
     cond_exp_one_step,
     cond_exp_partition,
     level_partition,

@@ -208,23 +208,21 @@ def _check_bipolar(inst: Instance, report: Report, args, generate: bool) -> None
 def _check_cbt(inst: Instance, report: Report, args) -> None:
     c = inst.rv_set()
     rng = instance_rng("check-cbt", report.seed, 0)
-    named = sorted(inst.probe_rvs().items())
+    checks = [
+        (f"cbt[{name}]", probe, None)
+        for name, probe in sorted(inst.probe_rvs().items())
+    ]
     generated = conditional_probes(rng, c, args.probes, BUMP)
-    for name, probe in named:
-        a = bool(hull_contains(c, probe))
-        b = bool(conditional_bipolar_contains(c, probe))
-        report.add(
-            f"cbt[{name}]",
-            f"hull={a} bipolar={b}",
-            a == b,
-            "" if a == b else f"values={probe.values}",
-        )
-    for i, (probe, expected) in enumerate(generated):
+    checks += (
+        (f"cbt[gen{i}]", probe, expected)
+        for i, (probe, expected) in enumerate(generated)
+    )
+    for check_id, probe, expected in checks:
         a = bool(hull_contains(c, probe))
         b = bool(conditional_bipolar_contains(c, probe))
         ok = a == b and (expected is None or a == expected)
         report.add(
-            f"cbt[gen{i}]",
+            check_id,
             f"hull={a} bipolar={b}",
             ok,
             "" if ok else f"values={probe.values}",

@@ -942,26 +942,19 @@ def solve(problem: LpProblem) -> LpOutcome:
     return outcome
 
 
-def feasible_interior_point(
-    system: LinearSystem, strict_vars: Iterable[int]
-) -> Optional[tuple[Fraction, ...]]:
-    """A feasible point strictly positive on ``strict_vars``, or None.
+def feasible_interior_point(system: LinearSystem) -> Optional[tuple[Fraction, ...]]:
+    """A feasible point strictly positive in every column, or None.
 
-    Adds an auxiliary slack eps with x_j >= eps on the strict variables:
-    an interior point exists iff eps can exceed 0, and the point at which
-    :func:`exceeding_point` finds it so is one.
+    Adds an auxiliary slack eps with x_j >= eps on every column: an
+    interior point exists iff eps can exceed 0, and the point at which
+    :func:`exceeding_point` finds it so is one.  A system without columns
+    has the empty point when it is feasible, since eps is then unbounded.
     """
-    strict = sorted(set(strict_vars))
-    if any(j < 0 or j >= system.num_vars for j in strict):
-        raise PreconditionError("strict variable index out of range")
-    if not strict:
-        return feasible_point(system)
-
     n = system.num_vars
     # the rows go through as they are: their terms never name column n
     rows = system.rows + tuple(
         LinearConstraint(((j, ONE), (n, -ONE)), GE, ZERO, f"strict[{j}]")
-        for j in strict
+        for j in range(n)
     )
     ext = LinearSystem(n + 1, rows, system.lower + (None,), system.upper + (None,))
     # eps is free, so ext is empty exactly when system is
@@ -971,6 +964,6 @@ def feasible_interior_point(
     if point is None:
         return None
     inner = point[:n]
-    if not system.satisfied_by(inner) or any(inner[j] <= 0 for j in strict):
+    if not system.satisfied_by(inner) or any(v <= 0 for v in inner):
         raise PostconditionError("interior-point search produced a bad point")
     return inner

@@ -48,7 +48,6 @@ from .processes import (
 )
 from .process_polar import (
     polar_constraints,
-    polar_contains,
     sample_polar_elements,
     verify_process_bipolar,
 )

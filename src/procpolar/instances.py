@@ -46,7 +46,6 @@ and sections start with a bracketed header:
 Within a section each node, each ``mu`` time (an integer from 0 to the
 horizon) and the ``assets`` line appear at most once.  Processes not listed under
 [generators] and rvs not listed under [rvset] serve as probes.
-Serialization is canonical, so parse-serialize-parse is the identity.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import Optional
 from .errors import ProcpolarError, RationalFormatError
 from .market import ConsumptionDensity, Market
 from .processes import AdaptedProcess, ProcessSet
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 from .rv_polar import RvSet
 from .tree import EventTree, Partition, RandomVariable, terminal_space, validate_tree
 
@@ -346,59 +345,3 @@ def load_instance(path: str) -> Instance:
         except UnicodeDecodeError as exc:
             raise InstanceError(f"{path}: not UTF-8 text ({exc})") from exc
     return parse_instance(text)
-
-
-def serialize_instance(inst: Instance) -> str:
-    """Canonical text form; parsing it back reproduces the instance."""
-    tree = inst.tree
-    out: list[str] = ["version 1", "", "[tree]"]
-    for i in range(tree.num_nodes):
-        par = tree.parent[i]
-        if par is None:
-            out.append(f"node {tree.labels[i]} - -")
-        else:
-            out.append(
-                f"node {tree.labels[i]} {tree.labels[par]} "
-                f"{format_rational(tree.edge_prob[i])}"
-            )
-    for name in sorted(inst.processes):
-        out += ["", f"[process {name}]"]
-        proc = inst.processes[name]
-        out += [
-            f"{tree.labels[i]} {format_rational(proc.values[i])}"
-            for i in range(tree.num_nodes)
-        ]
-    if inst.generators:
-        out += ["", "[generators]"] + [name for name in inst.generators]
-    if inst.partition is not None:
-        out += ["", "[partition]"]
-        for block in inst.partition.blocks:
-            out.append("block " + " ".join(tree.labels[w] for w in block))
-    for name in sorted(inst.rvs):
-        out += ["", f"[rv {name}]"]
-        rv = inst.rvs[name]
-        out += [
-            f"{tree.labels[w]} {format_rational(rv[w])}" for w in rv.space.outcomes
-        ]
-    if inst.rvset:
-        out += ["", "[rvset]"] + [name for name in inst.rvset]
-    if inst.market_assets:
-        out += ["", "[market]", "assets " + " ".join(inst.market_assets)]
-    if inst.claim is not None:
-        out += ["", "[claim]"]
-        out += [
-            f"{tree.labels[w]} {format_rational(inst.claim[w])}"
-            for w in inst.claim.space.outcomes
-        ]
-    if inst.consumption is not None:
-        out += ["", "[consumption]"]
-        dens = inst.consumption.density
-        out += [
-            f"node {tree.labels[i]} {format_rational(dens.values[i])}"
-            for i in range(tree.num_nodes)
-        ]
-        out += [
-            f"mu {t} {format_rational(w)}"
-            for t, w in enumerate(inst.consumption.weights)
-        ]
-    return "\n".join(out) + "\n"

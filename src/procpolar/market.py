@@ -50,7 +50,7 @@ from .exact_lp import (
 )
 from .process_polar import defect_terms, first_defect
 from .processes import AdaptedProcess, is_martingale, is_supermartingale
-from .rational import frac
+from .rational import frac, frac_tuple
 from .tree import EventTree, RandomVariable, terminal_space
 
 ZERO = Fraction(0)
@@ -101,7 +101,10 @@ def _price_increments(m: Market) -> tuple[Optional[tuple[Fraction, ...]], ...]:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Holdings per non-terminal node: the position over the outgoing edges."""
+    """Holdings per non-terminal node: the position over the outgoing edges.
+
+    Each position is coerced through :func:`~procpolar.rational.frac_tuple`,
+    so a float or a bool holding is refused."""
 
     tree: EventTree
     holdings: tuple[Optional[tuple[Fraction, ...]], ...]
@@ -109,8 +112,10 @@ class Strategy:
     def __post_init__(self) -> None:
         if len(self.holdings) != self.tree.num_nodes:
             raise PreconditionError("one holdings entry per node required")
+        holdings = tuple(None if h is None else frac_tuple(h) for h in self.holdings)
+        object.__setattr__(self, "holdings", holdings)
         for n in range(self.tree.num_nodes):
-            h = self.holdings[n]
+            h = holdings[n]
             if self.tree.is_terminal(n):
                 if h is not None:
                     raise PreconditionError("terminal nodes hold nothing")
@@ -165,17 +170,22 @@ class ConsumptionProcess:
 
 @dataclass(frozen=True)
 class ConsumptionDensity:
-    """A consumption rate per node plus rational time weights summing to 1."""
+    """A consumption rate per node plus rational time weights summing to 1.
+
+    The weights are coerced like process values: floats and bools are
+    refused."""
 
     density: AdaptedProcess
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.weights) != self.density.tree.horizon + 1:
+        weights = frac_tuple(self.weights)
+        object.__setattr__(self, "weights", weights)
+        if len(weights) != self.density.tree.horizon + 1:
             raise PreconditionError("one weight per time index required")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise PreconditionError("time weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if sum(weights) != 1:
             raise PreconditionError("time weights must sum to 1")
 
     def cumulative(self) -> ConsumptionProcess:
@@ -254,7 +264,7 @@ def emm_polytope(m: Market) -> EmmPolytope:
     )
     q = [ZERO] * (tree.num_nodes - 1)
     for kids, local in blocks:
-        point = feasible_interior_point(local, range(len(kids)))
+        point = feasible_interior_point(local)
         if point is None:
             return EmmPolytope(blocks, None)
         for ch, v in zip(kids, point):
@@ -946,17 +956,12 @@ class StructureReport:
     def all_ok(self) -> bool:
         return all(r.ok for r in self.records)
 
-    def counts(self) -> tuple[int, int]:
-        return sum(1 for r in self.records if r.ok), len(self.records)
-
 
 def sample_consumption_wealth(
-    m: Market, count: int, rng: random.Random | int
+    m: Market, count: int, rng: random.Random
 ) -> list[tuple[AdaptedProcess, ConsumptionProcess]]:
     """Vertices of the invest-and-consume polytope at budget 1 under random
     objectives in the wealth and the cumulative consumption."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     system = consumption_polytope(m, 1)
     wealth = wealth_map(m, True)
     out: list[tuple[AdaptedProcess, ConsumptionProcess]] = []
@@ -981,7 +986,8 @@ def verify_structure(
     deflator_probes: Sequence[AdaptedProcess] = (),
     wealth_probes: Sequence[AdaptedProcess] = (),
     pair_samples: int = 4,
-    rng: random.Random | int = 0,
+    *,
+    rng: random.Random,
 ) -> StructureReport:
     """Exercise the wealth/deflator duality on one market.
 
@@ -993,8 +999,6 @@ def verify_structure(
       test under every one-step measure, and bipolar membership against
       pure investment agree on every probe.
     """
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     records: list[StructureRecord] = []
     pairs = sample_consumption_wealth(m, pair_samples, rng)
 

@@ -22,7 +22,9 @@ with the set.
 
 The promise under test everywhere: on far-reaching sets of unit-initial
 supermartingales the two oracles agree, and everything built from the
-generators by fork-splicing and solid multiplication is a member.
+generators by fork-splicing and solid multiplication is a member.  Both
+oracles, and so :func:`verify_process_bipolar`, refuse a set that is not
+far-reaching with :class:`~procpolar.errors.PreconditionError`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .exact_lp import (
 )
 from .processes import (
     AdaptedProcess,
-    HullSample,
     ProcessSet,
     has_absorbed_zeros,
     increment,
@@ -131,17 +132,14 @@ class ProcessBipolarMembership:
         return self.member
 
 
-def _require_far_reaching(c: ProcessSet, require: bool) -> None:
-    if require and not c.far_reaching:
+def _require_far_reaching(c: ProcessSet) -> None:
+    if not c.far_reaching:
         raise PreconditionError(
-            "the bipolar oracles assume a far-reaching generator set; "
-            "pass require_far_reaching=False to explore without it"
+            "the bipolar oracles assume a far-reaching generator set"
         )
 
 
-def bipolar_contains_lp(
-    c: ProcessSet, z: AdaptedProcess, require_far_reaching: bool = True
-) -> ProcessBipolarMembership:
+def bipolar_contains_lp(c: ProcessSet, z: AdaptedProcess) -> ProcessBipolarMembership:
     """Direct bipolar membership: per-node maximization over the polar.
 
     ``z`` belongs iff the maximal initial product over the polar stays
@@ -151,7 +149,7 @@ def bipolar_contains_lp(
     """
     if z.tree != c.tree:
         raise PreconditionError("candidate lives on a different tree")
-    _require_far_reaching(c, require_far_reaching)
+    _require_far_reaching(c)
     tree = c.tree
     polar = polar_constraints(c)
 
@@ -205,7 +203,7 @@ def increment_conditional_polar(c: ProcessSet, t_from: int) -> LinearSystem:
 
 
 def bipolar_contains_incremental(
-    c: ProcessSet, z: AdaptedProcess, require_far_reaching: bool = True
+    c: ProcessSet, z: AdaptedProcess
 ) -> ProcessBipolarMembership:
     """Bipolar membership via initial value plus stepwise increments.
 
@@ -217,7 +215,7 @@ def bipolar_contains_incremental(
     """
     if z.tree != c.tree:
         raise PreconditionError("candidate lives on a different tree")
-    _require_far_reaching(c, require_far_reaching)
+    _require_far_reaching(c)
     if not c.all_unit_supermartingales():
         raise PreconditionError(
             "the incremental oracle needs unit-initial supermartingale generators"
@@ -318,12 +316,10 @@ def envelope_process(
 
 
 def sample_polar_elements(
-    c: ProcessSet, count: int, rng: random.Random | int
+    c: ProcessSet, count: int, rng: random.Random
 ) -> list[AdaptedProcess]:
     """Vertices of the polar polyhedron under random objectives, plus
     midpoints of consecutive samples (the polar is convex)."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     polar = polar_constraints(c)
     n = c.tree.num_nodes
     points: list[tuple[Fraction, ...]] = []
@@ -358,16 +354,11 @@ class BipolarAgreementReport:
     def all_ok(self) -> bool:
         return all(r.ok for r in self.records)
 
-    def counts(self) -> tuple[int, int]:
-        good = sum(1 for r in self.records if r.ok)
-        return good, len(self.records)
-
 
 def verify_process_bipolar(
     c: ProcessSet,
     probes: Sequence[AdaptedProcess] = (),
-    hull_probes: Sequence[AdaptedProcess | HullSample] = (),
-    require_far_reaching: bool = True,
+    hull_probes: Sequence[AdaptedProcess] = (),
 ) -> BipolarAgreementReport:
     """Run both bipolar oracles on every probe and report agreement.
 
@@ -375,20 +366,19 @@ def verify_process_bipolar(
     both.  Probes without absorbed zeros cannot feed the incremental
     oracle; for those the direct oracle must reject (the bipolar contains
     only supermartingales, whose zeros absorb), which is recorded as its
-    own check.  With ``require_far_reaching=False`` the report is
-    exploratory: disagreements are recorded, never raised.
+    own check.
     """
     records: list[ProbeRecord] = []
 
     def run(z: AdaptedProcess, kind: str) -> None:
-        lp = bipolar_contains_lp(c, z, require_far_reaching)
+        lp = bipolar_contains_lp(c, z)
         if not has_absorbed_zeros(z):
             ok = not lp.member
             records.append(
                 ProbeRecord(kind, lp.member, None, "no absorbed zeros", ok)
             )
             return
-        inc = bipolar_contains_incremental(c, z, require_far_reaching)
+        inc = bipolar_contains_incremental(c, z)
         ok = lp.member == inc.member
         note = ""
         if kind == "hull":
@@ -398,7 +388,6 @@ def verify_process_bipolar(
 
     for z in probes:
         run(z, "probe")
-    for h in hull_probes:
-        z = h.process if isinstance(h, HullSample) else h
+    for z in hull_probes:
         run(z, "hull")
     return BipolarAgreementReport(tuple(records))

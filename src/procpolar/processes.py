@@ -185,18 +185,6 @@ def has_absorbed_zeros(y: AdaptedProcess) -> bool:
     return True
 
 
-def zero_absorption_check(y: AdaptedProcess) -> bool:
-    """Guard asserted before increments: zeros of a supermartingale absorb.
-
-    For nonnegative supermartingales on trees whose transition
-    probabilities are strictly positive this always holds; the
-    supermartingale property itself is a precondition.
-    """
-    if not is_supermartingale(y):
-        raise PreconditionError("zero-absorption guard expects a supermartingale")
-    return has_absorbed_zeros(y)
-
-
 def increment(y: AdaptedProcess, s: int, t: int, node_t: int) -> Fraction:
     """Multiplicative increment y(node_t) / y(ancestor at s), with 0/0 = 0.
 
@@ -313,15 +301,15 @@ def _share(base: Fraction, num: int, den: int, divisor: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class ProcessSet:
-    """Finitely generated set of processes, with the far-reaching flag.
+    """Finitely generated set of processes.
 
     The set denoted is the fork-convex, solid, closed hull of the
-    generators; ``far_reaching`` records whether some generator is
-    strictly positive at every terminal node (verified on construction).
+    generators.  It is far-reaching when some generator is strictly
+    positive at every terminal node; :attr:`far_reaching` is worked out
+    from the generators once per set.
     """
 
     generators: tuple[AdaptedProcess, ...]
-    far_reaching: bool
 
     def __post_init__(self) -> None:
         if not self.generators:
@@ -330,19 +318,18 @@ class ProcessSet:
         for g in self.generators:
             if g.tree != tree:
                 raise PreconditionError("generators live on different trees")
-        actual = any(
-            all(v > 0 for v in g.terminal_values()) for g in self.generators
-        )
-        if actual != self.far_reaching:
-            raise PreconditionError(
-                f"far_reaching flag {self.far_reaching} does not match generators"
-            )
 
     @classmethod
     def of(cls, *generators: AdaptedProcess) -> "ProcessSet":
-        gens = tuple(generators)
-        far = any(all(v > 0 for v in g.terminal_values()) for g in gens)
-        return cls(gens, far)
+        return cls(generators)
+
+    @cached_property
+    def far_reaching(self) -> bool:
+        """Whether some generator is strictly positive at every terminal
+        node.  Cached in the instance dict, outside the fields."""
+        return any(
+            all(v > 0 for v in g.terminal_values()) for g in self.generators
+        )
 
     @property
     def tree(self) -> EventTree:
@@ -388,7 +375,7 @@ class HullSample:
 
 
 def random_hull_element(
-    c: ProcessSet, depth: int, rng: random.Random | int
+    c: ProcessSet, depth: int, rng: random.Random
 ) -> HullSample:
     """Sample the fork-convex solid hull by composing the two hull moves.
 
@@ -396,8 +383,6 @@ def random_hull_element(
     :func:`replay_trace`, which is what makes any downstream
     counterexample reproducible.
     """
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     trace = _random_trace(c, depth, rng)

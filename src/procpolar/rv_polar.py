@@ -79,16 +79,6 @@ class RvSet:
         return self.partition.space
 
 
-@dataclass(frozen=True)
-class PartitionUnitBall:
-    """Nonnegative block-constant random variables with expectation <= 1."""
-
-    partition: Partition
-
-    def contains(self, rv: RandomVariable) -> bool:
-        return self.partition.is_measurable(rv) and rv.expectation() <= 1
-
-
 def partition_mix(
     f: RandomVariable, g: RandomVariable, weight: RandomVariable, partition: Partition
 ) -> RandomVariable:
@@ -275,15 +265,15 @@ def product_decompose(
     c: RvSet, f: RandomVariable, ball_elem: RandomVariable
 ) -> tuple[RandomVariable, RandomVariable]:
     """Factor ``f * l`` as ``h * k`` with ``h`` in the hull and ``k`` in the
-    unit ball, for ``f`` in the bipolar and ``l`` in the unit ball.
+    unit ball, for ``f`` in the bipolar and ``l`` in the unit ball: the
+    nonnegative block-constant random variables with expectation <= 1.
 
     Per block: scale ``l`` by the smallest factor >= 1 pulling ``f`` under
     the hull's per-block upper envelope, then divide (0/0 = 0).  Failure of
     the budget check E[k] <= 1 cannot happen for valid inputs and is
     surfaced as a defect.
     """
-    ball = PartitionUnitBall(c.partition)
-    if not ball.contains(ball_elem):
+    if not (c.partition.is_measurable(ball_elem) and ball_elem.expectation() <= 1):
         raise PreconditionError("second argument must lie in the unit ball")
     if not conditional_bipolar_contains(c, f):
         raise PreconditionError("first argument must lie in the conditional bipolar")
@@ -319,7 +309,7 @@ def product_decompose(
     k = RandomVariable(space, tuple(k_vals))
     if k.expectation() > 1:
         raise PostconditionError("decomposition weight left the unit ball")
-    if not ball.contains(k):
+    if not c.partition.is_measurable(k):
         raise PostconditionError("decomposition weight is not block-constant")
     if not hull_contains(c, h):
         raise PostconditionError("decomposition factor left the hull")

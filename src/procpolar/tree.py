@@ -138,43 +138,19 @@ class EventTree:
             cur = self.parent[cur]  # type: ignore[assignment]
         return cur
 
-    def descendants(self, node: int) -> tuple[int, ...]:
-        """All strict descendants of ``node`` in index order."""
-        out: list[int] = []
-        stack = list(self.children[node])
-        while stack:
-            cur = stack.pop()
-            out.append(cur)
-            stack.extend(self.children[cur])
-        return tuple(sorted(out))
-
-    def subtree_terminals(self, node: int) -> tuple[int, ...]:
-        if self.is_terminal(node):
-            return (node,)
-        return tuple(m for m in self.descendants(node) if self.is_terminal(m))
-
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
 
-@dataclass(frozen=True)
-class NodeMeasure:
-    """Path probabilities under the reference measure: one value per node."""
-
-    path_prob: tuple[Fraction, ...]
-
-    def __getitem__(self, node: int) -> Fraction:
-        return self.path_prob[node]
-
-
-def node_measure(tree: EventTree) -> NodeMeasure:
-    """Product of one-step probabilities along the path from the root."""
+def node_measure(tree: EventTree) -> tuple[Fraction, ...]:
+    """Path probabilities under the reference measure, one per node: the
+    product of one-step probabilities along the path from the root."""
     probs = [ONE] * tree.num_nodes
     for i in range(tree.num_nodes):
         p = tree.parent[i]
         if p is not None:
             probs[i] = probs[p] * tree.edge_prob[i]
-    return NodeMeasure(tuple(probs))
+    return tuple(probs)
 
 
 @dataclass(frozen=True)
@@ -214,18 +190,6 @@ def validate_tree(tree: EventTree) -> ValidationReport:
                 f"{tree.horizon}"
             )
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def atoms_at_time(tree: EventTree, t: int) -> tuple[tuple[int, ...], ...]:
-    """Atoms of the time-``t`` sigma-algebra as sets of terminal nodes.
-
-    Each time-``t`` node is identified with the terminal nodes below it;
-    the returned blocks partition the terminal nodes and refine as ``t``
-    grows.
-    """
-    if not 0 <= t <= tree.horizon:
-        raise PreconditionError(f"time {t} outside 0..{tree.horizon}")
-    return tuple(tuple(tree.subtree_terminals(n)) for n in tree.nodes_at(t))
 
 
 def cond_exp_one_step(
@@ -353,10 +317,6 @@ class RandomVariable:
         if f < 0:
             raise PreconditionError("scale factor must be nonnegative")
         return RandomVariable(self.space, tuple(product(f, v) for v in self.values))
-
-    def dominates(self, other: "RandomVariable") -> bool:
-        self._same_space(other)
-        return all(a >= b for a, b in zip(self.values, other.values))
 
     def _same_space(self, other: "RandomVariable") -> None:
         if self.space != other.space:

@@ -179,7 +179,7 @@ def test_degenerate_cycling_guard():
 
 def test_interior_point_simplex():
     system = LinearSystem.make(3, [constraint([1, 1, 1], "=", 1)], lower=0)
-    pt = feasible_interior_point(system, [0, 1, 2])
+    pt = feasible_interior_point(system)
     assert pt is not None and all(v > 0 for v in pt) and sum(pt) == 1
 
 
@@ -187,12 +187,12 @@ def test_interior_point_forced_zero():
     system = LinearSystem.make(
         2, [constraint([1, 0], "=", 0), constraint([1, 1], "=", 1)], lower=0
     )
-    assert feasible_interior_point(system, [0]) is None
+    assert feasible_interior_point(system) is None
 
 
 def test_interior_point_unbounded_direction():
     system = LinearSystem.make(2, [constraint([1, -1], "=", 0)], lower=None)
-    pt = feasible_interior_point(system, [0, 1])
+    pt = feasible_interior_point(system)
     assert pt is not None and pt[0] > 0 and pt[0] == pt[1]
 
 
@@ -1128,7 +1128,8 @@ def test_a_system_without_variables_has_the_empty_point():
     assert feasible_point(holds) == () and holds.satisfied_by(())
     fails = LinearSystem.make(0, [constraint([], LE, 0), constraint([], GE, 1)])
     assert feasible_point(fails) is None and not fails.satisfied_by(())
-    assert feasible_interior_point(holds, []) == ()
+    assert feasible_interior_point(holds) == ()
+    assert feasible_interior_point(fails) is None
     with pytest.raises(PreconditionError):
         LinearSystem.make(-1)
 
@@ -1150,13 +1151,11 @@ def test_interior_point_takes_one_solve_and_none_when_empty(monkeypatch):
     ]
     for system in cases:
         del solves[:]
-        pt = feasible_interior_point(system, range(system.num_vars))
+        pt = feasible_interior_point(system)
         assert solves == [LpStatus.UNBOUNDED]
         assert system.satisfied_by(pt) and all(v > 0 for v in pt)
     # empty: phase 1 alone says so, without a solve
     empty = LinearSystem.make(2, [constraint([1, 1], LE, -1)], lower=0)
     del solves[:]
-    assert feasible_interior_point(empty, [0]) is None
+    assert feasible_interior_point(empty) is None
     assert solves == []
-    # no strict variable: one zero-objective solve
-    assert feasible_interior_point(cases[2], []) == feasible_point(cases[2])

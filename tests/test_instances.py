@@ -7,7 +7,6 @@ from procpolar.instances import (
     InstanceError,
     load_instance,
     parse_instance,
-    serialize_instance,
 )
 
 T1_TEXT = """\
@@ -93,24 +92,6 @@ def test_parse_full_document():
     assert inst.claim is not None and inst.claim.values == (F(3), F(0))
     assert inst.consumption is not None
     assert inst.consumption.cumulative().cumulative.values == (F(0), F(3), F(0))
-
-
-def test_round_trip_identity():
-    for text in (T1_TEXT, FULL_TEXT):
-        inst = parse_instance(text)
-        canon = serialize_instance(inst)
-        again = parse_instance(canon)
-        assert serialize_instance(again) == canon
-        assert again.tree == inst.tree
-        assert again.processes == inst.processes
-        assert again.generators == inst.generators
-        assert again.partition == inst.partition
-        assert again.rvs == inst.rvs
-        assert again.claim == inst.claim
-        assert (again.consumption is None) == (inst.consumption is None)
-        if inst.consumption is not None:
-            assert again.consumption.density == inst.consumption.density
-            assert again.consumption.weights == inst.consumption.weights
 
 
 def test_decimal_probability_rejected():

@@ -84,8 +84,10 @@ def test_bipolar_requires_far_reaching(t1):
     c = ProcessSet.of(dying)
     with pytest.raises(PreconditionError):
         bipolar_contains_lp(c, dying)
-    # the research flag runs the same computation without the hypothesis
-    assert bipolar_contains_lp(c, dying, require_far_reaching=False)
+    with pytest.raises(PreconditionError):
+        bipolar_contains_incremental(c, dying)
+    with pytest.raises(PreconditionError):
+        verify_process_bipolar(c, [dying])
 
 
 def test_bipolar_initial_interval(t1):
@@ -95,17 +97,6 @@ def test_bipolar_initial_interval(t1):
     assert bipolar_contains_lp(c, half)
     assert not bipolar_contains_lp(c, just_over)
     assert not bipolar_contains_incremental(c, just_over)
-
-
-def test_research_flag_reports_without_asserting(t1):
-    # without the far-reaching hypothesis the verifier only records outcomes
-    dying = AdaptedProcess.from_mapping(t1, {0: 1, 1: 2, 2: 0})
-    c = ProcessSet.of(dying)
-    report = verify_process_bipolar(
-        c, [dying, AdaptedProcess.constant(t1, 1)], require_far_reaching=False
-    )
-    assert len(report.records) == 2
-    assert report.records[0].lp_member is True  # generators always belong
 
 
 def test_increment_set_shape(t2):
@@ -154,10 +145,10 @@ def test_verify_report_structure(c1, t1):
         AdaptedProcess.from_mapping(t1, {0: 1, 1: 0, 2: 2}),
         AdaptedProcess.from_mapping(t1, {0: 1, 1: 0, 2: 1}),
     ]
-    hull = [random_hull_element(c1, 1, 3)]
+    hull = [random_hull_element(c1, 1, random.Random(3)).process]
     report = verify_process_bipolar(c1, probes, hull)
     assert report.all_ok
-    assert report.counts() == (3, 3)
+    assert [r.ok for r in report.records] == [True] * 3
     kinds = [r.kind for r in report.records]
     assert kinds == ["probe", "probe", "hull"]
 
@@ -257,7 +248,7 @@ def test_polar_closure_under_hull_moves():
 
 def _twin(c: ProcessSet) -> ProcessSet:
     """An equal process set that is a distinct object, with an empty memo."""
-    return ProcessSet(c.generators, c.far_reaching)
+    return ProcessSet(c.generators)
 
 
 def test_polar_systems_are_memoised_on_the_process_set(t2):

@@ -21,7 +21,6 @@ from procpolar.processes import (
     random_unit_fraction,
     replay_trace,
     solid_multiply,
-    zero_absorption_check,
 )
 
 
@@ -119,13 +118,11 @@ def test_supermartingale_violation(t1):
 
 def test_zero_absorption(t2):
     y = AdaptedProcess.from_mapping(t2, {0: 1, 1: 0, 2: 2, 3: 0, 4: 0, 5: 2, 6: 2})
-    assert zero_absorption_check(y)
+    assert is_supermartingale(y) and has_absorbed_zeros(y)
     broken = AdaptedProcess.from_mapping(
         t2, {0: 1, 1: 0, 2: 2, 3: 1, 4: 0, 5: 2, 6: 2}
     )
     assert not has_absorbed_zeros(broken)
-    with pytest.raises(PreconditionError):
-        zero_absorption_check(broken)  # not a supermartingale: guard rejects
 
 
 def test_increment_conventions(t2):
@@ -262,8 +259,13 @@ def test_process_set_flags(t1):
     dying = AdaptedProcess.from_mapping(t1, {0: 1, 1: 2, 2: 0})
     assert ProcessSet.of(one, dying).far_reaching
     assert not ProcessSet.of(dying).far_reaching
+    # worked out from the generators, outside the fields
+    c = ProcessSet((dying,))
+    before = (repr(c), hash(c))
+    assert not c.far_reaching
+    assert (repr(c), hash(c)) == before and c == ProcessSet.of(dying)
     with pytest.raises(PreconditionError):
-        ProcessSet((dying,), True)
+        ProcessSet(())
 
 
 def test_pointwise_limits_stay_supermartingales():
@@ -288,10 +290,10 @@ def test_random_hull_element_replay(t2):
     )
     c = ProcessSet.of(one, mart)
     for seed in range(12):
-        sample = random_hull_element(c, depth=seed % 3, rng=seed)
+        sample = random_hull_element(c, depth=seed % 3, rng=random.Random(seed))
         assert is_unit_supermartingale(sample.process)
         assert replay_trace(c, sample.trace) == sample.process
-    assert random_hull_element(c, 0, 3).trace[0] == "gen"
+    assert random_hull_element(c, 0, random.Random(3)).trace[0] == "gen"
 
 
 def test_cached_supermartingale_check_matches_reference():

@@ -1,0 +1,101 @@
+"""The package exports only what its callers use, and imports only what it uses.
+
+Read with the standard library's ``ast``, without importing the package:
+
+* every name that ``procpolar/__init__.py`` exports is referenced somewhere
+  in ``src/procpolar`` (other than ``__init__``), ``scripts/`` or
+  ``suitebench/``, or is named in ``KEPT`` with the reason it stays.  A
+  string equal to the name counts as a reference, because
+  ``suitebench/spans.py`` wraps its layers' functions by name;
+* no module under ``src/procpolar`` imports a name it never uses.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "procpolar"
+
+# exported names no library module, script or benchmark calls, with the
+# reason each one stays public
+KEPT = {
+    "constraint": "the tests' dense-row helper: a LinearConstraint from a dense row",
+    "cond_exp_one_step": "the reference the tests compare one-step expectations against",
+    "conditional_polar_contains": "the reference the tests check bipolar witnesses against",
+    "verify_outcome": "the certificate check the acceptance and LP tests run on outcomes",
+    "__version__": "the package version",
+}
+
+
+def _exported() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names loaded, attributes read, names imported and string constants."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _callers() -> list[Path]:
+    library = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    others = list((ROOT / "scripts").glob("*.py")) + list((ROOT / "suitebench").glob("*.py"))
+    return sorted(library + others)
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    used = set()
+    for path in _callers():
+        used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    exported = _exported()
+    unused = sorted(exported - used - set(KEPT))
+    assert not unused, f"exported but never called: {unused}"
+    # a reason for a name that is called, or no longer exported, is stale
+    stale = sorted(name for name in KEPT if name in used or name not in exported)
+    assert not stale, f"KEPT names that need no reason: {stale}"
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name a module binds by import, with the line that binds it."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".", 1)[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # it imports to re-export
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported(tree).items()
+            if name not in loaded
+        ]
+    assert not unused, f"imported but never used: {unused}"

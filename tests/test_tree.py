@@ -14,7 +14,6 @@ from procpolar.tree import (
     Partition,
     RandomVariable,
     SampleSpace,
-    atoms_at_time,
     cond_exp_one_step,
     cond_exp_partition,
     level_partition,
@@ -61,19 +60,23 @@ def test_build_rejects_two_roots():
 
 
 def test_atoms_refine(t2):
-    assert atoms_at_time(t2, 0) == ((3, 4, 5, 6),)
-    assert atoms_at_time(t2, 1) == ((3, 4), (5, 6))
-    assert atoms_at_time(t2, 2) == ((3,), (4,), (5,), (6,))
+    # the atoms of F_t as sets of terminal nodes
+    def atoms(t):
+        return level_partition(t2, t2.horizon, t).blocks
+
+    assert atoms(0) == ((3, 4, 5, 6),)
+    assert atoms(1) == ((3, 4), (5, 6))
+    assert atoms(2) == ((3,), (4,), (5,), (6,))
     for t in (1, 2):
-        fine = atoms_at_time(t2, t)
-        coarse = atoms_at_time(t2, t - 1)
-        for block in fine:
-            assert sum(1 for cb in coarse if set(block) <= set(cb)) == 1
+        for block in atoms(t):
+            assert sum(1 for cb in atoms(t - 1) if set(block) <= set(cb)) == 1
 
 
 def test_atoms_out_of_range(t1):
     with pytest.raises(PreconditionError):
-        atoms_at_time(t1, 5)
+        level_partition(t1, t1.horizon, 5)
+    with pytest.raises(PreconditionError):
+        level_partition(t1, 5, 0)
 
 
 def test_cond_exp_one_step(t1, t3):
@@ -126,7 +129,7 @@ def test_tower_property_exact(vals):
     )
     space = terminal_space(tree)
     rv = RandomVariable(space, tuple(vals))
-    fine = Partition.from_blocks(space, atoms_at_time(tree, 1))
+    fine = level_partition(tree, tree.horizon, 1)
     coarse = Partition.trivial(space)
     once = cond_exp_partition(rv, coarse)
     twice = cond_exp_partition(cond_exp_partition(rv, fine), coarse)
