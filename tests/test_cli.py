@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -224,3 +225,45 @@ def test_budget_outcome_without_certificate_is_a_defect(
     code, out, _ = run(capsys, "check", "budget", str(inst), "--x", "0")
     assert code == 1
     assert "[FAIL] budget: oracle disagreement (defect)" in out
+
+
+# sha256 of the `--format machine` body and the exit code of every battery on
+# every fixture it accepts, at --seed 0 and --seed 3 (the body of a battery
+# that draws nothing, or whose draws all pass, is the same at both seeds)
+CHECK_BODIES = [
+    ("tree", T1, 0, "4e6c956f1a17b64a92c31a12e0ffc3cbd255949b8f69ec4740d68684592bbb3a", None),
+    ("tree", T2, 0, "4e6c956f1a17b64a92c31a12e0ffc3cbd255949b8f69ec4740d68684592bbb3a", None),
+    ("tree", M1, 0, "4e6c956f1a17b64a92c31a12e0ffc3cbd255949b8f69ec4740d68684592bbb3a", None),
+    ("tree", M2, 0, "4e6c956f1a17b64a92c31a12e0ffc3cbd255949b8f69ec4740d68684592bbb3a", None),
+    ("supermartingale", T1, 0, "b82affec046033759f2266ed953b6565d71131b7fed2ce0c06604b476ae2eb9c", None),
+    ("supermartingale", T2, 0, "7eba969eaad8948add02f2ea6cfabdc186d736666c6508c1591794396ab5b7af", None),
+    ("supermartingale", M1, 1, "7db51b9a5701d93fce6bc93a85997e4f88325f4e94063ecd2ab1622db7ce6b08", None),
+    ("supermartingale", M2, 1, "7db51b9a5701d93fce6bc93a85997e4f88325f4e94063ecd2ab1622db7ce6b08", None),
+    ("polar", T1, 0, "e48fee3edfe58b00af0c3856d61d7699499a4ae771b78beb71f06ec2b8174858", None),
+    ("polar", T2, 0, "fc8278fe0863274e9331b6375f107f15b78e9afad7dc5db54591199faaf2733f", None),
+    ("bipolar", T1, 0, "6fc4cdc9347dc800c6e715e8d29eacd7a520ac17cef2bdc975f24337bb4ec095", None),
+    ("bipolar", T2, 0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b", None),
+    ("cbt", T2, 0, "457d96e9cf7c91270d63761cbdf058a0e61d6be5c1a30283bac6f2d692093816",
+     "3c95f67d2b404a53d838f6645df8f4dfe0f348e57813662313208c170982b4aa"),
+    ("fbt", T1, 0, "3f06163dd3524cf5b1ee45ced461e4d8be7c3e77d3b501c43322ce7c2a641a08",
+     "8d3f14883b1f1e01b38c3615a198cd99080a3f06752415b6172f091c3a3b8b96"),
+    ("fbt", T2, 0, "a412780d82b7d13542802381834574f5e033dd029b439be5e2324e16dd75ee8c",
+     "6df4dcf04b5c78247259e3aefd9cfeebc0b6dff903c64f6fb2680c439171ff70"),
+    ("market", M1, 0, "c72a7b23006d566fe065df9e37a34eed66b47b58d983d5dcc875167ef96332ae",
+     "b2091699ec2b545f8b26efbfcb36e9da3c80bc6d42901a0cd7f69dbfc04220b7"),
+    ("market", M2, 0, "d491afed20d5fd9e6a7c51aeea10370da3315b7c712ad1c69a80a1d477a71416",
+     "383bee100b8574d8145755fa92af459e6ba7a28a065f9a3c28b0eb65fdc9cdef"),
+    ("budget", M1, 0, "201a65ec4fb9f01b29b0f7fa67ea6021afbafa74c661deff8d5a0b5edc63ad9d", None),
+    ("budget", M2, 0, "201a65ec4fb9f01b29b0f7fa67ea6021afbafa74c661deff8d5a0b5edc63ad9d", None),
+]
+
+
+@pytest.mark.parametrize("what, instance, code, digest0, digest3", CHECK_BODIES)
+def test_check_bodies_are_pinned(capsys, what, instance, code, digest0, digest3):
+    extra = ("--x", "1") if what == "budget" else ()
+    for seed, digest in (("0", digest0), ("3", digest3 or digest0)):
+        got, out, err = run(
+            capsys, "check", what, instance, "--seed", seed, "--format", "machine", *extra
+        )
+        assert got == code, (seed, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
