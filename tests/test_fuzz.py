@@ -15,9 +15,16 @@ from procpolar.errors import PostconditionError, PreconditionError
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Every hull answer is "no", so interior probes split the two oracles; every
-# polar is empty, so no fork-splice or solid multiple stays in it.
+# polar is empty, so no fork-splice or solid multiple stays in it; the
+# incremental process oracle takes every probe in, so it splits from the
+# direct one; every process is consumable wealth by the optional
+# decomposition test, so it splits from the other two wealth oracles.  Each
+# failure is printed as the distinct checks its detail names.
 BROKEN_ORACLES = """
+import re
+
 import procpolar.fuzz as fuzz
+from procpolar import market, process_polar
 from procpolar.exact_lp import LE, LinearSystem, constraint
 if __debug__:
     raise SystemExit("assert statements are on")
@@ -28,12 +35,23 @@ def empty_polar(c):
 
 fuzz.hull_contains = lambda c, x: False
 fuzz.polar_constraints = empty_polar
+process_polar.bipolar_contains_incremental = (
+    lambda c, z: process_polar.ProcessBipolarMembership(True)
+)
+market.xc_measure_membership = lambda m, z: market.DeflatorMembership(True)
 for result in (
     fuzz.run_conditional_suite(fuzz.ConditionalFuzzConfig(count=3)),
     fuzz.run_polar_closure_suite(fuzz.PolarClosureConfig(instances=2)),
+    fuzz.run_process_suite(fuzz.ProcessFuzzConfig(count=3)),
+    fuzz.run_market_suite(fuzz.MarketFuzzConfig(count=3)),
 ):
     print(result.summary())
-    print(*sorted({record.detail.split(" on ")[0] for record in result.failures()}))
+    print(*sorted({
+        re.split(" on |:", check)[0]
+        for record in result.failures()
+        for check in record.detail.split("; ")
+    }), sep=", ")
+    print(*sorted({record.kind for record in result.records}))
 """
 
 
@@ -49,8 +67,16 @@ def test_failures_recorded_under_python_O():
     assert proc.stdout.splitlines() == [
         "conditional: 0/3 instances ok, 0 checks, seed 0",
         "oracle split",
+        "disagreement",
         "polar-closure: 0/2 instances ok, 0 checks, seed 0",
         "polar closure violated",
+        "disagreement",
+        "process: 0/3 instances ok, 0 checks, seed 0",
+        "probe",
+        "disagreement",
+        "market: 0/3 instances ok, 0 checks, seed 0",
+        "wealth probe 3, wealth probe 4, wealth probe 5",
+        "disagreement",
     ]
 
 
