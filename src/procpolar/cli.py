@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from .errors import PostconditionError, PreconditionError, ProcpolarError
 from .fuzz import (
-    BUMP,
     ConditionalFuzzConfig,
     MarketFuzzConfig,
     PolarClosureConfig,
@@ -31,8 +30,8 @@ from .fuzz import (
     conditional_probes,
     deflator_probes_for,
     instance_rng,
+    polar_closure_violations,
     process_probes,
-    random_polar_composition,
     run_conditional_suite,
     run_market_suite,
     run_polar_closure_suite,
@@ -40,19 +39,9 @@ from .fuzz import (
     wealth_probes_for,
 )
 from .instances import Instance, InstanceError, load_instance
-from .market import (
-    Market,
-    budget_check,
-    density_process,
-    emm_polytope,
-    verify_structure,
-)
+from .market import budget_check, density_process, emm_polytope, verify_structure
 from .processes import is_supermartingale, is_unit_supermartingale
-from .process_polar import (
-    polar_constraints,
-    sample_polar_elements,
-    verify_process_bipolar,
-)
+from .process_polar import polar_constraints, verify_process_bipolar
 from .rational import format_rational, parse_rational
 from .rv_polar import conditional_bipolar_contains, hull_contains
 from .tree import validate_tree
@@ -174,20 +163,14 @@ def _check_polar(inst: Instance, report: Report, args) -> None:
         report.add(f"polar[{name}]", verdict, True)
     rng = instance_rng("check-polar", report.seed, 0)
     try:
-        pool = sample_polar_elements(c, 4, rng)
-        bad = 0
-        for _ in range(args.count):
-            cand = random_polar_composition(rng, pool, c.tree)
-            if not system.satisfied_by(cand.values):
-                bad += 1
-                report.add(
-                    "polar-closure", "violation", False, f"values={cand.values}"
-                )
-            pool.append(cand)
-        if not bad:
-            report.add("polar-closure", f"{args.count} compositions stayed in", True)
+        violations = polar_closure_violations(rng, c, args.count)
     except PostconditionError as exc:
         report.add("polar-closure", "defect", False, str(exc))
+        return
+    for cand in violations:
+        report.add("polar-closure", "violation", False, f"values={cand.values}")
+    if not violations:
+        report.add("polar-closure", f"{args.count} compositions stayed in", True)
 
 
 def _check_bipolar(inst: Instance, report: Report, args, generate: bool) -> None:
@@ -196,11 +179,9 @@ def _check_bipolar(inst: Instance, report: Report, args, generate: bool) -> None
     hull = []
     if generate:
         rng = instance_rng("check-fbt", report.seed, 0)
-        cfg = ProcessFuzzConfig(probes=args.probes, hull_probes=max(1, args.probes // 2))
-        extra, hull = process_probes(rng, c, cfg)
+        extra, hull = process_probes(rng, c, args.probes, max(1, args.probes // 2))
         probes += extra
-    result = verify_process_bipolar(c, probes, hull)
-    for i, rec in enumerate(result.records):
+    for i, rec in enumerate(verify_process_bipolar(c, probes, hull)):
         verdict = f"lp={rec.lp_member} incremental={rec.incremental_member}"
         report.add(f"bipolar[{rec.kind}{i}]", verdict, rec.ok, rec.note)
 
@@ -212,7 +193,7 @@ def _check_cbt(inst: Instance, report: Report, args) -> None:
         (f"cbt[{name}]", probe, None)
         for name, probe in sorted(inst.probe_rvs().items())
     ]
-    generated = conditional_probes(rng, c, args.probes, BUMP)
+    generated = conditional_probes(rng, c, args.probes)
     checks += (
         (f"cbt[gen{i}]", probe, expected)
         for i, (probe, expected) in enumerate(generated)
@@ -246,21 +227,17 @@ def _check_market(inst: Instance, report: Report, args) -> None:
     density_process(m, poly.interior)  # raises if the martingale check fails
     report.add("density-martingale", "martingale under reference measure", True)
     rng = instance_rng("check-market", report.seed, 0)
-    result = verify_structure(
-        m,
-        deflator_probes_for(rng, m, 2),
-        wealth_probes_for(rng, m, 2),
-        pair_samples=2,
-        rng=rng,
+    records = verify_structure(
+        m, deflator_probes_for(rng, m, 2), wealth_probes_for(rng, m, 2), rng
     )
-    for i, rec in enumerate(result.records):
+    for i, rec in enumerate(records):
         report.add(f"structure[{rec.section}{i}]", rec.detail, rec.ok)
 
 
 def _check_budget(inst: Instance, report: Report, args) -> None:
     if args.x is None:
         raise InstanceError("check budget requires --x CAPITAL")
-    m = Market.of(inst.tree, inst.market().prices)
+    m = inst.market()
     if inst.consumption is None:
         raise InstanceError("check budget requires a [consumption] section")
     x = parse_rational(args.x)

@@ -14,6 +14,8 @@ Three suites, all exact and all replayable from a single integer seed:
   coincidence on random arbitrage-free markets.
 
 Each instance gets its own derived seed so a failure can be re-run alone.
+A suite's config holds only its instance count and seed; the instance sizes
+and probe counts are constants of the config class, the same for every run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .errors import PostconditionError, PreconditionError
 from .exact_lp import LpStatus, maximize
@@ -69,12 +71,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # the bump past a hull boundary, the most hull moves behind a known process
-# hull member, and the deflator probes, wealth probes and pairs of a market
+# hull member, and the deflator and wealth probes of a market
 BUMP = Fraction(1, 1000)
 HULL_DEPTH = 2
 DEFLATOR_PROBES = 3
 WEALTH_PROBES = 3
-PAIR_SAMPLES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +322,10 @@ def _failure_kind(exc: Exception) -> str:
 class ConditionalFuzzConfig:
     count: int = 200
     seed: int = 0
-    max_outcomes: int = 6
-    max_blocks: int = 3
-    max_generators: int = 4
-    probes: int = 10
+    max_outcomes: ClassVar[int] = 6
+    max_blocks: ClassVar[int] = 3
+    max_generators: ClassVar[int] = 4
+    probes: ClassVar[int] = 10
 
 
 def _hull_mixture(rng: random.Random, c: RvSet, scale: Fraction) -> RandomVariable:
@@ -342,7 +343,7 @@ def _hull_mixture(rng: random.Random, c: RvSet, scale: Fraction) -> RandomVariab
 
 
 def conditional_probes(
-    rng: random.Random, c: RvSet, count: int, bump: Fraction
+    rng: random.Random, c: RvSet, count: int
 ) -> list[tuple[RandomVariable, Optional[bool]]]:
     """Probes with their expected hull status when known (None = unknown)."""
     probes: list[tuple[RandomVariable, Optional[bool]]] = []
@@ -358,7 +359,7 @@ def conditional_probes(
             base = _hull_mixture(rng, c, ONE)
             i = rng.randrange(c.space.size)
             vals = list(base.values)
-            vals[i] += bump
+            vals[i] += BUMP
             probes.append((RandomVariable(c.space, tuple(vals)), None))
         else:  # arbitrary
             probes.append((random_rv(rng, c.space), None))
@@ -402,15 +403,16 @@ def _random_unit_ball(rng: random.Random, part: Partition) -> RandomVariable:
     return raw
 
 
-def check_conditional_instance(rng: random.Random, cfg: ConditionalFuzzConfig) -> tuple[int, str]:
+def check_conditional_instance(rng: random.Random) -> tuple[int, str]:
     """One random instance of the full conditional-theory check battery."""
+    cfg = ConditionalFuzzConfig
     space = random_space(rng, cfg.max_outcomes)
     part = random_partition(rng, space, cfg.max_blocks)
     c = random_rvset(rng, space, part, cfg.max_generators)
     checks = 0
 
     # dual-oracle equivalence on probes of all three kinds
-    for probe, expected in conditional_probes(rng, c, cfg.probes, BUMP):
+    for probe, expected in conditional_probes(rng, c, cfg.probes):
         in_hull = bool(hull_contains(c, probe))
         in_bipolar = bool(conditional_bipolar_contains(c, probe))
         if in_hull != in_bipolar:
@@ -467,12 +469,7 @@ def check_conditional_instance(rng: random.Random, cfg: ConditionalFuzzConfig) -
 
 
 def run_conditional_suite(cfg: ConditionalFuzzConfig) -> SuiteResult:
-    return _run_suite(
-        "conditional",
-        cfg.seed,
-        cfg.count,
-        lambda rng: check_conditional_instance(rng, cfg),
-    )
+    return _run_suite("conditional", cfg.seed, cfg.count, check_conditional_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -484,25 +481,25 @@ def run_conditional_suite(cfg: ConditionalFuzzConfig) -> SuiteResult:
 class ProcessFuzzConfig:
     count: int = 100
     seed: int = 0
-    max_depth: int = 3
-    max_branching: int = 3
-    max_generators: int = 4
-    probes: int = 4
-    hull_probes: int = 2
+    max_depth: ClassVar[int] = 3
+    max_branching: ClassVar[int] = 3
+    max_generators: ClassVar[int] = 4
+    probes: ClassVar[int] = 4
+    hull_probes: ClassVar[int] = 2
 
 
 def process_probes(
-    rng: random.Random, c: ProcessSet, cfg: ProcessFuzzConfig
+    rng: random.Random, c: ProcessSet, count: int, hull_count: int
 ) -> tuple[list[AdaptedProcess], list[AdaptedProcess]]:
-    """(undetermined probes, known hull members)."""
+    """(``count`` undetermined probes, ``hull_count`` known hull members)."""
     tree = c.tree
     probes: list[AdaptedProcess] = []
     hull: list[AdaptedProcess] = []
-    for _ in range(cfg.hull_probes):
+    for _ in range(hull_count):
         hull.append(
             random_hull_element(c, rng.randint(0, HULL_DEPTH), rng).process
         )
-    while len(probes) < cfg.probes:
+    while len(probes) < count:
         kind = rng.randrange(4)
         if kind == 0:  # bumped hull element: at or just past the boundary
             base = rng.choice(hull)
@@ -525,36 +522,35 @@ def process_probes(
     return probes, hull
 
 
-def check_process_instance(rng: random.Random, cfg: ProcessFuzzConfig) -> tuple[int, str]:
+def check_process_instance(rng: random.Random) -> tuple[int, str]:
+    cfg = ProcessFuzzConfig
     tree = random_tree(rng, cfg.max_depth, cfg.max_branching)
     c = random_process_set(rng, tree, cfg.max_generators)
-    probes, hull = process_probes(rng, c, cfg)
-    report = verify_process_bipolar(c, probes, hull)
-    if not report.all_ok:
-        bad = [r for r in report.records if not r.ok]
+    probes, hull = process_probes(rng, c, cfg.probes, cfg.hull_probes)
+    records = verify_process_bipolar(c, probes, hull)
+    bad = [r for r in records if not r.ok]
+    if bad:
         raise AssertionError(
             "; ".join(
                 f"{r.kind}: lp={r.lp_member} inc={r.incremental_member} {r.note}"
                 for r in bad
             )
         )
-    return len(report.records), ""
+    return len(records), ""
 
 
 def run_process_suite(cfg: ProcessFuzzConfig) -> SuiteResult:
-    return _run_suite(
-        "process", cfg.seed, cfg.count, lambda rng: check_process_instance(rng, cfg)
-    )
+    return _run_suite("process", cfg.seed, cfg.count, check_process_instance)
 
 
 @dataclass(frozen=True)
 class PolarClosureConfig:
     instances: int = 25
-    compositions_per_instance: int = 40
     seed: int = 0
-    max_depth: int = 3
-    max_branching: int = 3
-    max_generators: int = 3
+    compositions_per_instance: ClassVar[int] = 40
+    max_depth: ClassVar[int] = 3
+    max_branching: ClassVar[int] = 3
+    max_generators: ClassVar[int] = 3
 
 
 def random_polar_composition(
@@ -572,29 +568,36 @@ def random_polar_composition(
     return fork_splice(y1, y2, y3, s, w)
 
 
-def check_polar_closure_instance(
-    rng: random.Random, cfg: PolarClosureConfig
-) -> tuple[int, str]:
+def polar_closure_violations(
+    rng: random.Random, c: ProcessSet, count: int
+) -> list[AdaptedProcess]:
+    """Draw ``count`` compositions, each from the four
+    :func:`sample_polar_elements` and the compositions before it, and
+    return those that leave the polar (none, by the closure properties)."""
+    pool = sample_polar_elements(c, rng)
+    system = polar_constraints(c)
+    violations = []
+    for _ in range(count):
+        candidate = random_polar_composition(rng, pool, c.tree)
+        if not system.satisfied_by(candidate.values):
+            violations.append(candidate)
+        pool.append(candidate)
+    return violations
+
+
+def check_polar_closure_instance(rng: random.Random) -> tuple[int, str]:
     """Fork-splices and solid multiples of polar elements stay in the polar."""
+    cfg = PolarClosureConfig
     tree = random_tree(rng, cfg.max_depth, cfg.max_branching)
     c = random_process_set(rng, tree, cfg.max_generators)
-    pool = sample_polar_elements(c, 4, rng)
-    system = polar_constraints(c)
-    checks = 0
-    for _ in range(cfg.compositions_per_instance):
-        candidate = random_polar_composition(rng, pool, tree)
-        _verdict(system.satisfied_by(candidate.values), "polar closure violated")
-        pool.append(candidate)
-        checks += 1
-    return checks, ""
+    count = cfg.compositions_per_instance
+    _verdict(not polar_closure_violations(rng, c, count), "polar closure violated")
+    return count, ""
 
 
 def run_polar_closure_suite(cfg: PolarClosureConfig) -> SuiteResult:
     return _run_suite(
-        "polar-closure",
-        cfg.seed,
-        cfg.instances,
-        lambda rng: check_polar_closure_instance(rng, cfg),
+        "polar-closure", cfg.seed, cfg.instances, check_polar_closure_instance
     )
 
 
@@ -607,9 +610,9 @@ def run_polar_closure_suite(cfg: PolarClosureConfig) -> SuiteResult:
 class MarketFuzzConfig:
     count: int = 40
     seed: int = 0
-    max_depth: int = 3
-    max_branching: int = 3
-    max_assets: int = 2
+    max_depth: ClassVar[int] = 3
+    max_branching: ClassVar[int] = 3
+    max_assets: ClassVar[int] = 2
 
 
 def _sample_measures(
@@ -688,20 +691,20 @@ def wealth_probes_for(
     return probes[: count + 3]
 
 
-def check_market_instance(rng: random.Random, cfg: MarketFuzzConfig) -> tuple[int, str]:
+def check_market_instance(rng: random.Random) -> tuple[int, str]:
+    cfg = MarketFuzzConfig
     tree = random_tree(rng, cfg.max_depth, cfg.max_branching)
     m = random_market(rng, tree, cfg.max_assets)
-    report = verify_structure(
+    records = verify_structure(
         m,
         deflator_probes_for(rng, m, DEFLATOR_PROBES),
         wealth_probes_for(rng, m, WEALTH_PROBES),
-        pair_samples=PAIR_SAMPLES,
-        rng=rng,
+        rng,
     )
-    if not report.all_ok:
-        bad = [r for r in report.records if not r.ok]
+    bad = [r for r in records if not r.ok]
+    if bad:
         raise AssertionError("; ".join(f"{r.section} {r.detail}" for r in bad))
-    checks = len(report.records)
+    checks = len(records)
 
     # budget coincidence at, below and above the superhedge value
     density = random_consumption_density(rng, tree)
@@ -721,6 +724,4 @@ def check_market_instance(rng: random.Random, cfg: MarketFuzzConfig) -> tuple[in
 
 
 def run_market_suite(cfg: MarketFuzzConfig) -> SuiteResult:
-    return _run_suite(
-        "market", cfg.seed, cfg.count, lambda rng: check_market_instance(rng, cfg)
-    )
+    return _run_suite("market", cfg.seed, cfg.count, check_market_instance)

@@ -948,15 +948,6 @@ class StructureRecord:
     ok: bool
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    records: tuple[StructureRecord, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
-
 def sample_consumption_wealth(
     m: Market, count: int, rng: random.Random
 ) -> list[tuple[AdaptedProcess, ConsumptionProcess]]:
@@ -983,16 +974,16 @@ def sample_consumption_wealth(
 
 def verify_structure(
     m: Market,
-    deflator_probes: Sequence[AdaptedProcess] = (),
-    wealth_probes: Sequence[AdaptedProcess] = (),
-    pair_samples: int = 4,
-    *,
+    deflator_probes: Sequence[AdaptedProcess],
+    wealth_probes: Sequence[AdaptedProcess],
     rng: random.Random,
-) -> StructureReport:
-    """Exercise the wealth/deflator duality on one market.
+) -> tuple[StructureRecord, ...]:
+    """Exercise the wealth/deflator duality on one market and return one
+    record per check.
 
     * product: deflated invest-and-consume wealth is a supermartingale for
-      every deflator probe that belongs to the cone (sampled wealth);
+      every deflator probe that belongs to the cone (two wealth pairs drawn
+      by :func:`sample_consumption_wealth`);
     * deflator: the three membership oracles for the cone agree on every
       probe;
     * wealth: realizability as consumption wealth, the supermartingale
@@ -1000,7 +991,7 @@ def verify_structure(
       pure investment agree on every probe.
     """
     records: list[StructureRecord] = []
-    pairs = sample_consumption_wealth(m, pair_samples, rng)
+    pairs = sample_consumption_wealth(m, 2, rng)
 
     for yi, y in enumerate(deflator_probes):
         direct = y_enlargement_membership(m, y)
@@ -1036,4 +1027,4 @@ def verify_structure(
                 agree,
             )
         )
-    return StructureReport(tuple(records))
+    return tuple(records)

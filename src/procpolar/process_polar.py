@@ -22,9 +22,12 @@ with the set.
 
 The promise under test everywhere: on far-reaching sets of unit-initial
 supermartingales the two oracles agree, and everything built from the
-generators by fork-splicing and solid multiplication is a member.  Both
-oracles, and so :func:`verify_process_bipolar`, refuse a set that is not
-far-reaching with :class:`~procpolar.errors.PreconditionError`.
+generators by fork-splicing and solid multiplication is a member.
+:func:`verify_process_bipolar` runs both oracles on given probes and returns
+one :class:`ProbeRecord` of their agreement per probe, and
+:func:`sample_polar_elements` draws four polar elements for the closure
+checks.  Both oracles, and so :func:`verify_process_bipolar`, refuse a set
+that is not far-reaching with :class:`~procpolar.errors.PreconditionError`.
 """
 
 from __future__ import annotations
@@ -311,30 +314,27 @@ def envelope_process(
 
 
 # ---------------------------------------------------------------------------
-# Polar sampling and the dual-oracle verification report
+# Polar sampling and the dual-oracle agreement records
 # ---------------------------------------------------------------------------
 
 
-def sample_polar_elements(
-    c: ProcessSet, count: int, rng: random.Random
-) -> list[AdaptedProcess]:
-    """Vertices of the polar polyhedron under random objectives, plus
-    midpoints of consecutive samples (the polar is convex)."""
+def sample_polar_elements(c: ProcessSet, rng: random.Random) -> list[AdaptedProcess]:
+    """Four polar elements: three vertices of the polar polyhedron under
+    random objectives, with the midpoint of the first two (the polar is
+    convex) in third place."""
     polar = polar_constraints(c)
     n = c.tree.num_nodes
-    points: list[tuple[Fraction, ...]] = []
-    while len(points) < count:
+
+    def vertex() -> tuple[Fraction, ...]:
         out = maximize(polar, [(j, Fraction(rng.randint(-2, 3))) for j in range(n)])
         if out.status is LpStatus.INFEASIBLE:
             raise PostconditionError("a polar is never empty (0 belongs)")
         assert out.point is not None
-        points.append(out.point)
-        if len(points) >= 2 and len(points) < count:
-            mid = tuple(
-                dot(((a, HALF), (b, HALF))) for a, b in zip(points[-1], points[-2])
-            )
-            points.append(mid)
-    return [AdaptedProcess(c.tree, p) for p in points[:count]]
+        return out.point
+
+    first, second = vertex(), vertex()
+    mid = tuple(dot(((a, HALF), (b, HALF))) for a, b in zip(second, first))
+    return [AdaptedProcess(c.tree, p) for p in (first, second, mid, vertex())]
 
 
 @dataclass(frozen=True)
@@ -346,21 +346,13 @@ class ProbeRecord:
     ok: bool
 
 
-@dataclass(frozen=True)
-class BipolarAgreementReport:
-    records: tuple[ProbeRecord, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
-
 def verify_process_bipolar(
     c: ProcessSet,
-    probes: Sequence[AdaptedProcess] = (),
-    hull_probes: Sequence[AdaptedProcess] = (),
-) -> BipolarAgreementReport:
-    """Run both bipolar oracles on every probe and report agreement.
+    probes: Sequence[AdaptedProcess],
+    hull_probes: Sequence[AdaptedProcess],
+) -> tuple[ProbeRecord, ...]:
+    """Run both bipolar oracles on every probe, then every hull probe, and
+    return one record of their agreement per probe.
 
     Hull-constructed probes must additionally be members according to
     both.  Probes without absorbed zeros cannot feed the incremental
@@ -390,4 +382,4 @@ def verify_process_bipolar(
         run(z, "probe")
     for z in hull_probes:
         run(z, "hull")
-    return BipolarAgreementReport(tuple(records))
+    return tuple(records)

@@ -27,9 +27,9 @@ from procpolar.fuzz import (
     run_process_suite,
 )
 
-CONDITIONAL = ConditionalFuzzConfig(count=200, seed=42, probes=10)
-PROCESS = ProcessFuzzConfig(count=100, seed=7, probes=4, hull_probes=2)
-CLOSURE = PolarClosureConfig(instances=25, compositions_per_instance=40, seed=1)
+CONDITIONAL = ConditionalFuzzConfig(count=200, seed=42)
+PROCESS = ProcessFuzzConfig(count=100, seed=7)
+CLOSURE = PolarClosureConfig(instances=25, seed=1)
 MARKET = MarketFuzzConfig(count=40, seed=11)
 
 

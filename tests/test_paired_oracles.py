@@ -10,7 +10,6 @@ oracle asking it; the systems of the sides of each pair must be disjoint.
 import itertools
 import random
 from collections import defaultdict
-from fractions import Fraction as F
 
 from procpolar import exact_lp, market
 from procpolar.fuzz import (
@@ -85,7 +84,7 @@ def test_hull_and_bipolar_oracles_share_no_system(monkeypatch):
     for _ in range(20):
         space = random_space(rng, 6)
         c = random_rvset(rng, space, random_partition(rng, space, 3), 4)
-        for probe, _ in conditional_probes(rng, c, 6, F(1, 1000)):
+        for probe, _ in conditional_probes(rng, c, 6):
             q.under("hull", hull_contains, c, probe)
             q.under("bipolar", conditional_bipolar_contains, c, probe)
         trivial = RvSet(c.generators, Partition.trivial(space))
@@ -102,10 +101,10 @@ def test_hull_and_bipolar_oracles_share_no_system(monkeypatch):
 def test_direct_and_incremental_process_oracles_share_no_system(monkeypatch):
     q = _Questions(monkeypatch)
     rng = random.Random(7)
-    cfg = ProcessFuzzConfig()
+    cfg = ProcessFuzzConfig
     for _ in range(10):
         c = random_process_set(rng, random_tree(rng, 3, 2), 3)
-        probes, hull = process_probes(rng, c, cfg)
+        probes, hull = process_probes(rng, c, cfg.probes, cfg.hull_probes)
         for z in probes + hull:
             q.under("direct", bipolar_contains_lp, c, z)
             if has_absorbed_zeros(z):

@@ -87,7 +87,7 @@ def test_bipolar_requires_far_reaching(t1):
     with pytest.raises(PreconditionError):
         bipolar_contains_incremental(c, dying)
     with pytest.raises(PreconditionError):
-        verify_process_bipolar(c, [dying])
+        verify_process_bipolar(c, [dying], ())
 
 
 def test_bipolar_initial_interval(t1):
@@ -128,7 +128,7 @@ def test_triality_on_samples():
     for _ in range(8):
         tree = random_tree(rng, 3, 2)
         c = random_process_set(rng, tree, 3)
-        polar_samples = sample_polar_elements(c, 3, rng)
+        polar_samples = sample_polar_elements(c, rng)
         hull_samples = [random_hull_element(c, 2, rng).process for _ in range(3)]
         for y in polar_samples:
             assert polar_contains(c, y)
@@ -146,19 +146,17 @@ def test_verify_report_structure(c1, t1):
         AdaptedProcess.from_mapping(t1, {0: 1, 1: 0, 2: 1}),
     ]
     hull = [random_hull_element(c1, 1, random.Random(3)).process]
-    report = verify_process_bipolar(c1, probes, hull)
-    assert report.all_ok
-    assert [r.ok for r in report.records] == [True] * 3
-    kinds = [r.kind for r in report.records]
+    records = verify_process_bipolar(c1, probes, hull)
+    assert [r.ok for r in records] == [True] * 3
+    kinds = [r.kind for r in records]
     assert kinds == ["probe", "probe", "hull"]
 
 
 def test_verify_flags_false_hull_claim(c1, t1):
     # feeding a non-member as a supposed hull element must fail its record
     outsider = AdaptedProcess.from_mapping(t1, {0: 1, 1: 0, 2: 2})
-    report = verify_process_bipolar(c1, (), [outsider])
-    assert not report.all_ok
-    rec = report.records[0]
+    (rec,) = verify_process_bipolar(c1, (), [outsider])
+    assert not rec.ok
     assert rec.kind == "hull" and rec.lp_member is False
 
 
@@ -166,9 +164,8 @@ def test_verify_handles_unabsorbed_probe(c1, t1):
     # zero followed by a positive value: not a supermartingale, so both the
     # report and the direct oracle must reject it
     probe = AdaptedProcess.from_mapping(t1, {0: 0, 1: 1, 2: 0})
-    report = verify_process_bipolar(c1, [probe])
-    assert report.all_ok
-    rec = report.records[0]
+    (rec,) = verify_process_bipolar(c1, [probe], ())
+    assert rec.ok
     assert rec.lp_member is False and rec.incremental_member is None
 
 
@@ -231,7 +228,7 @@ def test_polar_closure_under_hull_moves():
         tree = random_tree(rng, 3, 3)
         c = random_process_set(rng, tree, 3)
         system = polar_constraints(c)
-        pool = sample_polar_elements(c, 3, rng)
+        pool = sample_polar_elements(c, rng)
         for _ in range(10):
             if rng.random() < 0.5:
                 b = NonIncreasingProcess.constant(tree, F(rng.randint(0, 3), 3))
@@ -276,8 +273,9 @@ def test_polar_systems_are_memoised_on_the_process_set(t2):
 def test_a_process_set_is_freed_without_the_cyclic_collector(gc_off):
     rng = random.Random(13)
     c = random_process_set(rng, random_tree(rng, 3, 2), 3)
-    probes, hull = process_probes(rng, c, ProcessFuzzConfig())
-    assert verify_process_bipolar(c, probes, hull).all_ok
+    cfg = ProcessFuzzConfig
+    probes, hull = process_probes(rng, c, cfg.probes, cfg.hull_probes)
+    assert all(r.ok for r in verify_process_bipolar(c, probes, hull))
     assert increment_set(c, 0) is increment_set(c, 0)
     ref = weakref.ref(c)
     del c
@@ -286,11 +284,11 @@ def test_a_process_set_is_freed_without_the_cyclic_collector(gc_off):
 
 def test_memoised_oracles_match_fresh_sets():
     rng = random.Random(21)
-    cfg = ProcessFuzzConfig()
+    cfg = ProcessFuzzConfig
     compared = 0
     for _ in range(12):
         c = random_process_set(rng, random_tree(rng, 3, 2), 3)
-        probes, hull = process_probes(rng, c, cfg)
+        probes, hull = process_probes(rng, c, cfg.probes, cfg.hull_probes)
         for z in probes + hull:
             # c is reused across probes; each twin answers its first probe
             assert bipolar_contains_lp(c, z) == bipolar_contains_lp(_twin(c), z)

@@ -283,7 +283,7 @@ def test_two_generator_hull_matches_interval_form():
         space = random_space(rng, 6)
         part = random_partition(rng, space, 3)
         c = RvSet((random_rv(rng, space), random_rv(rng, space)), part)
-        for probe, _ in conditional_probes(rng, c, 6, F(1, 1000)):
+        for probe, _ in conditional_probes(rng, c, 6):
             expected = _two_generator_hull_by_intervals(c, probe)
             assert bool(hull_contains(c, probe)) == expected
             assert bool(conditional_bipolar_contains(c, probe)) == expected
@@ -295,7 +295,7 @@ def test_oracles_agree_on_random_instances():
         space = random_space(rng, 6)
         part = random_partition(rng, space, 3)
         c = random_rvset(rng, space, part, 4)
-        for probe, expected in conditional_probes(rng, c, 6, F(1, 1000)):
+        for probe, expected in conditional_probes(rng, c, 6):
             in_hull = bool(hull_contains(c, probe))
             assert in_hull == bool(conditional_bipolar_contains(c, probe))
             if expected is not None:
@@ -326,7 +326,7 @@ def test_an_rv_set_is_freed_without_the_cyclic_collector(gc_off):
     rng = random.Random(12)
     space = random_space(rng, 6)
     c = random_rvset(rng, space, random_partition(rng, space, 3), 4)
-    for probe, _ in conditional_probes(rng, c, 6, F(1, 1000)):
+    for probe, _ in conditional_probes(rng, c, 6):
         in_hull = hull_contains(c, probe).member
         assert in_hull == conditional_bipolar_contains(c, probe).member
     assert conditional_polar_constraints(c).num_vars == space.size
@@ -341,7 +341,7 @@ def test_memoised_bipolar_matches_fresh_sets():
     for _ in range(15):
         space = random_space(rng, 6)
         c = random_rvset(rng, space, random_partition(rng, space, 3), 4)
-        for probe, _ in conditional_probes(rng, c, 6, F(1, 1000)):
+        for probe, _ in conditional_probes(rng, c, 6):
             # c is reused across probes; each twin answers its first probe
             reused = conditional_bipolar_contains(c, probe)
             assert reused == conditional_bipolar_contains(
@@ -383,7 +383,7 @@ def test_memoised_hull_matches_fresh_sets():
     for _ in range(15):
         space = random_space(rng, 6)
         c = random_rvset(rng, space, random_partition(rng, space, 3), 4)
-        for probe, _ in conditional_probes(rng, c, 6, F(1, 1000)):
+        for probe, _ in conditional_probes(rng, c, 6):
             # c is reused across probes; each twin answers its first probe
             reused = hull_contains(c, probe)
             assert reused == hull_contains(RvSet(c.generators, c.partition), probe)
