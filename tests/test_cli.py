@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from procpolar import cli
+from procpolar import cli, fuzz
 from procpolar.cli import main
 from procpolar.market import BudgetOutcome
+from procpolar.rational import format_rational
 
 T1 = "fixtures/t1.instance"
 T2 = "fixtures/t2.instance"
@@ -267,3 +268,34 @@ def test_check_bodies_are_pinned(capsys, what, instance, code, digest0, digest3)
         )
         assert got == code, (seed, err)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+# sha256 of the values of every composition `random_polar_composition` draws,
+# one line each: a passing polar-closure record reads the same whatever was
+# drawn, so the draws are pinned on their own.  `fuzz fbt --count 12` runs
+# three closure instances, whose generators come from random_supermartingale.
+POLAR_DRAWS = [
+    (("check", "polar", T1, "--seed", "0"), 50,
+     "896f0765e8bb629ba7a76ff3b44d5edebd3f56bf2d159d95b0f5a821f470d792"),
+    (("check", "polar", T1, "--seed", "3"), 50,
+     "3bd5ab29f073271b388e1f79c239d1d2619a5896387bc96174e627f990e9f6b1"),
+    (("fuzz", "fbt", "--count", "12", "--seed", "7"), 120,
+     "2c780ce49b55181f07d22337721fa5bbc8cd492ce4c9d54c30760ea92301d3bb"),
+]
+
+
+@pytest.mark.parametrize("argv, drawn, digest", POLAR_DRAWS)
+def test_polar_closure_draws_are_pinned(capsys, monkeypatch, argv, drawn, digest):
+    draw = fuzz.random_polar_composition
+    seen = []
+
+    def recording(*args):
+        y = draw(*args)
+        seen.append(" ".join(map(format_rational, y.values)))
+        return y
+
+    monkeypatch.setattr(fuzz, "random_polar_composition", recording)
+    code, _, err = run(capsys, *argv, "--format", "machine")
+    assert code == 0, err
+    assert len(seen) == drawn
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == digest
