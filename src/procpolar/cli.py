@@ -179,7 +179,9 @@ def _check_bipolar(inst: Instance, report: Report, args, generate: bool) -> None
     hull = []
     if generate:
         rng = instance_rng("check-fbt", report.seed, 0)
-        extra, hull = process_probes(rng, c, args.probes, max(1, args.probes // 2))
+        # kind-0 probes bump a hull member, so any probe needs one
+        hull_count = max(1, args.probes // 2) if args.probes else 0
+        extra, hull = process_probes(rng, c, args.probes, hull_count)
         probes += extra
     for i, rec in enumerate(verify_process_bipolar(c, probes, hull)):
         verdict = f"lp={rec.lp_member} incremental={rec.incremental_member}"

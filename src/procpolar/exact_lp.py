@@ -661,34 +661,33 @@ class _Standard:
 
         A lower bound of 0 passes a term through, an upper bound negates it
         and a free column splits it.  A nonzero shift ``a*lo`` moves into
-        the rhs; when it does, the row is multiplied by the denominator of
-        the new rhs and divided by the gcd of its scale and every entry,
-        which gives the lcm-scaled row again."""
+        the rhs, summed as an integer over the lcm of the bounds'
+        denominators; when it does, the row is multiplied by that lcm and
+        divided by the gcd of its scale and every entry, which gives the
+        lcm-scaled row again."""
         out: list[tuple[int, int]] = []
-        shift = 0
+        shift, den = 0, 1  # the shift is shift / den
         for j, a in terms:
             kind, col, aux = self.transforms[j]
-            if kind == _PLAIN:
-                out.append((col, a))
-            elif kind == _SHIFT:
-                out.append((col, a))
-                shift += a * aux
-            elif kind == _MIRROR:
-                out.append((col, -a))
-                if aux:
-                    shift += a * aux
-            else:
+            if kind == _SPLIT:
                 out.append((col, a))
                 out.append((aux, -a))
+                continue
+            out.append((col, -a if kind == _MIRROR else a))
+            if aux:  # a nonzero bound, so a nonzero shift a * aux
+                common = lcm(den, aux.denominator)
+                shift = shift * (common // den) + a * aux.numerator * (
+                    common // aux.denominator
+                )
+                den = common
         if not shift:
             return tuple(out), rhs, scale
-        moved = rhs - shift
-        q, num = moved.denominator, moved.numerator
-        g = gcd(q * gcd(scale, *(a for _, a in out)), num)
+        num = rhs * den - shift  # the new rhs times den
+        g = gcd(den * gcd(scale, *(a for _, a in out)), num)
         return (
-            tuple((col, a * q // g) for col, a in out),
+            tuple((col, a * den // g) for col, a in out),
             num // g,
-            scale * q // g,
+            scale * den // g,
         )
 
     def to_original_point(self, u: Sequence[Fraction]) -> tuple[Fraction, ...]:

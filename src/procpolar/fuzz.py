@@ -172,7 +172,10 @@ def random_supermartingale(
             raw[rng.randrange(len(raw))] = ONE
         mean = dot((tree.edge_prob[ch], r) for ch, r in zip(kids, raw))
         if mean > 1 or (martingale and mean != 0):
-            raw = [r / mean for r in raw]
+            raw = [
+                Fraction(r.numerator * mean.denominator, r.denominator * mean.numerator)
+                for r in raw
+            ]
         for ch, r in zip(kids, raw):
             vals[ch] = product(vals[n], r)
     return AdaptedProcess(tree, tuple(vals))
@@ -218,9 +221,14 @@ def random_market(
             raw = [Fraction(rng.randint(0 if rng.random() < 0.1 else 1, 4)) for _ in kids]
             if all(r == 0 for r in raw):
                 raw[rng.randrange(len(kids))] = ONE
-            mean = sum((qi * r for qi, r in zip(q, raw)), ZERO)
+            mean = dot(zip(q, raw))
+            s = vals[n]
             for ch, r in zip(kids, raw):
-                vals[ch] = vals[n] * r / mean
+                # s r / mean as one fraction of integer products
+                vals[ch] = Fraction(
+                    s.numerator * r.numerator * mean.denominator,
+                    s.denominator * r.denominator * mean.numerator,
+                )
         prices.append(AdaptedProcess(tree, tuple(vals)))
     return Market.of(tree, prices)
 
@@ -632,8 +640,17 @@ def _sample_measures(
                 vertex[ch - 1] = v
         # mix toward the interior to keep the measure equivalent
         t = Fraction(rng.randint(1, 3), 4)
+        tn, td = t.numerator, t.denominator
+        # t v + (1 - t) i as one fraction of integer products
         out.append(
-            tuple(t * v + (ONE - t) * i for v, i in zip(vertex, poly.interior))
+            tuple(
+                Fraction(
+                    tn * v.numerator * i.denominator
+                    + (td - tn) * i.numerator * v.denominator,
+                    td * v.denominator * i.denominator,
+                )
+                for v, i in zip(vertex, poly.interior)
+            )
         )
     return out
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
@@ -50,11 +51,12 @@ from .exact_lp import (
 )
 from .process_polar import defect_terms, first_defect
 from .processes import AdaptedProcess, is_martingale, is_supermartingale
-from .rational import frac, frac_tuple
+from .rational import dot, frac, frac_tuple, product
 from .tree import EventTree, RandomVariable, terminal_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,9 @@ def _price_increments(m: Market) -> tuple[Optional[tuple[Fraction, ...]], ...]:
     return tuple(
         None
         if par is None
-        else tuple(s.values[n] - s.values[par] for s in m.prices)
+        else tuple(
+            dot(((s.values[n], ONE), (s.values[par], MINUS_ONE))) for s in m.prices
+        )
         for n, par in enumerate(tree.parent)
     )
 
@@ -149,9 +153,12 @@ class ConsumptionProcess:
         c = self.cumulative
         if c.initial != 0:
             raise PreconditionError("cumulative consumption starts at 0")
-        for n in range(c.tree.num_nodes):
-            par = c.tree.parent[n]
-            if par is not None and c.values[n] < c.values[par]:
+        vals = c.values
+        for n, par in enumerate(c.tree.parent):
+            if par is None:
+                continue
+            a, b = vals[n], vals[par]  # a < b, in integer cross products
+            if a.numerator * b.denominator < b.numerator * a.denominator:
                 raise PreconditionError(
                     f"consumption decreases along the edge into {c.tree.labels[n]}"
                 )
@@ -159,13 +166,6 @@ class ConsumptionProcess:
     @classmethod
     def zero(cls, tree: EventTree) -> "ConsumptionProcess":
         return cls(AdaptedProcess.constant(tree, 0))
-
-    def increment(self, child: int) -> Fraction:
-        """``C(child) - C(parent)``; the root has none."""
-        par = self.cumulative.tree.parent[child]
-        if par is None:
-            raise PreconditionError("the root has no consumption increment")
-        return self.cumulative.values[child] - self.cumulative.values[par]
 
 
 @dataclass(frozen=True)
@@ -191,10 +191,9 @@ class ConsumptionDensity:
     def cumulative(self) -> ConsumptionProcess:
         tree = self.density.tree
         vals = [ZERO] * tree.num_nodes
-        for n in range(tree.num_nodes):
-            par = tree.parent[n]
-            base = ZERO if par is None else vals[par]
-            vals[n] = base + self.weights[tree.time[n]] * self.density.values[n]
+        for n, par in enumerate(tree.parent):
+            rate = (self.weights[tree.time[n]], self.density.values[n])
+            vals[n] = product(*rate) if par is None else dot(((vals[par], ONE), rate))
         # the time-0 weight charges consumption at the root, which must be 0
         if vals[0] != 0:
             raise PreconditionError(
@@ -284,7 +283,12 @@ def density_process(m: Market, q: Sequence[Fraction]) -> AdaptedProcess:
     tree = m.tree
     vals = [ONE] * tree.num_nodes
     for n in range(1, tree.num_nodes):
-        vals[n] = vals[tree.parent[n]] * q[n - 1] / tree.edge_prob[n]
+        # y(parent) q / p as one fraction of integer products
+        y, r, p = vals[tree.parent[n]], q[n - 1], tree.edge_prob[n]
+        vals[n] = Fraction(
+            y.numerator * r.numerator * p.denominator,
+            y.denominator * r.denominator * p.numerator,
+        )
     y = AdaptedProcess(tree, tuple(vals))
     if not is_martingale(y):
         raise PostconditionError("density process failed the martingale check")
@@ -311,14 +315,20 @@ def wealth_values(
         raise PreconditionError(f"holdings must give one position per asset ({m.d})")
     x = frac(x)
     increments = _price_increments(m)
+    spent = consumption.cumulative.values
     vals: list[Fraction] = [ZERO] * tree.num_nodes
     vals[0] = x
     for n in range(1, tree.num_nodes):
+        # X(par) + h(par) . dS(n) - (C(n) - C(par))
         par = tree.parent[n]
-        gain = sum(
-            (h * ds for h, ds in zip(strategy.at(par), increments[n])), ZERO
+        vals[n] = dot(
+            (
+                (vals[par], ONE),
+                *zip(strategy.at(par), increments[n]),
+                (spent[n], MINUS_ONE),
+                (spent[par], ONE),
+            )
         )
-        vals[n] = vals[par] + gain - consumption.increment(n)
     return tuple(vals)
 
 
@@ -397,16 +407,16 @@ class WealthMap:
         in column order: the map's transpose, each edge's terms weighing the
         weights summed over the subtree below it, so no path form is composed."""
         below = _subtree_sums(self.tree, weights)
-        terms = [(0, below[0])]
+        pairs: dict[int, list[tuple[Fraction, Fraction]]] = {0: [(below[0], ONE)]}
         for n in range(1, len(below)):
             if below[n]:
-                terms += ((j, a * below[n]) for j, a in self.edges[n])
+                for j, a in self.edges[n]:
+                    pairs.setdefault(j, []).append((a, below[n]))
         if consumed:
-            terms += zip(self.consumption, _subtree_sums(self.tree, consumed)[1:])
-        out: dict[int, Fraction] = {}
-        for j, a in terms:
-            out[j] = out[j] + a if j in out else a
-        return sorted(out.items())
+            spent = zip(self.consumption, _subtree_sums(self.tree, consumed)[1:])
+            for j, c in spent:
+                pairs.setdefault(j, []).append((c, ONE))
+        return sorted((j, dot(p)) for j, p in pairs.items())
 
     def decode(
         self, point: Sequence[Fraction]
@@ -416,11 +426,11 @@ class WealthMap:
         tree = self.tree
         wealth = [point[0]]
         for n in range(1, tree.num_nodes):
-            gain = sum((a * point[j] for j, a in self.edges[n] if point[j]), ZERO)
-            wealth.append(wealth[tree.parent[n]] + gain)
+            gains = ((a, point[j]) for j, a in self.edges[n] if point[j])
+            wealth.append(dot(((wealth[tree.parent[n]], ONE), *gains)))
         cumulative = [ZERO] * tree.num_nodes
         for n, c in enumerate(self.consumption, 1):
-            cumulative[n] = cumulative[tree.parent[n]] + point[c]
+            cumulative[n] = dot(((cumulative[tree.parent[n]], ONE), (point[c], ONE)))
         holdings: list[Optional[tuple[Fraction, ...]]] = [None] * tree.num_nodes
         for n, cols in self.holdings.items():
             holdings[n] = tuple(point[c] for c in cols)
@@ -432,11 +442,14 @@ class WealthMap:
 
 
 def _subtree_sums(tree: EventTree, weights: Sequence[Fraction]) -> list[Fraction]:
-    sums = list(weights)
+    """Per node, the weights summed over its subtree: integer numerators
+    over the lcm of the weights' denominators, normalised once each."""
+    den = lcm(*(w.denominator for w in weights))
+    sums = [w.numerator * (den // w.denominator) for w in weights]
     for n in range(tree.num_nodes - 1, 0, -1):
         if sums[n]:
             sums[tree.parent[n]] += sums[n]
-    return sums
+    return [Fraction(v, den) for v in sums]
 
 
 @per_owner
@@ -604,11 +617,11 @@ def _density_hull_system(
             LinearConstraint(
                 enumerate(m.prices[i].values[ch] for ch in kids),
                 EQ,
-                y_node * m.prices[i].values[n],
+                product(y_node, m.prices[i].values[n]),
                 f"price[{i}]",
             )
         )
-    lower = [m.tree.edge_prob[ch] * v for ch, v in zip(kids, y_kids)]
+    lower = [product(m.tree.edge_prob[ch], v) for ch, v in zip(kids, y_kids)]
     return LinearSystem.make(len(kids), rows, lower=lower)
 
 
@@ -691,7 +704,9 @@ def _hedge(
     """Holdings at ``n`` whose gains dominate ``target(ch) - target(n)``
     into every child, or None when there are none: the one-period step of
     the optional decomposition, a feasibility LP in ``d`` free holdings."""
-    increments = tuple(target[ch] - target[n] for ch in m.tree.children[n])
+    increments = tuple(
+        dot(((target[ch], ONE), (target[n], MINUS_ONE))) for ch in m.tree.children[n]
+    )
     return feasible_point(_hedge_system(m, n, increments))
 
 
@@ -735,7 +750,10 @@ def xc_feasibility(m: Market, z: AdaptedProcess) -> XcFeasibility:
     strategy = Strategy(tree, tuple(holdings))
     wealth = wealth_values(m, z.initial, strategy, ConsumptionProcess.zero(tree))
     consumption = ConsumptionProcess(
-        AdaptedProcess(tree, tuple(w - v for w, v in zip(wealth, z.values)))
+        AdaptedProcess(
+            tree,
+            tuple(dot(((w, ONE), (v, MINUS_ONE))) for w, v in zip(wealth, z.values)),
+        )
     )
     if wealth_values(m, z.initial, strategy, consumption) != z.values:
         raise PostconditionError("feasibility certificate does not replay the wealth")
@@ -832,7 +850,7 @@ def superhedge_value(
     wealth = wealth_process(m, env[0], strategy, ConsumptionProcess.zero(tree))
 
     residual_vals = tuple(
-        wealth.values[n] - envelope.values[n] for n in range(tree.num_nodes)
+        dot(((w, ONE), (e, MINUS_ONE))) for w, e in zip(wealth.values, env)
     )
     residual = AdaptedProcess(tree, residual_vals)
     for ch in range(1, tree.num_nodes):
@@ -930,10 +948,8 @@ def _expected_terminal(
     tree = m.tree
     prob = [ONE] * tree.num_nodes
     for n in range(1, tree.num_nodes):
-        prob[n] = prob[tree.parent[n]] * q[n - 1]
-    return sum(
-        (prob[w] * cum.cumulative.values[w] for w in tree.terminal_nodes()), ZERO
-    )
+        prob[n] = product(prob[tree.parent[n]], q[n - 1])
+    return dot((prob[w], cum.cumulative.values[w]) for w in tree.terminal_nodes())
 
 
 # ---------------------------------------------------------------------------

@@ -91,11 +91,19 @@ def partition_mix(
     if any(v > 1 for v in weight.values):
         raise PreconditionError("mixing weight outside [0, 1]")
     space = partition.space
-    vals = tuple(
-        weight.values[i] * f.values[i] + (ONE - weight.values[i]) * g.values[i]
-        for i in range(space.size)
-    )
-    return RandomVariable(space, vals)
+    vals = []
+    for i in range(space.size):
+        # w a + (1 - w) b as one fraction of integer products
+        w, a, b = weight.values[i], f.values[i], g.values[i]
+        wn, wd = w.numerator, w.denominator
+        vals.append(
+            Fraction(
+                wn * a.numerator * b.denominator
+                + (wd - wn) * b.numerator * a.denominator,
+                wd * a.denominator * b.denominator,
+            )
+        )
+    return RandomVariable(space, tuple(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +124,10 @@ def conditional_polar_constraints(c: RvSet) -> LinearSystem:
     rows: list[LinearConstraint] = []
     for gi, f in enumerate(c.generators):
         for bi, block in enumerate(c.partition.blocks):
-            terms = ((i, space.probs[i] * f.values[i]) for i in map(space.index, block))
+            terms = (
+                (i, product(space.probs[i], f.values[i]))
+                for i in map(space.index, block)
+            )
             rows.append(
                 LinearConstraint(
                     terms,
@@ -397,9 +408,9 @@ def unconditional_bipolar_contains(
         raise PreconditionError("candidate lives on a different space")
     rows = [
         LinearConstraint(
-            enumerate(p * f.values[i] for f in generators),
+            enumerate(product(p, f.values[i]) for f in generators),
             GE,
-            p * h.values[i],
+            product(p, h.values[i]),
             f"cover({i})",
         )
         for i, p in enumerate(space.probs)

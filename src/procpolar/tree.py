@@ -149,7 +149,7 @@ def node_measure(tree: EventTree) -> tuple[Fraction, ...]:
     for i in range(tree.num_nodes):
         p = tree.parent[i]
         if p is not None:
-            probs[i] = probs[p] * tree.edge_prob[i]
+            probs[i] = product(probs[p], tree.edge_prob[i])
     return tuple(probs)
 
 
@@ -361,7 +361,7 @@ class Partition:
         return cls(space, (tuple(space.outcomes),))
 
     def block_prob(self, block: tuple[int, ...]) -> Fraction:
-        return sum((self.space.prob(w) for w in block), ZERO)
+        return dot((self.space.prob(w), ONE) for w in block)
 
     def is_measurable(self, rv: RandomVariable) -> bool:
         """True iff ``rv`` is constant on every block."""

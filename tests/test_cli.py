@@ -228,6 +228,21 @@ def test_budget_outcome_without_certificate_is_a_defect(
     assert "[FAIL] budget: oracle disagreement (defect)" in out
 
 
+
+@pytest.mark.parametrize("instance, own_probes", [(T1, 1), (T2, 0)])
+def test_check_fbt_with_no_probes_checks_only_the_instance_probes(
+    capsys, instance, own_probes
+):
+    """``--probes 0`` generates nothing, not even a hull member: its records
+    are those of ``check bipolar`` on the same instance."""
+    code, fbt, _ = run(capsys, "check", "fbt", instance, "--probes", "0")
+    assert code == 0
+    _, own, _ = run(capsys, "check", "bipolar", instance)
+    records = [line for line in fbt.splitlines() if line.startswith("[")]
+    assert records == [line for line in own.splitlines() if line.startswith("[")]
+    assert len(records) == own_probes
+    assert all("bipolar[probe" in line for line in records)
+
 # sha256 of the `--format machine` body and the exit code of every battery on
 # every fixture it accepts, at --seed 0 and --seed 3 (the body of a battery
 # that draws nothing, or whose draws all pass, is the same at both seeds)

@@ -695,6 +695,33 @@ def test_standard_form_matches_the_fraction_rewrite_by_hand(system):
             solve(problem)  # substitution-checked
 
 
+# bounds and coefficients with small denominators, so shifts often cancel
+# the rhs or each other; 0 drawn often
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_bounds = st.one_of(st.none(), st.just(F(0)), _small)
+_coefficients = st.one_of(st.just(F(0)), _small)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_standard_form_matches_the_fraction_rewrite_on_drawn_bounds(data):
+    """The integer bound shift of ``_rewrite`` against the Fraction one."""
+    n = data.draw(st.integers(1, 4))
+    lower = data.draw(st.lists(_bounds, min_size=n, max_size=n))
+    upper = data.draw(st.lists(_bounds, min_size=n, max_size=n))
+    rows = [
+        constraint(
+            data.draw(st.lists(_coefficients, min_size=n, max_size=n)),
+            data.draw(st.sampled_from((LE, GE, EQ))),
+            data.draw(_coefficients),
+        )
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    system = LinearSystem.make(n, rows, lower=lower, upper=upper)
+    objective = tuple((j, F(1)) for j in range(n))
+    _assert_standard_matches_reference(LpProblem("max", objective, system))
+
+
 def test_a_cancelling_shift_reduces_the_row():
     """(1/2)x <= 1/6 with x >= 1/3 is u <= 0 at scale 2, not 3u <= 0 at 6."""
     system = LinearSystem.make(1, [constraint([F(1, 2)], LE, F(1, 6))], lower=F(1, 3))

@@ -8,9 +8,11 @@ import pytest
 from procpolar import exact_lp, market
 from procpolar.errors import PostconditionError, PreconditionError, RationalFormatError
 from procpolar.fuzz import (
+    _sample_measures,
     deflator_probes_for,
     random_consumption_density,
     random_market,
+    random_positive_weights,
     random_tree,
     wealth_probes_for,
 )
@@ -538,11 +540,12 @@ def test_a_consumption_vertex_replays_as_wealth():
     assert consumed > 0
 
 
-def test_the_root_has_no_consumption_increment(t1):
+def test_wealth_values_subtract_the_consumption_increments(t1, m1):
+    # cumulative consumption 0, 1, 2: increments 1 and 2 into u and d, none
+    # at the root, so zero holdings from capital 2 leave wealth 2, 1, 0
     cons = ConsumptionProcess(AdaptedProcess.from_mapping(t1, {0: 0, 1: 1, 2: 2}))
-    assert (cons.increment(1), cons.increment(2)) == (F(1), F(2))
-    with pytest.raises(PreconditionError):
-        cons.increment(0)
+    wealth = wealth_values(m1, 2, Strategy.zero(t1, 1), cons)
+    assert wealth == (F(2), F(1), F(0))
 
 
 def test_deflator_oracles_fixture(t1, m1):
@@ -1015,3 +1018,268 @@ def test_market_inputs_on_another_tree_are_rejected(t1, m1):
         for check in (wealth_values, is_admissible, wealth_process):
             with pytest.raises(PreconditionError):
                 check(m1, 1, strategy, consumption)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against the Fraction operators they replace
+# ---------------------------------------------------------------------------
+
+
+def _ratios(values):
+    """Types, numerators and denominators: a value left unnormalised, or
+    one that is not a Fraction, shows where ``==`` would not see it."""
+    return [(type(v), v.as_integer_ratio()) for v in values]
+
+
+def _draw(rng: random.Random, signed: bool = False) -> F:
+    """A rational with denominator up to 6, 0 about a third of the time."""
+    if rng.random() < 1 / 3:
+        return F(0)
+    v = F(rng.randint(1, 9), rng.randint(1, 6))
+    return -v if signed and rng.random() < 0.5 else v
+
+
+def _kernel_cases(seed: int, count: int = 40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, random_market(rng, random_tree(rng, 3, 3), 2)
+
+
+def _reference_market_prices(rng: random.Random, tree, max_assets: int) -> list:
+    """The draw of random_market, written in Fraction operators."""
+    d = rng.randint(1, max_assets)
+    hidden = {
+        n: random_positive_weights(rng, len(tree.children[n]))
+        for n in tree.non_terminal_nodes()
+    }
+    prices = []
+    for _ in range(d):
+        vals = [F(0)] * tree.num_nodes
+        vals[0] = F(rng.randint(1, 8))
+        for n in tree.non_terminal_nodes():
+            kids = tree.children[n]
+            raw = [F(rng.randint(0 if rng.random() < 0.1 else 1, 4)) for _ in kids]
+            if all(r == 0 for r in raw):
+                raw[rng.randrange(len(kids))] = F(1)
+            mean = sum((qi * r for qi, r in zip(hidden[n], raw)), F(0))
+            for ch, r in zip(kids, raw):
+                vals[ch] = vals[n] * r / mean
+        prices.append(tuple(vals))
+    return prices
+
+
+def test_random_market_matches_reference_draw():
+    shapes = random.Random(59)
+    for seed in range(60):
+        tree = random_tree(shapes, 3, 3)
+        ours, reference = random.Random(seed), random.Random(seed)
+        m = random_market(ours, tree, 2)
+        expected = _reference_market_prices(reference, tree, 2)
+        assert [_ratios(s.values) for s in m.prices] == [_ratios(v) for v in expected]
+        assert ours.getstate() == reference.getstate()
+
+
+def test_sampled_measures_match_reference_draw():
+    for rng, m in _kernel_cases(61, 30):
+        seed = rng.randrange(2**32)
+        ours, reference = random.Random(seed), random.Random(seed)
+        got = _sample_measures(ours, m, 3)
+        poly = emm_polytope(m)
+        expected = [poly.interior]
+        for _ in range(2):
+            objective = [F(reference.randint(-2, 2)) for _ in poly.interior]
+            vertex = list(poly.interior)
+            for kids, local in poly.blocks:
+                res = maximize(local, enumerate(objective[ch - 1] for ch in kids))
+                for ch, v in zip(kids, res.point):
+                    vertex[ch - 1] = v
+            t = F(reference.randint(1, 3), 4)
+            expected.append(
+                tuple(t * v + (1 - t) * i for v, i in zip(vertex, poly.interior))
+            )
+        assert [_ratios(q) for q in got] == [_ratios(q) for q in expected]
+        assert ours.getstate() == reference.getstate()
+
+
+def test_wealth_arithmetic_matches_operator_reference():
+    nonzero = 0
+    for rng, m in _kernel_cases(67):
+        tree = m.tree
+        increments = market._price_increments(m)
+        for n in range(1, tree.num_nodes):
+            par = tree.parent[n]
+            assert _ratios(increments[n]) == _ratios(
+                s.values[n] - s.values[par] for s in m.prices
+            )
+        holdings = tuple(
+            None if tree.is_terminal(n) else tuple(_draw(rng, True) for _ in range(m.d))
+            for n in range(tree.num_nodes)
+        )
+        spent = [F(0)] * tree.num_nodes
+        for n in range(1, tree.num_nodes):
+            spent[n] = spent[tree.parent[n]] + _draw(rng)
+        x = _draw(rng)
+        expected = [x]
+        for n in range(1, tree.num_nodes):
+            par = tree.parent[n]
+            gain = sum(
+                (h * (s.values[n] - s.values[par]) for h, s in zip(holdings[par], m.prices)),
+                F(0),
+            )
+            expected.append(expected[par] + gain - (spent[n] - spent[par]))
+        cons = ConsumptionProcess(AdaptedProcess(tree, tuple(spent)))
+        got = wealth_values(m, x, Strategy(tree, holdings), cons)
+        assert _ratios(got) == _ratios(expected)
+        nonzero += any(spent) and any(h and any(h) for h in holdings)
+    assert nonzero >= 10
+
+
+def _reference_subtree_sums(tree, weights) -> list:
+    sums = list(weights)
+    for n in range(tree.num_nodes - 1, 0, -1):
+        sums[tree.parent[n]] += sums[n]
+    return sums
+
+
+def _reference_objective(wealth, weights, consumed=()) -> list:
+    """WealthMap.objective written in Fraction operators."""
+    below = _reference_subtree_sums(wealth.tree, weights)
+    out = {0: below[0]}
+    for n in range(1, len(below)):
+        if below[n]:
+            for j, a in wealth.edges[n]:
+                out[j] = out.get(j, F(0)) + a * below[n]
+    if consumed:
+        sums = _reference_subtree_sums(wealth.tree, consumed)
+        for j, c in zip(wealth.consumption, sums[1:]):
+            out[j] = out.get(j, F(0)) + c
+    return sorted(out.items())
+
+
+def test_wealth_map_arithmetic_matches_operator_reference():
+    decoded = 0
+    for rng, m in _kernel_cases(71, 30):
+        tree = m.tree
+        for consumption in (False, True):
+            wealth = wealth_map(m, consumption)
+            weights = [_draw(rng, True) for _ in range(tree.num_nodes)]
+            consumed = [_draw(rng, True) for _ in range(tree.num_nodes)]
+            assert _ratios(market._subtree_sums(tree, weights)) == _ratios(
+                _reference_subtree_sums(tree, weights)
+            )
+            for args in ((weights,), (weights, consumed)):
+                got = wealth.objective(*args)
+                expected = _reference_objective(wealth, *args)
+                assert [j for j, _ in got] == [j for j, _ in expected]
+                assert _ratios(a for _, a in got) == _ratios(a for _, a in expected)
+            system = (consumption_polytope if consumption else pure_investment_polytope)(m, 1)
+            out = maximize(system, wealth.objective(weights, consumed if consumption else ()))
+            assert out.status is LpStatus.OPTIMAL
+            point = out.point
+            x, _, cons = wealth.decode(point)
+            expected_x, expected_c = [point[0]], [F(0)] * tree.num_nodes
+            for n in range(1, tree.num_nodes):
+                par = tree.parent[n]
+                gain = sum((a * point[j] for j, a in wealth.edges[n]), F(0))
+                expected_x.append(expected_x[par] + gain)
+            for n, c in enumerate(wealth.consumption, 1):
+                expected_c[n] = expected_c[tree.parent[n]] + point[c]
+            assert _ratios(x.values) == _ratios(expected_x)
+            assert _ratios(cons.cumulative.values) == _ratios(expected_c)
+            decoded += any(cons.cumulative.values)
+    assert decoded >= 5
+
+
+def _reference_expected_terminal(m, q, cumulative):
+    tree = m.tree
+    prob = [F(1)] * tree.num_nodes
+    for n in range(1, tree.num_nodes):
+        prob[n] = prob[tree.parent[n]] * q[n - 1]
+    return sum((prob[w] * cumulative[w] for w in tree.terminal_nodes()), F(0))
+
+
+def test_consumption_arithmetic_matches_operator_reference():
+    refused = kept = 0
+    for rng, m in _kernel_cases(73):
+        tree = m.tree
+        density = random_consumption_density(rng, tree)
+        expected = [F(0)] * tree.num_nodes
+        for n in range(tree.num_nodes):
+            par = tree.parent[n]
+            base = F(0) if par is None else expected[par]
+            expected[n] = base + density.weights[tree.time[n]] * density.density.values[n]
+        cum = density.cumulative()
+        assert _ratios(cum.cumulative.values) == _ratios(expected)
+        q = emm_polytope(m).interior
+        got = market._expected_terminal(m, q, cum)
+        assert _ratios([got]) == _ratios([_reference_expected_terminal(m, q, expected)])
+        # lower one node to a multiple 0, 1/3, 2/3 or 1 of its parent's value
+        if tree.num_nodes == 1:
+            continue
+        n = rng.randrange(1, tree.num_nodes)
+        vals = list(expected)
+        vals[n] = vals[tree.parent[n]] * F(rng.randint(0, 3), 3)
+        decreasing = any(vals[k] < vals[tree.parent[k]] for k in range(1, tree.num_nodes))
+        try:
+            ConsumptionProcess(AdaptedProcess(tree, tuple(vals)))
+        except PreconditionError:
+            assert decreasing
+            refused += 1
+        else:
+            assert not decreasing
+            kept += 1
+    assert refused >= 5 and kept >= 5
+
+
+def test_measure_and_hedge_arithmetic_matches_operator_reference(monkeypatch):
+    asked = []
+    hedge_system = market._hedge_system
+
+    def recording(m, n, increments):
+        asked.append(increments)
+        return hedge_system(m, n, increments)
+
+    monkeypatch.setattr(market, "_hedge_system", recording)
+    boundary = realized = 0
+    for rng, m in _kernel_cases(79, 30):
+        tree = m.tree
+        space = terminal_space(tree)
+        claim = RandomVariable(space, tuple(_draw(rng) for _ in space.outcomes))
+        res = superhedge_value(m, claim)
+        assert _ratios(res.residual.values) == _ratios(
+            w - e for w, e in zip(res.wealth.values, res.envelope.values)
+        )
+        # the argmax measure is a vertex: it may put 0 on an edge
+        for q in _sample_measures(rng, m, 3) + [res.argmax_measure]:
+            expected = [F(1)] * tree.num_nodes
+            for n in range(1, tree.num_nodes):
+                expected[n] = expected[tree.parent[n]] * q[n - 1] / tree.edge_prob[n]
+            assert _ratios(density_process(m, q).values) == _ratios(expected)
+            boundary += not all(q)
+        target = [_draw(rng) for _ in range(tree.num_nodes)]
+        for n in tree.non_terminal_nodes():
+            asked.clear()
+            market._hedge(m, n, target)
+            assert _ratios(asked[0]) == _ratios(
+                target[ch] - target[n] for ch in tree.children[n]
+            )
+            y_node = _draw(rng)
+            kids = tuple(_draw(rng) for _ in tree.children[n])
+            system = _density_hull_system(m, n, y_node, kids)
+            assert _ratios(r.rhs for r in system.rows[1:]) == _ratios(
+                y_node * s.values[n] for s in m.prices
+            )
+            assert _ratios(system.lower) == _ratios(
+                tree.edge_prob[ch] * v for ch, v in zip(tree.children[n], kids)
+            )
+        for z in wealth_probes_for(rng, m, 2):
+            out = xc_feasibility(m, z)
+            if out.feasible:
+                wealth = wealth_values(
+                    m, z.initial, out.strategy, ConsumptionProcess.zero(tree)
+                )
+                assert _ratios(out.consumption.cumulative.values) == _ratios(
+                    w - v for w, v in zip(wealth, z.values)
+                )
+                realized += 1
+    assert boundary >= 5 and realized >= 20

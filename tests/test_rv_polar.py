@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from procpolar import exact_lp
+from procpolar import exact_lp, rv_polar
 from procpolar.errors import PreconditionError
 from procpolar.fuzz import (
     _hull_mixture,
@@ -442,3 +442,68 @@ def test_hull_mixture_matches_reference_draw():
             reference, c, scale
         )
         assert ours.getstate() == reference.getstate()
+
+
+def _ratios(values):
+    """Numerators and denominators, so a value left unnormalised shows."""
+    return [(type(v), v.as_integer_ratio()) for v in values]
+
+
+def _draw(rng: random.Random) -> F:
+    """A rational in [0, 3], 0 about a third of the time."""
+    return F(0) if rng.random() < 1 / 3 else F(rng.randint(1, 9), rng.randint(1, 3))
+
+
+def test_mix_and_row_terms_match_operator_reference(monkeypatch):
+    asked = []
+    minimize = rv_polar.minimize
+
+    def recording(system, objective):
+        asked.append(system)
+        return minimize(system, objective)
+
+    monkeypatch.setattr(rv_polar, "minimize", recording)
+    rng = random.Random(53)
+    for _ in range(60):
+        space = random_space(rng, 6)
+        part = random_partition(rng, space)
+        f, g, h = (
+            RandomVariable(space, tuple(_draw(rng) for _ in space.outcomes))
+            for _ in range(3)
+        )
+        # block-constant weights, 0 and 1 drawn often
+        per_block = [rng.choice((F(0), F(1), F(rng.randint(1, 5), 6))) for _ in part.blocks]
+        wv = [F(0)] * space.size
+        for block, w in zip(part.blocks, per_block):
+            for outcome in block:
+                wv[space.index(outcome)] = w
+        weight = RandomVariable(space, tuple(wv))
+        assert _ratios(partition_mix(f, g, weight, part).values) == _ratios(
+            w * a + (1 - w) * b for w, a, b in zip(wv, f.values, g.values)
+        )
+
+        c = RvSet((f, g), part)
+        rows = conditional_polar_constraints(c).rows
+        expected = []
+        for gen in c.generators:
+            for block in part.blocks:
+                idx = sorted(map(space.index, block))
+                expected.append(
+                    (
+                        [(i, space.probs[i] * gen.values[i]) for i in idx],
+                        sum((space.prob(w) for w in block), F(0)),
+                    )
+                )
+        assert [(list(r.terms), r.rhs) for r in rows] == expected
+        for r, (terms, rhs) in zip(rows, expected):
+            assert _ratios([a for _, a in r.terms] + [r.rhs]) == _ratios(
+                [a for _, a in terms] + [rhs]
+            )
+
+        asked.clear()
+        unconditional_bipolar_contains([f, g], h)
+        (system,) = asked
+        for i, (row, p) in enumerate(zip(system.rows, space.probs)):
+            assert _ratios([a for _, a in row.terms] + [row.rhs]) == _ratios(
+                [p * f.values[i], p * g.values[i], p * h.values[i]]
+            )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procpolar.errors import PreconditionError, RationalFormatError
-from procpolar.fuzz import random_rv, random_space
+from procpolar.fuzz import random_partition, random_rv, random_space, random_tree
 from procpolar.rational import dot, parse_rational, product
 from procpolar.tree import (
     EventTree,
@@ -233,3 +233,24 @@ def test_random_variable_calculus_matches_operator_reference():
         assert x.scale(f).values == tuple(f * v for v in x.values)
         for out in (x.expectation(), *x.pointwise_mul(y).values, *x.scale(f).values):
             assert _is_normalised(out)
+
+
+def test_measure_arithmetic_matches_operator_reference():
+    rng = random.Random(37)
+    for _ in range(80):
+        tree = random_tree(rng, 3, 3)
+        probs = [F(1)] * tree.num_nodes
+        for n in range(1, tree.num_nodes):
+            probs[n] = probs[tree.parent[n]] * tree.edge_prob[n]
+        got = node_measure(tree)
+        assert all(_is_normalised(v) for v in got)
+        assert [v.as_integer_ratio() for v in got] == [
+            v.as_integer_ratio() for v in probs
+        ]
+        space = random_space(rng, 6)
+        part = random_partition(rng, space)
+        for block in part.blocks:
+            out = part.block_prob(block)
+            expected = sum((space.prob(w) for w in block), F(0))
+            assert _is_normalised(out)
+            assert out.as_integer_ratio() == expected.as_integer_ratio()
