@@ -22,7 +22,13 @@ the holdings and the consumption increments, with one ``solvency@n`` row
 per non-root node.  Objectives reach its columns through its transpose,
 and its decoder turns a point back into wealth, strategy and consumption.
 
-Everything is exact; every certificate is substitution-checked.
+Everything is exact; every certificate is substitution-checked.  Value
+arithmetic -- wealth along the tree, the map's objectives and decoder,
+cumulative consumption, density processes, the hedging increments and the
+density-hull bounds -- goes through :func:`~procpolar.rational.product` and
+:func:`~procpolar.rational.dot` (a difference is a ``dot`` with a ``-1``
+weight) or one ``Fraction`` built from integer cross products, so each value
+is normalised once; subtree sums are integer numerators over one lcm.
 """
 
 from __future__ import annotations

@@ -10,6 +10,12 @@ where the ``Fraction`` operators normalise every product and every partial
 sum (deferred gcds, Knuth, TAOCP vol. 2, sec. 4.5.1).  They return the same
 normalised ``Fraction`` as the operators.  They do not coerce: their inputs
 are Fractions that have already passed :func:`frac`.
+
+They run wherever values are multiplied or summed: the process and
+random-variable calculus, block and path probabilities, the polar rows and
+objectives, the seeded samplers, and the market layer's wealth, wealth-map
+objectives, consumption, density processes and system right-hand sides.  A
+difference there is a :func:`dot` with a ``-1`` weight.
 """
 
 from __future__ import annotations

@@ -1122,10 +1122,8 @@ def test_wealth_arithmetic_matches_operator_reference():
         expected = [x]
         for n in range(1, tree.num_nodes):
             par = tree.parent[n]
-            gain = sum(
-                (h * (s.values[n] - s.values[par]) for h, s in zip(holdings[par], m.prices)),
-                F(0),
-            )
+            moves = (s.values[n] - s.values[par] for s in m.prices)
+            gain = sum((h * ds for h, ds in zip(holdings[par], moves)), F(0))
             expected.append(expected[par] + gain - (spent[n] - spent[par]))
         cons = ConsumptionProcess(AdaptedProcess(tree, tuple(spent)))
         got = wealth_values(m, x, Strategy(tree, holdings), cons)
@@ -1172,8 +1170,9 @@ def test_wealth_map_arithmetic_matches_operator_reference():
                 expected = _reference_objective(wealth, *args)
                 assert [j for j, _ in got] == [j for j, _ in expected]
                 assert _ratios(a for _, a in got) == _ratios(a for _, a in expected)
-            system = (consumption_polytope if consumption else pure_investment_polytope)(m, 1)
-            out = maximize(system, wealth.objective(weights, consumed if consumption else ()))
+            build = consumption_polytope if consumption else pure_investment_polytope
+            spent = consumed if consumption else ()
+            out = maximize(build(m, 1), wealth.objective(weights, spent))
             assert out.status is LpStatus.OPTIMAL
             point = out.point
             x, _, cons = wealth.decode(point)
@@ -1207,7 +1206,8 @@ def test_consumption_arithmetic_matches_operator_reference():
         for n in range(tree.num_nodes):
             par = tree.parent[n]
             base = F(0) if par is None else expected[par]
-            expected[n] = base + density.weights[tree.time[n]] * density.density.values[n]
+            rate = density.weights[tree.time[n]] * density.density.values[n]
+            expected[n] = base + rate
         cum = density.cumulative()
         assert _ratios(cum.cumulative.values) == _ratios(expected)
         q = emm_polytope(m).interior
@@ -1219,7 +1219,9 @@ def test_consumption_arithmetic_matches_operator_reference():
         n = rng.randrange(1, tree.num_nodes)
         vals = list(expected)
         vals[n] = vals[tree.parent[n]] * F(rng.randint(0, 3), 3)
-        decreasing = any(vals[k] < vals[tree.parent[k]] for k in range(1, tree.num_nodes))
+        decreasing = any(
+            vals[k] < vals[tree.parent[k]] for k in range(1, tree.num_nodes)
+        )
         try:
             ConsumptionProcess(AdaptedProcess(tree, tuple(vals)))
         except PreconditionError:

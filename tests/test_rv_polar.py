@@ -472,7 +472,9 @@ def test_mix_and_row_terms_match_operator_reference(monkeypatch):
             for _ in range(3)
         )
         # block-constant weights, 0 and 1 drawn often
-        per_block = [rng.choice((F(0), F(1), F(rng.randint(1, 5), 6))) for _ in part.blocks]
+        per_block = [
+            rng.choice((F(0), F(1), F(rng.randint(1, 5), 6))) for _ in part.blocks
+        ]
         wv = [F(0)] * space.size
         for block, w in zip(part.blocks, per_block):
             for outcome in block:
