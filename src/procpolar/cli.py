@@ -7,14 +7,16 @@ Two commands, both deterministic given (instance, seed):
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (with its
 certificate in the report), 2 input error.  The default seed comes from
-the PROCPOLAR_SEED environment variable.  ``--format machine`` prints one
-check per line: check-id, verdict and a certificate digest, tab-separated;
-``--out`` writes the same deterministic body to a file.
+the PROCPOLAR_SEED environment variable, read on every call.  ``--format
+machine`` prints one check per line: check-id, verdict and a certificate
+digest, tab-separated; ``--out`` writes the same deterministic body to a
+file.  :func:`main` builds its parser on its first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -349,7 +351,9 @@ def _emit(report: Report, args) -> int:
     return 0 if report.all_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="procpolar",
         description="Exact polar/bipolar duality checks on finite event trees.",

@@ -31,17 +31,17 @@ bound of 0 rather than an explicit row, which keeps the tableaus small.
 "includes" its bounds for every membership purpose.
 
 Phase 1 reads only a system's rows and bounds, never the objective.  It
-runs once per :class:`LinearSystem` object, and its result (the integer
-tableau at a feasible basis, or infeasibility) is cached on the object;
-every solve over that object runs phase 2 from there.  A pivot replaces
-the rows it changes by new lists and never writes one in place, so phase 2
-runs over a shallow copy of the cached tableau; a zero objective has every
-reduced cost 0 and runs no phase 2 at all, reading its point from the
-cached tableau as it is.  The pivot sequence and the outcome are the ones
-a fresh phase 1 would give.  Callers that solve many objectives over one
-region get the reuse by passing the same system object; :func:`per_owner`
-memoises a system builder on the object the system is built from, so that
-every caller gets that one object.
+runs once per :class:`LinearSystem` object, at its first solve, and its
+result (the integer tableau at a feasible basis, or infeasibility) is
+cached on the object; every solve over it runs phase 2 from there.  A
+pivot replaces the rows it changes by new lists and never writes one in
+place, so phase 2 runs over a shallow copy of the cached tableau; a zero
+objective has every reduced cost 0 and runs no phase 2 at all, reading its
+point from the cached tableau as it is.  The pivot sequence and the
+outcome are the ones a fresh phase 1 would give.  Callers that solve many
+objectives over one region get the reuse by passing the same system
+object; :func:`per_owner` memoises a system builder on the object the
+system is built from, so that every caller gets that one object.
 
 Each question is solved once per system object, too.  The four entry
 points below ask through one memo kept on the system beside its phase-1
@@ -66,9 +66,9 @@ bound.  That point is the separating witness behind every "not a
 member"; it lies in the system and beats the bound, which substitution
 confirms.
 
-Each row is brought to integers once: :class:`LinearConstraint` caches its
-integer form, the nonzero terms and the rhs times the lcm of their
-denominators, with that lcm.  The substitution check behind
+Each row is brought to integers once, when the :class:`LinearConstraint`
+is built: its integer form, the nonzero terms and the rhs times the lcm of
+their denominators, with that lcm.  The substitution check behind
 :meth:`LinearSystem.violations` and :func:`verify_outcome` reads it, and
 so does the standard form.  A point or ray is brought to one common
 denominator ``D``, and each row ``a.x <= b`` is tested as
@@ -76,12 +76,12 @@ denominator ``D``, and each row ``a.x <= b`` is tested as
 reads only a system's rows and bounds and the problem's objective, never
 the standard form or the tableau, so it stays independent of the solver;
 sharing the row's integer form adds no blind spot, since each side would
-compute it with the same function.  The problem's objective is
-brought to integers once as well, and the outcome memo, the cost row and
-the check's value all read that form.  Every value in a row, a bound or an
-objective must be an ``int`` or a ``Fraction``: anything else (a float)
-is refused with :class:`PreconditionError`, a row's on its integer pass
-and a bound when its system is built.
+compute it with the same function.  The objective is brought to integers
+when its :class:`LpProblem` is built, and the bounds when their system is;
+the outcome memo, the cost row and the check's value read those forms.
+Every value in a row, a bound or an objective must be an ``int`` or a
+``Fraction``: anything else (a float) is refused with
+:class:`PreconditionError` there, when the object holding it is built.
 
 A solve makes one integer pass into the tableau and one out.  Going in,
 each row's integer form is carried to the u-columns in integers: a
@@ -115,10 +115,11 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
-from .rational import frac
+from .rational import dot, frac
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 LE = "<="
 EQ = "="
@@ -142,20 +143,14 @@ class LinearConstraint:
         if self.relation not in _RELATIONS:
             raise PreconditionError(f"unknown relation {self.relation!r}")
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
+        # the one integer form of the row, kept in the instance dict, out of
+        # equality, hashing and repr: see the module docstring
+        object.__setattr__(self, "_integer", _integral(self.terms, self.rhs))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The nonzero coefficients, in column order."""
         return tuple(a for _, a in self.terms if a)
-
-    @cached_property
-    def _integer(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
-        """The nonzero ``(column, coefficient)`` terms and the rhs, times the
-        lcm of their denominators, and that lcm: the one integer form of the
-        row, which the standard form and the substitution check both read.
-        It lives in the instance dict, not in a field, so equality, hashing
-        and repr never see it."""
-        return _integral(self.terms, self.rhs)
 
 
 def _integral(
@@ -164,7 +159,7 @@ def _integral(
     """A row times the lcm of its denominators: nonzero terms, rhs, scale.
 
     Every value must be an ``int`` or a ``Fraction``; anything else (a
-    float, say) is refused here, on the one pass every row makes."""
+    float, say) is refused here, when the row or objective is built."""
     try:
         scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
     except AttributeError:
@@ -262,11 +257,19 @@ class LinearSystem:
             raise PreconditionError("bound vectors must match the variable count")
         if self.var_names is not None and len(self.var_names) != self.num_vars:
             raise PreconditionError("var_names must match the variable count")
-        for b in self.lower + self.upper:
-            if b is not None and not _rational(b):
-                raise PreconditionError(
-                    f"cannot use {type(b).__name__} {b!r} as an exact bound"
-                )
+        # kept like LinearConstraint._integer: each bound as the row x_j * den
+        # relation num, lower first; and the outcome memo of _ask
+        bounds = []
+        for j, (lo, up) in enumerate(zip(self.lower, self.upper)):
+            for b, relation in ((lo, GE), (up, LE)):
+                if b is not None:
+                    if not _rational(b):
+                        raise PreconditionError(
+                            f"cannot use {type(b).__name__} {b!r} as an exact bound"
+                        )
+                    bounds.append((j, relation, b.numerator, b.denominator))
+        object.__setattr__(self, "_integer_bounds", tuple(bounds))
+        object.__setattr__(self, "_outcomes", {})
 
     @classmethod
     def make(
@@ -331,30 +334,15 @@ class LinearSystem:
         return not self.violations(point)
 
     @cached_property
-    def _integer_bounds(self) -> tuple[tuple[int, str, int, int], ...]:
-        """Each bound as ``(j, relation, numerator, denominator)``, the row
-        ``x_j * denominator relation numerator``; by column, lower first.
-        Cached like :attr:`_phase1`."""
-        out = []
-        for j, (lo, up) in enumerate(zip(self.lower, self.upper)):
-            if lo is not None:
-                out.append((j, GE, lo.numerator, lo.denominator))
-            if up is not None:
-                out.append((j, LE, up.numerator, up.denominator))
-        return tuple(out)
-
-    @cached_property
     def _phase1(self) -> Optional[_Start]:
         """The phase-1 result every solve over this object starts from (see
         :func:`_feasible_start`).  It lives in the instance dict, not in a
-        field, so equality, hashing and repr never see it."""
+        field, so equality, hashing and repr never see it.  It waits for the
+        first solve: a system only checked by substitution runs no phase 1."""
         return _feasible_start(self)
 
-    @cached_property
-    def _outcomes(self) -> dict[tuple, LpOutcome]:
-        """Every outcome solved over this object, keyed by sense and integer
-        objective (see :func:`_ask`).  Cached like :attr:`_phase1`."""
-        return {}
+
+_MISSING = object()  # per_owner's miss: a builder may return None
 
 
 def per_owner(build):
@@ -363,15 +351,17 @@ def per_owner(build):
     The results live in the owner's instance dict, like
     :attr:`LinearSystem._phase1`: equality, hashing and repr never see them,
     and they are freed with the owner.  Arguments after the owner are
-    passed positionally and form the key."""
+    passed positionally and form the key, which a hit hashes once; a builder
+    that returns None is built once too."""
     key = f"_memo_{build.__name__}"
 
     @wraps(build)
     def memoised(owner, *args):
         memo = owner.__dict__.setdefault(key, {})
-        if args not in memo:
-            memo[args] = build(owner, *args)
-        return memo[args]
+        out = memo.get(args, _MISSING)
+        if out is _MISSING:
+            out = memo[args] = build(owner, *args)
+        return out
 
     return memoised
 
@@ -393,18 +383,14 @@ class LpProblem:
             raise PreconditionError(f"sense must be max or min, got {self.sense!r}")
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
         _check_columns(self.terms, self.system.num_vars, "objective")
+        # its nonzero integer terms and their lcm, kept like a row's _integer
+        terms, _, scale = _integral(self.terms, ZERO)
+        object.__setattr__(self, "_integer_objective", (terms, scale))
 
     @property
     def objective(self) -> tuple[Fraction, ...]:
         """The nonzero coefficients, in column order."""
         return tuple(a for _, a in self.terms if a)
-
-    @cached_property
-    def _integer_objective(self) -> tuple[tuple[tuple[int, int], ...], int]:
-        """The objective's nonzero integer terms and the lcm that scales
-        them; cached like :attr:`LinearConstraint._integer`."""
-        terms, _, scale = _integral(self.terms, ZERO)
-        return terms, scale
 
 
 @dataclass(frozen=True)
@@ -475,10 +461,14 @@ def exceeding_point(
     assert out.point is not None
     if out.status is LpStatus.UNBOUNDED:
         assert out.ray is not None
-        gain = sum(c * out.ray[j] for j, c in problem.terms)
-        current = sum(c * out.point[j] for j, c in problem.terms)
-        step = ONE if current + gain > bound else (bound + 1 - current) / gain
-        return tuple(p + step * r for p, r in zip(out.point, out.ray))
+        gain = dot((c, out.ray[j]) for j, c in problem.terms)
+        current = dot((c, out.point[j]) for j, c in problem.terms)
+        gap = dot(((bound, ONE), (current, MINUS_ONE)))  # bound - current
+        step = ONE if gain > gap else Fraction(  # (gap + 1) / gain
+            (gap.numerator + gap.denominator) * gain.denominator,
+            gap.denominator * gain.numerator,
+        )
+        return tuple(dot(((p, ONE), (step, r))) for p, r in zip(out.point, out.ray))
     assert out.value is not None
     return out.point if out.value > bound else None
 
@@ -952,7 +942,7 @@ def feasible_interior_point(system: LinearSystem) -> Optional[tuple[Fraction, ..
     n = system.num_vars
     # the rows go through as they are: their terms never name column n
     rows = system.rows + tuple(
-        LinearConstraint(((j, ONE), (n, -ONE)), GE, ZERO, f"strict[{j}]")
+        LinearConstraint(((j, ONE), (n, MINUS_ONE)), GE, ZERO, f"strict[{j}]")
         for j in range(n)
     )
     ext = LinearSystem(n + 1, rows, system.lower + (None,), system.upper + (None,))

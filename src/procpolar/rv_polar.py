@@ -313,9 +313,13 @@ def product_decompose(
                 "no generator mixture dominates a bipolar element on a block"
             )
         ratio = max(ONE, out.value)
+        k = product(lval, ratio)
         for i in idx:
-            k_vals[i] = lval * ratio
-            h_vals[i] = f.values[i] * lval / k_vals[i]
+            v = f.values[i]  # f * lval / k is f / ratio
+            k_vals[i] = k
+            h_vals[i] = Fraction(
+                v.numerator * ratio.denominator, v.denominator * ratio.numerator
+            )
     h = RandomVariable(space, tuple(h_vals))
     k = RandomVariable(space, tuple(k_vals))
     if k.expectation() > 1:

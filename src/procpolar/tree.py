@@ -230,7 +230,7 @@ class SampleSpace:
             raise PreconditionError("duplicate outcomes")
         if any(p <= 0 for p in self.probs):
             raise PreconditionError("all outcome probabilities must be positive")
-        if sum(self.probs) != 1:
+        if dot((p, ONE) for p in self.probs) != 1:
             raise PreconditionError("outcome probabilities must sum to 1")
         object.__setattr__(
             self, "_index", {w: i for i, w in enumerate(self.outcomes)}
@@ -396,7 +396,8 @@ def cond_exp_partition(rv: RandomVariable, g: Partition) -> RandomVariable:
     out = [ZERO] * rv.space.size
     for block in g.blocks:
         pb = g.block_prob(block)
-        avg = dot((rv.space.prob(w), rv[w]) for w in block) / pb
+        mass = dot((rv.space.prob(w), rv[w]) for w in block)
+        avg = Fraction(mass.numerator * pb.denominator, mass.denominator * pb.numerator)
         for w in block:
             out[rv.space.index(w)] = avg
     return RandomVariable(rv.space, tuple(out))

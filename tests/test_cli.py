@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +142,61 @@ def test_report_determinism(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1.read_text() == out2.read_text()
     assert body(stdout1) == body(stdout2)
+
+
+# a sequence of calls that changes every argument a parse could carry over:
+# the format, an --out path then none, PROCPOLAR_SEED set then unset, and a
+# parse error (exit 2) followed by a good call
+SUCCESSIVE_CALLS = [
+    (("check", "cbt", T2, "--format", "machine"), None),
+    (("check", "cbt", T2), None),
+    (("check", "polar", T1, "--count", "3", "--out", "{out}"), None),
+    (("check", "polar", T1, "--count", "2"), None),
+    (("fuzz", "cbt", "--count", "1", "--format", "machine"), "5"),
+    (("fuzz", "cbt", "--count", "1", "--format", "machine"), None),
+    (("check", "cbt", T2, "--format", "yaml"), None),
+    (("check", "cbt", T2, "--format", "machine"), None),
+]
+
+
+def test_successive_main_calls_match_calls_in_fresh_interpreters(
+    capsys, monkeypatch, tmp_path
+):
+    """One process reuses one parser: each call of a sequence gives the
+    exit code, body and error output that the same call gives on its own,
+    with no call before it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh, successive = [], []
+    for argv, seed in SUCCESSIVE_CALLS:
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("PROCPOLAR_SEED", None)
+        if seed is not None:
+            env["PROCPOLAR_SEED"] = seed
+        argv = [a.format(out=tmp_path / "fresh.report") for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "procpolar.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        fresh.append((proc.returncode, body(proc.stdout), proc.stderr))
+    for argv, seed in SUCCESSIVE_CALLS:
+        if seed is None:
+            monkeypatch.delenv("PROCPOLAR_SEED", raising=False)
+        else:
+            monkeypatch.setenv("PROCPOLAR_SEED", seed)
+        argv = [a.format(out=tmp_path / "successive.report") for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a parse error
+            code = exc.code
+        captured = capsys.readouterr()
+        successive.append((code, body(captured.out), captured.err))
+    assert successive == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert fresh[4][1] != fresh[5][1]  # the seed reached the suite
+    # the report holds the body of the call that named it, not the next one's
+    report = (tmp_path / "successive.report").read_text()
+    assert report == (tmp_path / "fresh.report").read_text()
+    assert "3 compositions stayed in" in report
 
 
 def test_seed_env_var(capsys, monkeypatch):

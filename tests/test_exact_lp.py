@@ -1,6 +1,6 @@
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -140,6 +140,37 @@ def test_exceeding_point_walks_an_unbounded_ray():
             assert value == bound + 1
         branches.add(current + gain > bound)
     assert branches == {True, False}
+
+
+def _ratios(values):
+    """Types, numerators and denominators, so a value left unnormalised shows."""
+    return [(type(v), v.numerator, v.denominator) for v in values]
+
+
+def test_exceeding_point_ray_step_matches_operator_reference():
+    """The unbounded branch's step and point are the Fraction operators'
+    ``(bound + 1 - current) / gain`` and ``p + step * r``, value for value."""
+    rng = random.Random(29)
+    steps = set()
+    for problem in lp_corpus(random.Random(20070049), 300):
+        out = solve(LpProblem("max", problem.terms, problem.system))
+        if out.status is not LpStatus.UNBOUNDED:
+            continue
+        current = sum((c * out.point[j] for j, c in problem.terms), F(0))
+        gain = sum((c * out.ray[j] for j, c in problem.terms), F(0))
+        for bound in (
+            F(0),
+            current,
+            current + gain,
+            current - F(rng.randint(0, 5), rng.randint(1, 3)),
+            current + gain + F(rng.randint(1, 9), rng.randint(1, 4)),
+        ):
+            step = F(1) if current + gain > bound else (bound + 1 - current) / gain
+            expected = [p + step * r for p, r in zip(out.point, out.ray)]
+            got = exceeding_point(problem.system, problem.terms, bound)
+            assert _ratios(got) == _ratios(expected)
+            steps.add(step == 1)
+    assert steps == {True, False}
 
 
 def test_exceeding_point_on_an_empty_system_raises(monkeypatch):
@@ -455,11 +486,29 @@ def test_phase1_cache_is_invisible_to_value_semantics():
     assert feasible_point(solved) is not None
     assert len(solved._outcomes) == 2
     assert solved.violations((F(0), F(1))) == ("row[1]",)
+    # the integer forms and the memo are made with the objects, and live in
+    # the instance dict beside the fields; a changed entry there shows in
+    # no comparison, hash or repr
+    kept = {
+        LinearSystem: ("_integer_bounds", "_outcomes", "_phase1"),
+        LpProblem: ("_integer_objective",),
+        exact_lp.LinearConstraint: ("_integer",),
+    }
+    field_names = {
+        LinearSystem: ("num_vars", "rows", "lower", "upper", "var_names"),
+        LpProblem: ("sense", "terms", "system"),
+        exact_lp.LinearConstraint: ("terms", "relation", "rhs", "label"),
+    }
     for a, b in (
         (solved, fresh),
         (problem, LpProblem("max", ((1, F(0)), (0, F(1))), fresh)),
         *zip(solved.rows, fresh.rows),
     ):
+        assert tuple(f.name for f in fields(a)) == field_names[type(a)]
+        assert set(kept[type(a)]) <= set(vars(a)) - set(field_names[type(a)])
+        for name in kept[type(a)]:
+            if name in vars(b):
+                object.__setattr__(b, name, None)
         assert a == b
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
@@ -742,15 +791,10 @@ def test_floats_are_refused_as_input():
     """A float in a row, a bound or an objective is bad input, refused with
     PreconditionError, not an AttributeError from deep in the solver."""
     good = exact_lp.LinearConstraint(((0, F(1)), (1, F(1))), LE, F(1))
-    for row in (
-        exact_lp.LinearConstraint(((0, 0.5), (1, F(1))), LE, F(1)),
-        exact_lp.LinearConstraint(((0, F(1)), (1, F(1))), LE, 1.0),
-    ):
-        system = LinearSystem(2, (good, row), (F(0), F(0)), (None, None))
+    # a row is brought to integers when it is built, so it is refused there
+    for terms, rhs in ((((0, 0.5), (1, F(1))), F(1)), (((0, F(1)), (1, F(1))), 1.0)):
         with pytest.raises(PreconditionError, match="float"):
-            feasible_point(system)
-        with pytest.raises(PreconditionError, match="float"):
-            system.violations((F(0), F(0)))
+            exact_lp.LinearConstraint(terms, LE, rhs)
     for lower, upper in (((0.0, F(0)), (None, None)), ((F(0), None), (None, 2.5))):
         with pytest.raises(PreconditionError, match="float"):
             LinearSystem(2, (good,), lower, upper)
@@ -846,6 +890,49 @@ def test_a_solve_that_raises_stores_nothing(monkeypatch):
     assert maximize(system, [(0, 1), (1, 2)]).value == F(19, 4)
     assert maximize(system, [(0, 1), (1, 2)]).value == F(19, 4)
     assert len(calls) == 2
+
+
+class _CountedKey:
+    """A memo key that counts its hashes; like a Fraction, each one costs."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountedKey.hashes += 1
+        return 7
+
+
+class _Owner:
+    pass
+
+
+def test_a_per_owner_hit_hashes_its_key_once():
+    built = []
+
+    @exact_lp.per_owner
+    def build(owner, key):
+        built.append(key)
+        return len(built)
+
+    owner, key = _Owner(), _CountedKey()
+    assert build(owner, key) == 1
+    _CountedKey.hashes = 0
+    assert build(owner, key) == 1 and build(owner, key) == 1
+    assert _CountedKey.hashes == 2
+    assert built == [key]
+
+
+def test_a_per_owner_builder_that_returns_none_is_built_once():
+    built = []
+
+    @exact_lp.per_owner
+    def build(owner, key):
+        built.append(key)
+
+    owner = _Owner()
+    assert build(owner, 1) is None and build(owner, 1) is None
+    assert build(owner, 2) is None and build(_Owner(), 1) is None
+    assert built == [1, 2, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from procpolar import exact_lp, rv_polar
 from procpolar.errors import PreconditionError
 from procpolar.fuzz import (
     _hull_mixture,
+    _random_unit_ball,
     conditional_probes,
     random_partition,
     random_positive_weights,
@@ -509,3 +510,42 @@ def test_mix_and_row_terms_match_operator_reference(monkeypatch):
             assert _ratios([a for _, a in row.terms] + [row.rhs]) == _ratios(
                 [p * f.values[i], p * g.values[i], p * h.values[i]]
             )
+
+
+def test_product_decompose_matches_operator_reference(monkeypatch):
+    """``k = l * ratio`` and ``h = f * l / k`` per block, as the Fraction
+    operators give them.  A valid input always has ratio 1, so the minimum
+    read from each block's LP is also scaled up (by at most 2, on a unit-ball
+    element of expectation at most 1/2), which keeps every postcondition."""
+    ratios = []
+    minimize = rv_polar.minimize
+
+    def scaled(system, objective):
+        out = minimize(system, objective)
+        value = out.value * rng.choice((F(1), F(3, 2), F(2), F(7, 5)))
+        ratios.append(max(F(1), value))
+        return exact_lp.LpOutcome(out.status, value=value, point=out.point)
+
+    monkeypatch.setattr(rv_polar, "minimize", scaled)
+    rng = random.Random(59)
+    scaled_up = False
+    for _ in range(60):
+        space = random_space(rng, 6)
+        part = random_partition(rng, space)
+        c = random_rvset(rng, space, part, 3)
+        f = _hull_mixture(rng, c, F(1))
+        ball = _random_unit_ball(rng, part).scale(F(1, 2))
+        ratios.clear()
+        h, k = product_decompose(c, f, ball)
+        expected_h, expected_k = [F(0)] * space.size, [F(0)] * space.size
+        blocks = [b for b in part.blocks if ball[b[0]] != 0]
+        assert len(ratios) == len(blocks)
+        for block, ratio in zip(blocks, ratios):
+            for w in block:
+                i = space.index(w)
+                expected_k[i] = ball.values[i] * ratio
+                expected_h[i] = f.values[i] * ball.values[i] / expected_k[i]
+        assert _ratios(k.values) == _ratios(expected_k)
+        assert _ratios(h.values) == _ratios(expected_h)
+        scaled_up |= any(r > 1 for r in ratios)
+    assert scaled_up

@@ -254,3 +254,36 @@ def test_measure_arithmetic_matches_operator_reference():
             expected = sum((space.prob(w) for w in block), F(0))
             assert _is_normalised(out)
             assert out.as_integer_ratio() == expected.as_integer_ratio()
+
+
+def test_space_and_conditional_expectation_match_operator_reference():
+    rng = random.Random(43)
+    accepted = set()
+    for _ in range(150):
+        # a space is accepted exactly when the operators sum its weights to 1
+        raw = [F(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
+        total = sum(raw, F(0))
+        probs = [p / total for p in raw] if rng.random() < 0.5 else raw
+        try:
+            SampleSpace(tuple(range(len(probs))), tuple(probs))
+            ok = True
+        except PreconditionError:
+            ok = False
+        assert ok == (sum(probs, F(0)) == 1)
+        accepted.add(ok)
+        # block averages, with zero values drawn often by random_rv
+        space = random_space(rng, 6)
+        part = random_partition(rng, space)
+        rv = random_rv(rng, space)
+        expected = [F(0)] * space.size
+        for block in part.blocks:
+            mass = sum((space.prob(w) * rv[w] for w in block), F(0))
+            avg = mass / sum((space.prob(w) for w in block), F(0))
+            for w in block:
+                expected[space.index(w)] = avg
+        got = cond_exp_partition(rv, part).values
+        assert all(_is_normalised(v) for v in got)
+        assert [v.as_integer_ratio() for v in got] == [
+            v.as_integer_ratio() for v in expected
+        ]
+    assert accepted == {True, False}
