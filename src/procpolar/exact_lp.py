@@ -95,8 +95,9 @@ integer form carried the same way, a positive multiple of the
 lcm-scaled rewritten objective; Bland's rule reads only its signs, and the
 value is taken from the point, so the multiple changes nothing.  A zero
 objective builds no cost row.  Coming
-out, the point is read from the tableau as ``Fraction`` values, a zero
-offset or a zero side of a free variable costing no arithmetic, and
+out, the point is read from the tableau as ``Fraction`` values built by
+:func:`~procpolar.rational.fraction` (as are the ray and the value), a
+zero offset or a zero side of a free variable costing no arithmetic, and
 brought to its integer form ``(nums, D)`` once: the objective value and
 the substitution check both read that form.  It is the form of the point
 returned, so a point that drifted on its way out still fails the check,
@@ -115,7 +116,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
-from .rational import dot, frac
+from .rational import dot, frac, fraction, negate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -464,7 +465,7 @@ def exceeding_point(
         gain = dot((c, out.ray[j]) for j, c in problem.terms)
         current = dot((c, out.point[j]) for j, c in problem.terms)
         gap = dot(((bound, ONE), (current, MINUS_ONE)))  # bound - current
-        step = ONE if gain > gap else Fraction(  # (gap + 1) / gain
+        step = ONE if gain > gap else fraction(  # (gap + 1) / gain
             (gap.numerator + gap.denominator) * gain.denominator,
             gap.denominator * gain.numerator,
         )
@@ -694,14 +695,14 @@ class _Standard:
                 out.append(aux - x)
             else:
                 neg = u[aux]
-                out.append((x - neg if x else -neg) if neg else x)
+                out.append((x - neg if x else negate(neg)) if neg else x)
         return tuple(out)
 
     def to_original_ray(self, du: Sequence[Fraction]) -> tuple[Fraction, ...]:
         out = []
         for kind, col, aux in self.transforms:
             if kind == _MIRROR:
-                out.append(-du[col])
+                out.append(negate(du[col]))
             elif kind == _SPLIT:
                 out.append(du[col] - du[aux])
             else:  # a shift, by 0 or not
@@ -907,7 +908,7 @@ def solve(problem: LpProblem) -> LpOutcome:
     u = [ZERO] * total
     for i, row in enumerate(tab):
         if row[-1]:
-            u[basis[i]] = Fraction(row[-1], d)
+            u[basis[i]] = fraction(row[-1], d)
     point = std.to_original_point(u)
     # the one integer form of the point: the value and the check share it
     nums, den = _integer_point(point)
@@ -917,12 +918,12 @@ def solve(problem: LpProblem) -> LpOutcome:
         du = [ZERO] * total
         du[enter] = ONE
         for i, row in enumerate(tab):
-            du[basis[i]] = Fraction(-row[enter] * step, d)
+            du[basis[i]] = fraction(-row[enter] * step, d)
         ray = std.to_original_ray(du)
         outcome = LpOutcome(LpStatus.UNBOUNDED, point=point, ray=ray)
     else:
         scale = problem._integer_objective[1]
-        value = Fraction(_substitute(obj, nums), scale * den)
+        value = fraction(_substitute(obj, nums), scale * den)
         outcome = LpOutcome(LpStatus.OPTIMAL, value=value, point=point)
 
     bad = _verify(problem, outcome, nums, den)

@@ -53,7 +53,7 @@ from .process_polar import (
     sample_polar_elements,
     verify_process_bipolar,
 )
-from .rational import dot, product
+from .rational import dot, fraction, product, quotient
 from .rv_polar import (
     RvSet,
     conditional_bipolar_contains,
@@ -69,6 +69,7 @@ from .tree import EventTree, Partition, RandomVariable, SampleSpace
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+TWO = Fraction(2)
 
 # the bump past a hull boundary, the most hull moves behind a known process
 # hull member, and the deflator and wealth probes of a market
@@ -86,13 +87,13 @@ WEALTH_PROBES = 3
 def random_fraction(
     rng: random.Random, max_num: int = 3, max_den: int = 3
 ) -> Fraction:
-    return Fraction(rng.randint(0, max_num), rng.randint(1, max_den))
+    return fraction(rng.randint(0, max_num), rng.randint(1, max_den))
 
 
 def random_positive_weights(rng: random.Random, k: int) -> tuple[Fraction, ...]:
     raw = [rng.randint(1, 4) for _ in range(k)]
     total = sum(raw)
-    return tuple(Fraction(r, total) for r in raw)
+    return tuple(fraction(r, total) for r in raw)
 
 
 def random_tree(
@@ -161,21 +162,18 @@ def random_supermartingale(
     expectation is at most (exactly, for martingales) 1."""
     vals = [ZERO] * tree.num_nodes
     if strictly_positive:
-        vals[0] = Fraction(rng.randint(1, 4), 4)
+        vals[0] = fraction(rng.randint(1, 4), 4)
     else:
-        vals[0] = Fraction(rng.randint(0, 4), 4)
+        vals[0] = fraction(rng.randint(0, 4), 4)
     for n in tree.non_terminal_nodes():
         kids = tree.children[n]
         low = 1 if strictly_positive else 0
-        raw = [Fraction(rng.randint(low, 4), rng.randint(1, 3)) for _ in kids]
+        raw = [fraction(rng.randint(low, 4), rng.randint(1, 3)) for _ in kids]
         if martingale and all(r == 0 for r in raw):
             raw[rng.randrange(len(raw))] = ONE
         mean = dot((tree.edge_prob[ch], r) for ch, r in zip(kids, raw))
         if mean > 1 or (martingale and mean != 0):
-            raw = [
-                Fraction(r.numerator * mean.denominator, r.denominator * mean.numerator)
-                for r in raw
-            ]
+            raw = [quotient(r, mean) for r in raw]
         for ch, r in zip(kids, raw):
             vals[ch] = product(vals[n], r)
     return AdaptedProcess(tree, tuple(vals))
@@ -214,18 +212,21 @@ def random_market(
     prices = []
     for _ in range(d):
         vals = [ZERO] * tree.num_nodes
-        vals[0] = Fraction(rng.randint(1, 8))
+        vals[0] = fraction(rng.randint(1, 8), 1)
         for n in tree.non_terminal_nodes():
             kids = tree.children[n]
             q = hidden[n]
-            raw = [Fraction(rng.randint(0 if rng.random() < 0.1 else 1, 4)) for _ in kids]
+            raw = [
+                fraction(rng.randint(0 if rng.random() < 0.1 else 1, 4), 1)
+                for _ in kids
+            ]
             if all(r == 0 for r in raw):
                 raw[rng.randrange(len(kids))] = ONE
             mean = dot(zip(q, raw))
             s = vals[n]
             for ch, r in zip(kids, raw):
                 # s r / mean as one fraction of integer products
-                vals[ch] = Fraction(
+                vals[ch] = fraction(
                     s.numerator * r.numerator * mean.denominator,
                     s.denominator * r.denominator * mean.numerator,
                 )
@@ -359,7 +360,7 @@ def conditional_probes(
         kind = rng.randrange(4)
         if kind == 0:  # interior
             denom = rng.randint(1, 4)
-            scale = Fraction(rng.randint(0, denom), denom)
+            scale = fraction(rng.randint(0, denom), denom)
             probes.append((_hull_mixture(rng, c, scale), True))
         elif kind == 1:  # boundary
             probes.append((_hull_mixture(rng, c, ONE), True))
@@ -367,7 +368,7 @@ def conditional_probes(
             base = _hull_mixture(rng, c, ONE)
             i = rng.randrange(c.space.size)
             vals = list(base.values)
-            vals[i] += BUMP
+            vals[i] = dot(((vals[i], ONE), (BUMP, ONE)))
             probes.append((RandomVariable(c.space, tuple(vals)), None))
         else:  # arbitrary
             probes.append((random_rv(rng, c.space), None))
@@ -380,14 +381,16 @@ def _sample_polar_rvs(
     system = conditional_polar_constraints(c)
     out: list[RandomVariable] = []
     for _ in range(count):
-        objective = [(j, Fraction(rng.randint(-1, 2))) for j in range(system.num_vars)]
+        objective = [
+            (j, fraction(rng.randint(-1, 2), 1)) for j in range(system.num_vars)
+        ]
         res = maximize(system, objective)
         assert res.point is not None
         point = res.point
         if res.status is LpStatus.UNBOUNDED:
             assert res.ray is not None
-            t = random_unit_fraction(rng, 3) * 2
-            point = tuple(p + t * r for p, r in zip(point, res.ray))
+            t = product(random_unit_fraction(rng, 3), TWO)
+            point = tuple(dot(((p, ONE), (t, r))) for p, r in zip(point, res.ray))
         out.append(RandomVariable(c.space, point))
     return out
 
@@ -403,11 +406,19 @@ def _random_block_constant(
     return RandomVariable(part.space, tuple(vals))
 
 
+def _random_block_weight(rng: random.Random, part: Partition) -> RandomVariable:
+    """A block-constant draw with values in [0, 1]: scaled down by its
+    largest value when that exceeds 1."""
+    raw = _random_block_constant(rng, part)
+    top = max(raw.values)
+    return raw.scale(quotient(ONE, top)) if top > 1 else raw
+
+
 def _random_unit_ball(rng: random.Random, part: Partition) -> RandomVariable:
     raw = _random_block_constant(rng, part, 3, 2)
     e = raw.expectation()
     if e > 1:
-        raw = raw.scale(ONE / e)
+        raw = raw.scale(quotient(ONE, e))
     return raw
 
 
@@ -446,9 +457,7 @@ def check_conditional_instance(rng: random.Random) -> tuple[int, str]:
 
     # polar closure: mixing and downward moves stay in the polar
     g1, g2 = _sample_polar_rvs(rng, c, 2)
-    weight = _random_block_constant(rng, part, 2, 2)
-    if any(v > 1 for v in weight.values):
-        weight = weight.scale(ONE / max(weight.values))
+    weight = _random_block_weight(rng, part)
     mixed = partition_mix(g1, g2, weight, part)
     system = conditional_polar_constraints(c)
     _verdict(system.satisfied_by(mixed.values), "polar not closed under mixing")
@@ -466,10 +475,7 @@ def check_conditional_instance(rng: random.Random) -> tuple[int, str]:
     # pairwise maximization family: blockwise rescalings of a hull element
     members = []
     for _ in range(rng.randint(1, 3)):
-        scales = _random_block_constant(rng, part, 2, 2)
-        if any(v > 1 for v in scales.values):
-            scales = scales.scale(ONE / max(scales.values))
-        members.append(f.pointwise_mul(scales))
+        members.append(f.pointwise_mul(_random_block_weight(rng, part)))
     hmax = pairwise_max_closure(c, f, members)
     _verdict(bool(hull_contains(c, hmax)))
     checks += 1
@@ -630,7 +636,7 @@ def _sample_measures(
     assert poly.interior is not None
     out = [poly.interior]
     for _ in range(count - 1):
-        objective = [Fraction(rng.randint(-2, 2)) for _ in poly.interior]
+        objective = [fraction(rng.randint(-2, 2), 1) for _ in poly.interior]
         # a vertex of the product: each block maximizes its slice
         vertex = list(poly.interior)
         for kids, local in poly.blocks:
@@ -639,12 +645,12 @@ def _sample_measures(
             for ch, v in zip(kids, res.point):
                 vertex[ch - 1] = v
         # mix toward the interior to keep the measure equivalent
-        t = Fraction(rng.randint(1, 3), 4)
+        t = fraction(rng.randint(1, 3), 4)
         tn, td = t.numerator, t.denominator
         # t v + (1 - t) i as one fraction of integer products
         out.append(
             tuple(
-                Fraction(
+                fraction(
                     tn * v.numerator * i.denominator
                     + (td - tn) * i.numerator * v.denominator,
                     td * v.denominator * i.denominator,
@@ -691,7 +697,7 @@ def wealth_probes_for(
     pairs = sample_consumption_wealth(m, 2, rng)
     probes.extend(w for w, _ in pairs)
     wealth = wealth_map(m, False)
-    weights = [Fraction(rng.randint(-1, 2)) for _ in range(tree.num_nodes)]
+    weights = [fraction(rng.randint(-1, 2), 1) for _ in range(tree.num_nodes)]
     res = maximize(pure_investment_polytope(m, 1), wealth.objective(weights))
     assert res.status is LpStatus.OPTIMAL and res.point is not None
     probes.append(wealth.decode(res.point)[0])
@@ -702,7 +708,7 @@ def wealth_probes_for(
             n = rng.randrange(tree.num_nodes)
             probes.append(base.with_value(n, base.values[n] + Fraction(1, 50)))
         elif kind == 1:
-            probes.append(base.scale(Fraction(rng.randint(1, 6), 4)))
+            probes.append(base.scale(fraction(rng.randint(1, 6), 4)))
         else:
             probes.append(random_supermartingale(rng, tree))
     return probes[: count + 3]

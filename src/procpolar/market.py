@@ -57,7 +57,7 @@ from .exact_lp import (
 )
 from .process_polar import defect_terms, first_defect
 from .processes import AdaptedProcess, is_martingale, is_supermartingale
-from .rational import dot, frac, frac_tuple, product
+from .rational import dot, frac, frac_tuple, fraction, negate, product
 from .tree import EventTree, RandomVariable, terminal_space
 
 ZERO = Fraction(0)
@@ -291,7 +291,7 @@ def density_process(m: Market, q: Sequence[Fraction]) -> AdaptedProcess:
     for n in range(1, tree.num_nodes):
         # y(parent) q / p as one fraction of integer products
         y, r, p = vals[tree.parent[n]], q[n - 1], tree.edge_prob[n]
-        vals[n] = Fraction(
+        vals[n] = fraction(
             y.numerator * r.numerator * p.denominator,
             y.denominator * r.denominator * p.numerator,
         )
@@ -395,9 +395,11 @@ class WealthMap:
         rows = []
         for n in range(1, tree.num_nodes):
             forms.append(forms[tree.parent[n]] + self.edges[n])
-            terms = ((j, -a) for j, a in forms[n])
+            terms = ((j, negate(a)) for j, a in forms[n])
             rows.append(
-                LinearConstraint(terms, LE, -floor[n], f"solvency@{tree.labels[n]}")
+                LinearConstraint(
+                    terms, LE, negate(floor[n]), f"solvency@{tree.labels[n]}"
+                )
             )
         n_free = self.consumption.start - 1
         lower = (ZERO,) + (None,) * n_free + (ZERO,) * len(self.consumption)
@@ -449,13 +451,14 @@ class WealthMap:
 
 def _subtree_sums(tree: EventTree, weights: Sequence[Fraction]) -> list[Fraction]:
     """Per node, the weights summed over its subtree: integer numerators
-    over the lcm of the weights' denominators, normalised once each."""
+    over the lcm of the weights' denominators, normalised once each; a
+    zero sum is the shared ``ZERO``."""
     den = lcm(*(w.denominator for w in weights))
     sums = [w.numerator * (den // w.denominator) for w in weights]
     for n in range(tree.num_nodes - 1, 0, -1):
         if sums[n]:
             sums[tree.parent[n]] += sums[n]
-    return [Fraction(v, den) for v in sums]
+    return [fraction(v, den) if v else ZERO for v in sums]
 
 
 @per_owner
@@ -472,7 +475,7 @@ def wealth_map(m: Market, consumption: bool) -> WealthMap:
     edges: list[tuple[tuple[int, Fraction], ...]] = [()]
     for ch in range(1, tree.num_nodes):
         gains = tuple(zip(holdings[tree.parent[ch]], increments[ch]))
-        edges.append(gains + ((spent[ch - 1], -ONE),) if consumption else gains)
+        edges.append(gains + ((spent[ch - 1], MINUS_ONE),) if consumption else gains)
     names = ["w0"] + [f"h({tree.labels[n]},{i})" for n in holdings for i in range(m.d)]
     names += [f"c({tree.labels[n]})" for n in range(1, len(spent) + 1)]
     return WealthMap(tree, holdings, spent, tuple(edges), tuple(names))
@@ -654,16 +657,16 @@ def lifted_deflator_system(m: Market) -> LinearSystem:
 
     for n in tree.non_terminal_nodes():
         kids = tree.children[n]
-        terms = [(ridx(ch), ONE) for ch in kids] + [(n, -ONE)]
+        terms = [(ridx(ch), ONE) for ch in kids] + [(n, MINUS_ONE)]
         rows.append(LinearConstraint(terms, EQ, ZERO, f"mass@{tree.labels[n]}"))
         for i in range(m.d):
             price = m.prices[i].values
-            terms = [(ridx(ch), price[ch]) for ch in kids] + [(n, -price[n])]
+            terms = [(ridx(ch), price[ch]) for ch in kids] + [(n, negate(price[n]))]
             rows.append(
                 LinearConstraint(terms, EQ, ZERO, f"price[{i}]@{tree.labels[n]}")
             )
         for ch in kids:
-            terms = ((ch, tree.edge_prob[ch]), (ridx(ch), -ONE))
+            terms = ((ch, tree.edge_prob[ch]), (ridx(ch), MINUS_ONE))
             rows.append(
                 LinearConstraint(terms, LE, ZERO, f"dominate@{tree.labels[ch]}")
             )
@@ -981,8 +984,8 @@ def sample_consumption_wealth(
     for _ in range(count):
         weights, consumed = [], []
         for _n in range(m.tree.num_nodes):
-            weights.append(Fraction(rng.randint(-2, 3)))
-            consumed.append(Fraction(rng.randint(-2, 2)))
+            weights.append(fraction(rng.randint(-2, 3), 1))
+            consumed.append(fraction(rng.randint(-2, 2), 1))
         res = maximize(system, wealth.objective(weights, consumed))
         if res.status is not LpStatus.OPTIMAL:
             raise PostconditionError(

@@ -54,7 +54,7 @@ from .processes import (
     increment,
     is_supermartingale,
 )
-from .rational import dot, product
+from .rational import dot, fraction, negate, product
 from .rv_polar import RvSet, conditional_bipolar_contains, conditional_polar_constraints
 from .tree import RandomVariable, level_partition, level_space
 
@@ -68,7 +68,7 @@ def defect_terms(z: AdaptedProcess, n: int) -> list[tuple[int, Fraction]]:
     product with ``z`` at node ``n``, as the ``(node, coefficient)`` terms
     of a linear functional of ``Y`` over the node columns."""
     tree = z.tree
-    terms = [(n, -z.values[n])]
+    terms = [(n, negate(z.values[n]))]
     probs, vals = tree.edge_prob, z.values
     terms += ((ch, product(probs[ch], vals[ch])) for ch in tree.children[n])
     return terms
@@ -326,7 +326,7 @@ def sample_polar_elements(c: ProcessSet, rng: random.Random) -> list[AdaptedProc
     n = c.tree.num_nodes
 
     def vertex() -> tuple[Fraction, ...]:
-        out = maximize(polar, [(j, Fraction(rng.randint(-2, 3))) for j in range(n)])
+        out = maximize(polar, [(j, fraction(rng.randint(-2, 3), 1)) for j in range(n)])
         if out.status is LpStatus.INFEASIBLE:
             raise PostconditionError("a polar is never empty (0 belongs)")
         assert out.point is not None

@@ -9,11 +9,13 @@ of unit-initial supermartingales.
 
 Values are coerced through :func:`~procpolar.rational.frac`, so a float or
 a bool is refused and an int becomes a ``Fraction``.  Products of values
-go through :func:`~procpolar.rational.product` and sums of products
-through :func:`~procpolar.rational.dot`, and a quotient is built from its
-integer cross products, so each result is normalised once.  The one-step
-(super)martingale comparison at a node brings ``sum(p(c) * y(c))`` and
-``y(n)`` to one common denominator (``math.lcm``) and compares integers;
+go through :func:`~procpolar.rational.product`, quotients through
+:func:`~procpolar.rational.quotient`, sums of products through
+:func:`~procpolar.rational.dot` and other integer cross products through
+:func:`~procpolar.rational.fraction`, so each result is normalised once.
+The one-step (super)martingale comparison at a node brings
+``sum(p(c) * y(c))`` and ``y(n)`` to one common denominator
+(:func:`~procpolar.rational.dot_sides`) and compares integers;
 :class:`NonIncreasingProcess` compares each edge's two values by
 cross-multiplied numerators.
 The exact supermartingale check runs once per process object: its verdict
@@ -34,11 +36,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterator, Mapping
 
 from .errors import PostconditionError, PreconditionError
-from .rational import dot, frac, frac_tuple, product
+from .rational import (
+    dot,
+    dot_sides,
+    frac,
+    frac_tuple,
+    fraction,
+    nonnegative,
+    product,
+    quotient,
+)
 from .tree import EventTree
 
 ZERO = Fraction(0)
@@ -57,7 +67,7 @@ class AdaptedProcess:
         object.__setattr__(self, "values", values)
         if len(values) != self.tree.num_nodes:
             raise PreconditionError("one value per tree node required")
-        if any(v.numerator < 0 for v in values):
+        if not nonnegative(values):
             raise PreconditionError("process values must be nonnegative")
 
     @classmethod
@@ -118,15 +128,7 @@ def _one_step_sides(y: AdaptedProcess) -> Iterator[tuple[int, int]]:
     tree = y.tree
     probs, vals = tree.edge_prob, y.values
     for n in tree.non_terminal_nodes():
-        kids = tree.children[n]
-        dens = [probs[c].denominator * vals[c].denominator for c in kids]
-        value = vals[n]
-        common = lcm(value.denominator, *dens)
-        expected = sum(
-            probs[c].numerator * vals[c].numerator * (common // d)
-            for c, d in zip(kids, dens)
-        )
-        yield expected, value.numerator * (common // value.denominator)
+        yield dot_sides([(probs[c], vals[c]) for c in tree.children[n]], vals[n])
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ def increment(y: AdaptedProcess, s: int, t: int, node_t: int) -> Fraction:
             "increment undefined: zero followed by a positive value "
             f"({tree.labels[anc]} -> {tree.labels[node_t]})"
         )
-    return Fraction(num.numerator * den.denominator, num.denominator * den.numerator)
+    return quotient(num, den)
 
 
 def solid_multiply(y: AdaptedProcess, b: NonIncreasingProcess) -> AdaptedProcess:
@@ -293,7 +295,7 @@ def fork_splice(
 
 def _share(base: Fraction, num: int, den: int, divisor: Fraction) -> Fraction:
     """A fork coefficient ``base * (num / den) / divisor``, normalised once."""
-    return Fraction(
+    return fraction(
         base.numerator * num * divisor.denominator,
         base.denominator * den * divisor.numerator,
     )
@@ -351,7 +353,7 @@ Trace = tuple  # ("gen", i) | ("solid", sub, b_vals) | ("splice", a, b, c, s, w_
 
 def random_unit_fraction(rng: random.Random, denominator_cap: int = 4) -> Fraction:
     den = rng.randint(1, denominator_cap)
-    return Fraction(rng.randint(0, den), den)
+    return fraction(rng.randint(0, den), den)
 
 
 def random_nonincreasing_process(
@@ -363,7 +365,7 @@ def random_nonincreasing_process(
     for par in tree.parent:
         k = 2 if par is None else 3  # keep the root in (0, 1] mostly
         den = rng.randint(1, 3)
-        factor = Fraction(k * den - rng.randint(0, den), k * den)
+        factor = fraction(k * den - rng.randint(0, den), k * den)
         vals.append(factor if par is None else product(vals[par], factor))
     return NonIncreasingProcess(AdaptedProcess(tree, tuple(vals)))
 

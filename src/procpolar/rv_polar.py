@@ -49,7 +49,7 @@ from .exact_lp import (
     per_owner,
     vector,
 )
-from .rational import product
+from .rational import fraction, product, quotient
 from .tree import Partition, RandomVariable, SampleSpace, cond_exp_partition
 
 ZERO = Fraction(0)
@@ -97,7 +97,7 @@ def partition_mix(
         w, a, b = weight.values[i], f.values[i], g.values[i]
         wn, wd = w.numerator, w.denominator
         vals.append(
-            Fraction(
+            fraction(
                 wn * a.numerator * b.denominator
                 + (wd - wn) * b.numerator * a.denominator,
                 wd * a.denominator * b.denominator,
@@ -317,9 +317,7 @@ def product_decompose(
         for i in idx:
             v = f.values[i]  # f * lval / k is f / ratio
             k_vals[i] = k
-            h_vals[i] = Fraction(
-                v.numerator * ratio.denominator, v.denominator * ratio.numerator
-            )
+            h_vals[i] = quotient(v, ratio)
     h = RandomVariable(space, tuple(h_vals))
     k = RandomVariable(space, tuple(k_vals))
     if k.expectation() > 1:

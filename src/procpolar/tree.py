@@ -22,7 +22,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError
-from .rational import dot, format_rational, frac, frac_tuple, product
+from .rational import (
+    dot,
+    format_rational,
+    frac,
+    frac_tuple,
+    nonnegative,
+    product,
+    quotient,
+)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -273,7 +281,7 @@ class RandomVariable:
         object.__setattr__(self, "values", values)
         if len(values) != self.space.size:
             raise PreconditionError("value vector does not match the space")
-        if any(v.numerator < 0 for v in values):
+        if not nonnegative(values):
             raise PreconditionError("random variables here are nonnegative")
 
     @classmethod
@@ -397,7 +405,7 @@ def cond_exp_partition(rv: RandomVariable, g: Partition) -> RandomVariable:
     for block in g.blocks:
         pb = g.block_prob(block)
         mass = dot((rv.space.prob(w), rv[w]) for w in block)
-        avg = Fraction(mass.numerator * pb.denominator, mass.denominator * pb.numerator)
+        avg = quotient(mass, pb)
         for w in block:
             out[rv.space.index(w)] = avg
     return RandomVariable(rv.space, tuple(out))

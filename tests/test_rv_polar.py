@@ -7,9 +7,12 @@ import pytest
 
 from procpolar import exact_lp, rv_polar
 from procpolar.errors import PreconditionError
+from procpolar.exact_lp import LpStatus, maximize
 from procpolar.fuzz import (
     _hull_mixture,
+    _random_block_weight,
     _random_unit_ball,
+    _sample_polar_rvs,
     conditional_probes,
     random_partition,
     random_positive_weights,
@@ -448,6 +451,91 @@ def test_hull_mixture_matches_reference_draw():
 def _ratios(values):
     """Numerators and denominators, so a value left unnormalised shows."""
     return [(type(v), v.as_integer_ratio()) for v in values]
+
+
+def _reference_probes(rng: random.Random, c: RvSet, count: int) -> list:
+    """The draw of conditional_probes, written in Fraction operators."""
+    probes = []
+    while len(probes) < count:
+        kind = rng.randrange(4)
+        if kind == 0:
+            denom = rng.randint(1, 4)
+            scale = F(rng.randint(0, denom), denom)
+            probes.append((_reference_hull_mixture(rng, c, scale), True))
+        elif kind == 1:
+            probes.append((_reference_hull_mixture(rng, c, F(1)), True))
+        elif kind == 2:
+            vals = list(_reference_hull_mixture(rng, c, F(1)))
+            vals[rng.randrange(c.space.size)] += F(1, 1000)
+            probes.append((tuple(vals), None))
+        else:
+            outcomes = c.space.outcomes
+            vals = tuple(F(rng.randint(0, 3), rng.randint(1, 3)) for _ in outcomes)
+            probes.append((vals, None))
+    return probes
+
+
+def _reference_polar_rvs(rng: random.Random, c: RvSet, count: int) -> list:
+    """The draw of _sample_polar_rvs: an unbounded maximum walks 2u along
+    its ray, u a unit fraction of denominator at most 3."""
+    system = conditional_polar_constraints(c)
+    out = []
+    for _ in range(count):
+        objective = [(j, F(rng.randint(-1, 2))) for j in range(system.num_vars)]
+        res = maximize(system, objective)
+        point = res.point
+        if res.status is LpStatus.UNBOUNDED:
+            den = rng.randint(1, 3)
+            t = F(rng.randint(0, den), den) * 2
+            point = tuple(p + t * r for p, r in zip(point, res.ray))
+        out.append((res.status, point))
+    return out
+
+
+def _reference_block_constant(
+    rng: random.Random, part: Partition, max_num: int
+) -> list:
+    vals = [F(0)] * part.space.size
+    for block in part.blocks:
+        v = F(rng.randint(0, max_num), rng.randint(1, 2))
+        for w in block:
+            vals[part.space.index(w)] = v
+    return vals
+
+
+def test_conditional_samplers_match_operator_reference():
+    rng = random.Random(59)
+    unbounded = rescaled = 0
+    for _ in range(80):
+        space = random_space(rng)
+        part = random_partition(rng, space)
+        c = random_rvset(rng, space, part)
+        seed = rng.randrange(2**32)
+        ours, reference = random.Random(seed), random.Random(seed)
+        probes = conditional_probes(ours, c, 10)
+        expected = _reference_probes(reference, c, 10)
+        assert [_ratios(p.values) for p, _ in probes] == [
+            _ratios(v) for v, _ in expected
+        ]
+        assert [k for _, k in probes] == [k for _, k in expected]
+        polar = _sample_polar_rvs(ours, c, 2)
+        expected = _reference_polar_rvs(reference, c, 2)
+        assert [_ratios(g.values) for g in polar] == [_ratios(v) for _, v in expected]
+        unbounded += sum(status is LpStatus.UNBOUNDED for status, _ in expected)
+        # the unit ball: scaled by 1 / E when E > 1
+        vals = _reference_block_constant(reference, part, 3)
+        e = sum((space.prob(w) * vals[space.index(w)] for w in space.outcomes), F(0))
+        if e > 1:
+            vals = [(1 / e) * v for v in vals]
+        assert _ratios(_random_unit_ball(ours, part).values) == _ratios(vals)
+        # a block weight: scaled by 1 / max when the max exceeds 1
+        vals = _reference_block_constant(reference, part, 2)
+        if any(v > 1 for v in vals):
+            rescaled += 1
+            vals = [(1 / max(vals)) * v for v in vals]
+        assert _ratios(_random_block_weight(ours, part).values) == _ratios(vals)
+        assert ours.getstate() == reference.getstate()
+    assert unbounded >= 10 and rescaled >= 10, (unbounded, rescaled)
 
 
 def _draw(rng: random.Random) -> F:
