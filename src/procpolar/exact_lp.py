@@ -80,8 +80,9 @@ compute it with the same function.  The objective is brought to integers
 when its :class:`LpProblem` is built, and the bounds when their system is;
 the outcome memo, the cost row and the check's value read those forms.
 Every value in a row, a bound or an objective must be an ``int`` or a
-``Fraction``: anything else (a float) is refused with
-:class:`PreconditionError` there, when the object holding it is built.
+``Fraction`` (:func:`~procpolar.rational.parts`): anything else, a float
+or a bool, is refused with :class:`PreconditionError` when the object
+holding it is built.
 
 A solve makes one integer pass into the tableau and one out.  Going in,
 each row's integer form is carried to the u-columns in integers: a
@@ -94,16 +95,16 @@ scale and the duplicate key above.  The cost row is the objective's
 integer form carried the same way, a positive multiple of the
 lcm-scaled rewritten objective; Bland's rule reads only its signs, and the
 value is taken from the point, so the multiple changes nothing.  A zero
-objective builds no cost row.  Coming
-out, the point is read from the tableau as ``Fraction`` values built by
+objective builds no cost row.  Coming out, the point is read from the
+tableau as ``Fraction`` values built by
 :func:`~procpolar.rational.fraction` (as are the ray and the value), a
-zero offset or a zero side of a free variable costing no arithmetic, and
-brought to its integer form ``(nums, D)`` once: the objective value and
-the substitution check both read that form.  It is the form of the point
-returned, so a point that drifted on its way out still fails the check,
-which still reads only the problem and the outcome.  :func:`verify_outcome`
-derives the same form from an outcome alone, and reports a missing point,
-value or ray as a violation.
+zero offset or a zero negative side of a free variable costing no
+arithmetic, and brought to its integer form ``(nums, D)`` once: the
+objective value and the substitution check both read that form.  It is the
+form of the point returned, so a point that drifted on its way out still
+fails the check, which still reads only the problem and the outcome.
+:func:`verify_outcome` derives the same form from an outcome alone, and
+reports a missing point, value or ray as a violation.
 """
 
 from __future__ import annotations
@@ -116,11 +117,18 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
-from .rational import dot, frac, fraction, negate
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
+from .rational import (
+    MINUS_ONE,
+    ONE,
+    ZERO,
+    dot,
+    frac,
+    fraction,
+    integers,
+    negate,
+    parts,
+    quotient,
+)
 
 LE = "<="
 EQ = "="
@@ -159,24 +167,11 @@ def _integral(
 ) -> tuple[tuple[tuple[int, int], ...], int, int]:
     """A row times the lcm of its denominators: nonzero terms, rhs, scale.
 
-    Every value must be an ``int`` or a ``Fraction``; anything else (a
-    float, say) is refused here, when the row or objective is built."""
-    try:
-        scale = lcm(rhs.denominator, *(a.denominator for _, a in terms))
-    except AttributeError:
-        bad = next(v for v in (rhs, *(a for _, a in terms)) if not _rational(v))
-        raise PreconditionError(
-            f"cannot use {type(bad).__name__} {bad!r} as an exact rational"
-        ) from None
-    out = tuple(  # a zero has numerator 0, so only the nonzero terms stay
-        (j, v) for j, a in terms if (v := a.numerator * (scale // a.denominator))
-    )
-    return out, rhs.numerator * (scale // rhs.denominator), scale
-
-
-def _rational(value) -> bool:
-    """An ``int`` or a ``Fraction``, the values the exact core reads."""
-    return isinstance(value, (int, Fraction))
+    Every value must be an ``int`` or a ``Fraction``; a float or a bool
+    is refused here, when the row or objective is built."""
+    nums, scale = integers([rhs, *[a for _, a in terms]])
+    # a zero has numerator 0, so only the nonzero terms stay
+    return tuple([(t[0], v) for t, v in zip(terms, nums[1:]) if v]), nums[0], scale
 
 
 def _check_columns(terms: Sequence[tuple[int, Fraction]], n: int, owner: str) -> None:
@@ -185,13 +180,6 @@ def _check_columns(terms: Sequence[tuple[int, Fraction]], n: int, owner: str) ->
         terms[0][0] < 0 or terms[-1][0] >= n or len(dict(terms)) < len(terms)
     ):
         raise PreconditionError(f"{owner}: a column outside 0..{n - 1} or named twice")
-
-
-def _integer_point(point: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The numerators of ``point`` over its least common denominator, and
-    that denominator."""
-    den = lcm(*(x.denominator for x in point))
-    return [x.numerator * (den // x.denominator) for x in point], den
 
 
 def _substitute(terms: Iterable[tuple[int, int]], nums: Sequence[int]) -> int:
@@ -217,8 +205,8 @@ def vector(
     repeated column sums its values and every other column is ZERO."""
     out = [ZERO] * num_vars
     for j, a in terms:
-        # assign the first value: adding it to ZERO costs a Fraction addition
-        out[j] = a if out[j] is ZERO else out[j] + a
+        # assign the first value: adding it to ZERO costs a dot
+        out[j] = a if out[j] is ZERO else dot(((out[j], ONE), (a, ONE)))
     return tuple(out)
 
 
@@ -264,11 +252,7 @@ class LinearSystem:
         for j, (lo, up) in enumerate(zip(self.lower, self.upper)):
             for b, relation in ((lo, GE), (up, LE)):
                 if b is not None:
-                    if not _rational(b):
-                        raise PreconditionError(
-                            f"cannot use {type(b).__name__} {b!r} as an exact bound"
-                        )
-                    bounds.append((j, relation, b.numerator, b.denominator))
+                    bounds.append((j, relation, *parts(b)))
         object.__setattr__(self, "_integer_bounds", tuple(bounds))
         object.__setattr__(self, "_outcomes", {})
 
@@ -303,7 +287,7 @@ class LinearSystem:
 
     def violations(self, point: Sequence[Fraction]) -> tuple[str, ...]:
         """Every violated row label / bound, by exact substitution."""
-        return self._violations(*_integer_point(point))
+        return self._violations(*integers(point))
 
     def _violations(self, nums: Sequence[int], den: int) -> tuple[str, ...]:
         """:meth:`violations` at the point ``nums / den``."""
@@ -465,10 +449,7 @@ def exceeding_point(
         gain = dot((c, out.ray[j]) for j, c in problem.terms)
         current = dot((c, out.point[j]) for j, c in problem.terms)
         gap = dot(((bound, ONE), (current, MINUS_ONE)))  # bound - current
-        step = ONE if gain > gap else fraction(  # (gap + 1) / gain
-            (gap.numerator + gap.denominator) * gain.denominator,
-            gap.denominator * gain.numerator,
-        )
+        step = ONE if gain > gap else quotient(dot(((gap, ONE), (ONE, ONE))), gain)
         return tuple(dot(((p, ONE), (step, r))) for p, r in zip(out.point, out.ray))
     assert out.value is not None
     return out.point if out.value > bound else None
@@ -487,7 +468,7 @@ def verify_outcome(problem: LpProblem, outcome: LpOutcome) -> tuple[str, ...]:
         return ()
     if outcome.point is None:
         return (f"{outcome.status.value} outcome without a point",)
-    return _verify(problem, outcome, *_integer_point(outcome.point))
+    return _verify(problem, outcome, *integers(outcome.point))
 
 
 def _verify(
@@ -498,21 +479,19 @@ def _verify(
     bad = list(sys_._violations(nums, den))
     obj, scale = problem._integer_objective
     if outcome.status is LpStatus.OPTIMAL:
-        # value == c.x, both sides times scale * den * value.denominator
-        value = outcome.value
-        if value is None:
+        # value == c.x, both sides times scale * den and the value's denominator
+        if outcome.value is None:
             bad.append("optimal outcome without a value")
-        elif (
-            value.numerator * scale * den
-            != _substitute(obj, nums) * value.denominator
-        ):
+            return tuple(bad)
+        num, vden = parts(outcome.value)
+        if num * scale * den != _substitute(obj, nums) * vden:
             bad.append("reported value differs from objective at the point")
         return tuple(bad)
     # unbounded: the ray must keep every constraint and improve the objective
     if outcome.ray is None:
         bad.append("unbounded outcome without a ray")
         return tuple(bad)
-    ray, _ = _integer_point(outcome.ray)
+    ray, _ = integers(outcome.ray)
     for i, row in enumerate(sys_.rows):
         if not _compare(_substitute(row._integer[0], ray), row.relation, 0):
             bad.append(f"ray escapes {row.label or f'row[{i}]'}")
@@ -552,18 +531,22 @@ class _Standard:
     """
 
     def __init__(self, sys_: LinearSystem):
-        n = sys_.num_vars
         self.transforms: list[tuple] = []
+        widths = []  # u_j <= up - lo, times the denominator of up - lo
         ncols = 0
-        for j in range(n):
-            lo, up = sys_.lower[j], sys_.upper[j]
+        # each bound has passed parts, so frac makes an int bound a Fraction
+        for lo, up in zip(sys_.lower, sys_.upper):
             if lo is not None:
-                if up is not None and up < lo:
-                    raise _InfeasibleBounds()
+                lo = frac(lo)
+                if up is not None:
+                    if up < lo:
+                        raise _InfeasibleBounds()
+                    num, den = parts(dot(((frac(up), ONE), (lo, MINUS_ONE))))
+                    widths.append((((ncols, den),), num, den, LE))
                 self.transforms.append((_SHIFT if lo else _PLAIN, ncols, lo))
                 ncols += 1
             elif up is not None:
-                self.transforms.append((_MIRROR, ncols, up))
+                self.transforms.append((_MIRROR, ncols, frac(up)))
                 ncols += 1
             else:
                 self.transforms.append((_SPLIT, ncols, ncols + 1))
@@ -580,13 +563,7 @@ class _Standard:
                 continue  # duplicate constraint: the one presolve step
             seen.add(key)
             rows.append(key)
-        for j in range(n):
-            lo, up = sys_.lower[j], sys_.upper[j]
-            if lo is not None and up is not None:
-                # u_j <= up - lo, times the denominator of up - lo
-                width = up - lo
-                den = width.denominator
-                rows.append((((self.transforms[j][1], den),), width.numerator, den, LE))
+        rows += widths
 
         slack_cols = sum(1 for *_, rel in rows if rel != EQ)
         total = ncols + slack_cols
@@ -657,7 +634,7 @@ class _Standard:
         divided by the gcd of its scale and every entry, which gives the
         lcm-scaled row again."""
         out: list[tuple[int, int]] = []
-        shift, den = 0, 1  # the shift is shift / den
+        shifts: list[tuple[int, Fraction]] = []  # (a, aux) of each nonzero a * aux
         for j, a in terms:
             kind, col, aux = self.transforms[j]
             if kind == _SPLIT:
@@ -665,12 +642,12 @@ class _Standard:
                 out.append((aux, -a))
                 continue
             out.append((col, -a if kind == _MIRROR else a))
-            if aux:  # a nonzero bound, so a nonzero shift a * aux
-                common = lcm(den, aux.denominator)
-                shift = shift * (common // den) + a * aux.numerator * (
-                    common // aux.denominator
-                )
-                den = common
+            if aux:
+                shifts.append((a, aux))
+        if not shifts:
+            return tuple(out), rhs, scale
+        nums, den = integers([b for _, b in shifts])  # the shift is shift / den
+        shift = sum(a * n for (a, _), n in zip(shifts, nums))
         if not shift:
             return tuple(out), rhs, scale
         num = rhs * den - shift  # the new rhs times den
@@ -682,20 +659,20 @@ class _Standard:
         )
 
     def to_original_point(self, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """The original point of ``u``; a zero offset or a zero side of a
-        split column costs no arithmetic."""
+        """The original point of ``u``; a zero offset or a zero negative
+        side of a split column costs no arithmetic."""
         out = []
         for kind, col, aux in self.transforms:
             x = u[col]
             if kind == _PLAIN:
                 out.append(x)
             elif kind == _SHIFT:
-                out.append(aux + x)
+                out.append(dot(((aux, ONE), (x, ONE))))
             elif kind == _MIRROR:
-                out.append(aux - x)
+                out.append(dot(((aux, ONE), (x, MINUS_ONE))))
             else:
                 neg = u[aux]
-                out.append((x - neg if x else negate(neg)) if neg else x)
+                out.append(dot(((x, ONE), (neg, MINUS_ONE))) if neg else x)
         return tuple(out)
 
     def to_original_ray(self, du: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -704,7 +681,7 @@ class _Standard:
             if kind == _MIRROR:
                 out.append(negate(du[col]))
             elif kind == _SPLIT:
-                out.append(du[col] - du[aux])
+                out.append(dot(((du[col], ONE), (du[aux], MINUS_ONE))))
             else:  # a shift, by 0 or not
                 out.append(du[col])
         return tuple(out)
@@ -911,7 +888,7 @@ def solve(problem: LpProblem) -> LpOutcome:
             u[basis[i]] = fraction(row[-1], d)
     point = std.to_original_point(u)
     # the one integer form of the point: the value and the check share it
-    nums, den = _integer_point(point)
+    nums, den = integers(point)
 
     if enter is not None:
         step = std.ray_scale[enter]

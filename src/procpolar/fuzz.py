@@ -53,7 +53,7 @@ from .process_polar import (
     sample_polar_elements,
     verify_process_bipolar,
 )
-from .rational import dot, fraction, product, quotient
+from .rational import ONE, ZERO, dot, fraction, mix, product, quotient, scaled
 from .rv_polar import (
     RvSet,
     conditional_bipolar_contains,
@@ -67,16 +67,17 @@ from .rv_polar import (
 )
 from .tree import EventTree, Partition, RandomVariable, SampleSpace
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 TWO = Fraction(2)
 
 # the bump past a hull boundary, the most hull moves behind a known process
-# hull member, and the deflator and wealth probes of a market
+# hull member, the deflator and wealth probes of a market and their bump,
+# and the step to just below a superhedge value that a budget is checked at
 BUMP = Fraction(1, 1000)
 HULL_DEPTH = 2
 DEFLATOR_PROBES = 3
 WEALTH_PROBES = 3
+MARKET_BUMP = Fraction(1, 50)
+BELOW = Fraction(-1, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +226,7 @@ def random_market(
             mean = dot(zip(q, raw))
             s = vals[n]
             for ch, r in zip(kids, raw):
-                # s r / mean as one fraction of integer products
-                vals[ch] = fraction(
-                    s.numerator * r.numerator * mean.denominator,
-                    s.denominator * r.denominator * mean.numerator,
-                )
+                vals[ch] = scaled(s, r, mean)
         prices.append(AdaptedProcess(tree, tuple(vals)))
     return Market.of(tree, prices)
 
@@ -518,7 +515,8 @@ def process_probes(
         if kind == 0:  # bumped hull element: at or just past the boundary
             base = rng.choice(hull)
             n = rng.randrange(tree.num_nodes)
-            probes.append(base.with_value(n, base.values[n] + BUMP))
+            bumped = dot(((base.values[n], ONE), (BUMP, ONE)))
+            probes.append(base.with_value(n, bumped))
         elif kind == 1:  # random unit supermartingale
             probes.append(random_supermartingale(rng, tree))
         elif kind == 2:  # scaled generator leaving the unit class
@@ -646,18 +644,7 @@ def _sample_measures(
                 vertex[ch - 1] = v
         # mix toward the interior to keep the measure equivalent
         t = fraction(rng.randint(1, 3), 4)
-        tn, td = t.numerator, t.denominator
-        # t v + (1 - t) i as one fraction of integer products
-        out.append(
-            tuple(
-                fraction(
-                    tn * v.numerator * i.denominator
-                    + (td - tn) * i.numerator * v.denominator,
-                    td * v.denominator * i.denominator,
-                )
-                for v, i in zip(vertex, poly.interior)
-            )
-        )
+        out.append(tuple(mix(t, v, i) for v, i in zip(vertex, poly.interior)))
     return out
 
 
@@ -683,7 +670,8 @@ def deflator_probes_for(
             probes.append(fork_splice(base, base, other, s, w))
         elif kind == 2:
             n = rng.randrange(tree.num_nodes)
-            probes.append(base.with_value(n, base.values[n] + Fraction(1, 50)))
+            bumped = dot(((base.values[n], ONE), (MARKET_BUMP, ONE)))
+            probes.append(base.with_value(n, bumped))
         else:
             probes.append(random_supermartingale(rng, tree))
     return probes[: count + 3]
@@ -706,7 +694,8 @@ def wealth_probes_for(
         base = rng.choice(probes[:3])
         if kind == 0:
             n = rng.randrange(tree.num_nodes)
-            probes.append(base.with_value(n, base.values[n] + Fraction(1, 50)))
+            bumped = dot(((base.values[n], ONE), (MARKET_BUMP, ONE)))
+            probes.append(base.with_value(n, bumped))
         elif kind == 1:
             probes.append(base.scale(fraction(rng.randint(1, 6), 4)))
         else:
@@ -734,8 +723,8 @@ def check_market_instance(rng: random.Random) -> tuple[int, str]:
     value = superhedge_value(m, density).value
     for x, expected in (
         (value, True),
-        (value + 1, True),
-        (value - Fraction(1, 100), None if value == 0 else False),
+        (dot(((value, ONE), (ONE, ONE))), True),
+        (dot(((value, ONE), (BELOW, ONE))), None if value == 0 else False),
     ):
         if x < 0:
             continue

@@ -25,10 +25,10 @@ and its decoder turns a point back into wealth, strategy and consumption.
 Everything is exact; every certificate is substitution-checked.  Value
 arithmetic -- wealth along the tree, the map's objectives and decoder,
 cumulative consumption, density processes, the hedging increments and the
-density-hull bounds -- goes through :func:`~procpolar.rational.product` and
+density-hull bounds -- goes through :func:`~procpolar.rational.product`,
 :func:`~procpolar.rational.dot` (a difference is a ``dot`` with a ``-1``
-weight) or one ``Fraction`` built from integer cross products, so each value
-is normalised once; subtree sums are integer numerators over one lcm.
+weight) and :func:`~procpolar.rational.scaled`, so each value is normalised
+once; subtree sums are :func:`~procpolar.rational.integers` over one lcm.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import PostconditionError, PreconditionError
@@ -57,12 +56,21 @@ from .exact_lp import (
 )
 from .process_polar import defect_terms, first_defect
 from .processes import AdaptedProcess, is_martingale, is_supermartingale
-from .rational import dot, frac, frac_tuple, fraction, negate, product
+from .rational import (
+    MINUS_ONE,
+    ONE,
+    ZERO,
+    dot,
+    frac,
+    frac_tuple,
+    fraction,
+    integers,
+    less,
+    negate,
+    product,
+    scaled,
+)
 from .tree import EventTree, RandomVariable, terminal_space
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -161,10 +169,7 @@ class ConsumptionProcess:
             raise PreconditionError("cumulative consumption starts at 0")
         vals = c.values
         for n, par in enumerate(c.tree.parent):
-            if par is None:
-                continue
-            a, b = vals[n], vals[par]  # a < b, in integer cross products
-            if a.numerator * b.denominator < b.numerator * a.denominator:
+            if par is not None and less(vals[n], vals[par]):
                 raise PreconditionError(
                     f"consumption decreases along the edge into {c.tree.labels[n]}"
                 )
@@ -191,7 +196,7 @@ class ConsumptionDensity:
             raise PreconditionError("one weight per time index required")
         if any(w < 0 for w in weights):
             raise PreconditionError("time weights must be nonnegative")
-        if sum(weights) != 1:
+        if dot((w, ONE) for w in weights) != 1:
             raise PreconditionError("time weights must sum to 1")
 
     def cumulative(self) -> ConsumptionProcess:
@@ -289,12 +294,7 @@ def density_process(m: Market, q: Sequence[Fraction]) -> AdaptedProcess:
     tree = m.tree
     vals = [ONE] * tree.num_nodes
     for n in range(1, tree.num_nodes):
-        # y(parent) q / p as one fraction of integer products
-        y, r, p = vals[tree.parent[n]], q[n - 1], tree.edge_prob[n]
-        vals[n] = fraction(
-            y.numerator * r.numerator * p.denominator,
-            y.denominator * r.denominator * p.numerator,
-        )
+        vals[n] = scaled(vals[tree.parent[n]], q[n - 1], tree.edge_prob[n])
     y = AdaptedProcess(tree, tuple(vals))
     if not is_martingale(y):
         raise PostconditionError("density process failed the martingale check")
@@ -453,8 +453,7 @@ def _subtree_sums(tree: EventTree, weights: Sequence[Fraction]) -> list[Fraction
     """Per node, the weights summed over its subtree: integer numerators
     over the lcm of the weights' denominators, normalised once each; a
     zero sum is the shared ``ZERO``."""
-    den = lcm(*(w.denominator for w in weights))
-    sums = [w.numerator * (den // w.denominator) for w in weights]
+    sums, den = integers(weights)
     for n in range(tree.num_nodes - 1, 0, -1):
         if sums[n]:
             sums[tree.parent[n]] += sums[n]

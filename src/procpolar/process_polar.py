@@ -54,12 +54,10 @@ from .processes import (
     increment,
     is_supermartingale,
 )
-from .rational import dot, fraction, negate, product
+from .rational import ONE, ZERO, dot, fraction, negate, product
 from .rv_polar import RvSet, conditional_bipolar_contains, conditional_polar_constraints
 from .tree import RandomVariable, level_partition, level_space
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 

@@ -11,13 +11,12 @@ Values are coerced through :func:`~procpolar.rational.frac`, so a float or
 a bool is refused and an int becomes a ``Fraction``.  Products of values
 go through :func:`~procpolar.rational.product`, quotients through
 :func:`~procpolar.rational.quotient`, sums of products through
-:func:`~procpolar.rational.dot` and other integer cross products through
-:func:`~procpolar.rational.fraction`, so each result is normalised once.
+:func:`~procpolar.rational.dot` and fork coefficients through
+:func:`~procpolar.rational.scaled`, so each result is normalised once.
 The one-step (super)martingale comparison at a node brings
 ``sum(p(c) * y(c))`` and ``y(n)`` to one common denominator
-(:func:`~procpolar.rational.dot_sides`) and compares integers;
-:class:`NonIncreasingProcess` compares each edge's two values by
-cross-multiplied numerators.
+(:func:`~procpolar.rational.dot_sides`) and compares integers; the other
+comparisons of values go through :func:`~procpolar.rational.less`.
 The exact supermartingale check runs once per process object: its verdict
 is cached on the process, outside its fields.  Every operation returns a
 new process, so each postcondition is still checked on its result afresh.
@@ -40,19 +39,21 @@ from typing import Iterator, Mapping
 
 from .errors import PostconditionError, PreconditionError
 from .rational import (
+    ONE,
+    ZERO,
+    complement,
     dot,
     dot_sides,
     frac,
     frac_tuple,
     fraction,
+    less,
     nonnegative,
     product,
     quotient,
+    scaled,
 )
 from .tree import EventTree
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -139,14 +140,11 @@ class NonIncreasingProcess:
 
     def __post_init__(self) -> None:
         p = self.process
-        if p.initial.numerator > p.initial.denominator:
+        if less(ONE, p.initial):
             raise PreconditionError("nonincreasing processes start at most at 1")
         vals = p.values
         for i, par in enumerate(p.tree.parent):
-            if par is None:
-                continue
-            v, u = vals[i], vals[par]
-            if v.numerator * u.denominator > u.numerator * v.denominator:
+            if par is not None and less(vals[par], vals[i]):
                 raise PreconditionError(
                     f"value increases along the edge into {p.tree.labels[i]}"
                 )
@@ -257,7 +255,7 @@ def fork_splice(
             raise PreconditionError(
                 f"missing weights at time-{s} nodes {[tree.labels[n] for n in missing]}"
             )
-    if any(not 0 <= w.numerator <= w.denominator for w in wmap.values()):
+    if not nonnegative(wmap.values()) or any(less(ONE, w) for w in wmap.values()):
         raise PreconditionError("splice weights must lie in [0, 1]")
     for y in (y2, y3):
         if not has_absorbed_zeros(y):
@@ -273,10 +271,11 @@ def fork_splice(
         if t < s:
             continue
         if t == s:
-            wn, wd = wmap[m].numerator, wmap[m].denominator
+            w = wmap[m]
+            rest = complement(w)
             coefs[m] = (
-                _share(v1[m], wn, wd, v2[m]) if wn and v2[m] else ZERO,
-                _share(v1[m], wd - wn, wd, v3[m]) if wn != wd and v3[m] else ZERO,
+                scaled(v1[m], w, v2[m]) if w and v2[m] else ZERO,
+                scaled(v1[m], rest, v3[m]) if rest and v3[m] else ZERO,
             )
             continue
         a, b = coefs[m] = coefs[tree.parent[m]]
@@ -291,14 +290,6 @@ def fork_splice(
         if not is_unit_supermartingale(result):
             raise PostconditionError("fork splice left the supermartingale class")
     return result
-
-
-def _share(base: Fraction, num: int, den: int, divisor: Fraction) -> Fraction:
-    """A fork coefficient ``base * (num / den) / divisor``, normalised once."""
-    return fraction(
-        base.numerator * num * divisor.denominator,
-        base.denominator * den * divisor.numerator,
-    )
 
 
 @dataclass(frozen=True)

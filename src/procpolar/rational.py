@@ -4,37 +4,31 @@ Every number in this library is a ``fractions.Fraction``.  Floats are
 rejected everywhere: the library's claims are exact set equalities and a
 single rounded value would silently turn them into approximations.
 
-This is the one module that builds ``Fraction`` objects from their parts
-and reads their ``_numerator`` and ``_denominator`` slots.  :func:`fraction`
-is ``Fraction(n, d)`` for two ints: one ``gcd``, the sign moved to the
-numerator, and the two slots set on a bare ``object.__new__(Fraction)``,
-which is how the standard library's own arithmetic builds its results
-(``Fraction._from_coprime_ints`` since Python 3.12).  That is safe because
-a ``Fraction`` is nothing but those two slots, and a value is the same
-value, hash and repr whichever way its slots were set, as long as they
-hold the normalised pair (coprime, positive denominator) that
-``Fraction(n, d)`` would hold; ``tests/test_rational.py`` checks that
-against the constructor on every interpreter the project supports.
-:func:`negate` flips the sign of a value already normalised, with no
-``gcd``.
+This is the one module that turns rationals into integers and back: it
+alone builds a ``Fraction`` from its parts, reads its parts and calls its
+arithmetic operators (but for the tests' reference
+:func:`~procpolar.tree.cond_exp_one_step`).  :func:`fraction` is ``Fraction(n, d)`` for two
+ints: one ``gcd``, the sign moved to the numerator, and the two slots set
+on a bare ``object.__new__(Fraction)``, which is how the standard
+library's own arithmetic builds its results (``Fraction._from_coprime_ints``
+since Python 3.12).  That is safe because a ``Fraction`` is nothing but
+those two slots, and a value is the same value, hash and repr whichever way
+its slots were set, as long as they hold the normalised pair (coprime,
+positive denominator) that ``Fraction(n, d)`` would hold;
+``tests/test_rational.py`` checks that against the constructor on every
+interpreter the project supports.  :func:`negate` and :func:`complement`
+(``-x`` and ``1 - x``) need no ``gcd``.
 
-:func:`product`, :func:`quotient` and :func:`dot` compute ``a * b``,
-``a / b`` and ``sum(a * b)`` on the numerators and denominators as
-integers and normalise the result once, where the ``Fraction`` operators
-normalise every product and every partial sum (deferred gcds, Knuth,
-TAOCP vol. 2, sec. 4.5.1); :func:`dot_sides` brings a sum of products and
-one value to integers over one common denominator, so comparing them
-compares the rationals.  They return the same normalised ``Fraction`` as
-the operators.  They do not coerce: their inputs are Fractions that have
-already passed :func:`frac`.
-
-They run wherever values are multiplied, divided, summed or negated: the
-process and random-variable calculus and its nonnegativity checks, block
-and path probabilities, the polar rows and objectives, the seeded
-samplers, the market layer's wealth, wealth-map objectives, solvency
-rows, consumption, density processes and system right-hand sides, and the
-points, rays and values the exact LP reads off its integer tableau.  A
-difference is a :func:`dot` with a ``-1`` weight.
+:func:`product`, :func:`quotient`, :func:`scaled`, :func:`mix` and
+:func:`dot` compute on the numerators and denominators as integers and
+normalise the result once, where the ``Fraction`` operators normalise
+every product and every partial sum (deferred gcds, Knuth, TAOCP vol. 2,
+sec. 4.5.1); :func:`less` and :func:`dot_sides` compare cross-multiplied
+integers.  They return what the operators return and take Fractions that
+have passed :func:`frac`.  A sum or a difference is a :func:`dot` with
+``ONE`` and ``MINUS_ONE`` weights.  :func:`parts` and :func:`integers` take
+values apart under the exact LP core's type rule: a ``Fraction`` or an
+``int``; anything else is refused with ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -42,12 +36,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import RationalFormatError
+from .errors import PreconditionError, RationalFormatError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*[1-9]\d*)?$")
 _new = object.__new__
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -82,7 +80,7 @@ def frac(value: int | str | Fraction) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise RationalFormatError(f"cannot use {value!r} as a rational")
+        raise RationalFormatError(f"cannot use bool {value!r} as a rational")
     if isinstance(value, int):
         return fraction(value, 1)
     if isinstance(value, str):
@@ -125,6 +123,15 @@ def negate(x: Fraction) -> Fraction:
     return y
 
 
+def complement(x: Fraction) -> Fraction:
+    """``1 - x``: ``d - n`` and ``d`` are coprime when ``n`` and ``d`` are,
+    so no ``gcd``."""
+    y = _new(Fraction)
+    y._numerator = x._denominator - x._numerator
+    y._denominator = x._denominator
+    return y
+
+
 def nonnegative(values: Iterable[Fraction]) -> bool:
     """Whether no value is below 0."""
     for v in values:
@@ -136,6 +143,27 @@ def nonnegative(values: Iterable[Fraction]) -> bool:
 def product(a: Fraction, b: Fraction) -> Fraction:
     """``a * b``, normalised once."""
     return fraction(a._numerator * b._numerator, a._denominator * b._denominator)
+
+
+def less(a: Fraction, b: Fraction) -> bool:
+    """``a < b``, by cross-multiplied parts."""
+    return a._numerator * b._denominator < b._numerator * a._denominator
+
+
+def scaled(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
+    """``a * b / c``, normalised once; ``c == 0`` raises ``ZeroDivisionError``."""
+    return fraction(
+        a._numerator * b._numerator * c._denominator,
+        a._denominator * b._denominator * c._numerator,
+    )
+
+
+def mix(w: Fraction, a: Fraction, b: Fraction) -> Fraction:
+    """``w * a + (1 - w) * b``, normalised once."""
+    wn, wd = w._numerator, w._denominator
+    an, ad = a._numerator, a._denominator
+    bn, bd = b._numerator, b._denominator
+    return fraction(wn * an * bd + (wd - wn) * bn * ad, wd * ad * bd)
 
 
 def quotient(a: Fraction, b: Fraction) -> Fraction:
@@ -173,3 +201,27 @@ def dot_sides(
         sum(n * (common // d) for n, d in terms),
         value._numerator * (common // den),
     )
+
+
+def parts(value: int | Fraction) -> tuple[int, int]:
+    """The numerator and denominator of a ``Fraction`` or an ``int``; a
+    bool is not a number here, however Python counts it."""
+    if isinstance(value, Fraction):
+        return value._numerator, value._denominator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    raise PreconditionError(
+        f"cannot use {type(value).__name__} {value!r} as an exact rational"
+    )
+
+
+def integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``values`` over the lcm of their denominators (1
+    when there are none), and that lcm; each value as :func:`parts` reads it."""
+    try:  # the common case, Fractions only, reads the slots directly
+        den = lcm(*[x._denominator for x in values])
+        return [x._numerator * (den // x._denominator) for x in values], den
+    except AttributeError:  # an int, or a value parts refuses
+        pairs = [parts(x) for x in values]
+        den = lcm(*[d for _, d in pairs])
+        return [n * (den // d) for n, d in pairs], den

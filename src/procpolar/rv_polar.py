@@ -49,11 +49,8 @@ from .exact_lp import (
     per_owner,
     vector,
 )
-from .rational import fraction, product, quotient
+from .rational import ONE, ZERO, mix, product, quotient
 from .tree import Partition, RandomVariable, SampleSpace, cond_exp_partition
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -90,20 +87,8 @@ def partition_mix(
         raise PreconditionError("mixing weight is not block-constant")
     if any(v > 1 for v in weight.values):
         raise PreconditionError("mixing weight outside [0, 1]")
-    space = partition.space
-    vals = []
-    for i in range(space.size):
-        # w a + (1 - w) b as one fraction of integer products
-        w, a, b = weight.values[i], f.values[i], g.values[i]
-        wn, wd = w.numerator, w.denominator
-        vals.append(
-            fraction(
-                wn * a.numerator * b.denominator
-                + (wd - wn) * b.numerator * a.denominator,
-                wd * a.denominator * b.denominator,
-            )
-        )
-    return RandomVariable(space, tuple(vals))
+    vals = tuple(map(mix, weight.values, f.values, g.values))
+    return RandomVariable(partition.space, vals)
 
 
 # ---------------------------------------------------------------------------

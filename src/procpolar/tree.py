@@ -23,6 +23,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError
 from .rational import (
+    ONE,
+    ZERO,
     dot,
     format_rational,
     frac,
@@ -31,9 +33,6 @@ from .rational import (
     product,
     quotient,
 )
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class TreeStructureError(PreconditionError):
@@ -186,7 +185,7 @@ def validate_tree(tree: EventTree) -> ValidationReport:
                 " is not strictly positive (non-equivalent measure)"
             )
         if tree.children[i]:
-            total = sum((tree.edge_prob[c] for c in tree.children[i]), ZERO)
+            total = dot((tree.edge_prob[c], ONE) for c in tree.children[i])
             if total != 1:
                 violations.append(
                     f"node {lab}: children probabilities sum to "

@@ -812,6 +812,25 @@ def test_floats_are_refused_as_input():
     assert maximize(ints, [(0, 1), (1, 1)]).value == 1
 
 
+def test_bools_are_refused_as_input():
+    """A bool is an int to Python but not a number to the exact core: in a
+    row's terms or rhs, a bound or an objective it is refused with
+    PreconditionError, as a float is."""
+    good = exact_lp.LinearConstraint(((0, F(1)),), LE, F(1))
+    for terms, rhs in ((((0, True),), F(1)), (((0, F(1)),), False)):
+        with pytest.raises(PreconditionError, match="bool"):
+            exact_lp.LinearConstraint(terms, LE, rhs)
+    for lower, upper in (((True,), (None,)), ((F(0),), (False,))):
+        with pytest.raises(PreconditionError, match="bool"):
+            LinearSystem(1, (good,), lower, upper)
+    system = LinearSystem(1, (good,), (F(0),), (None,))
+    with pytest.raises(PreconditionError, match="bool"):
+        LpProblem("max", ((0, True),), system)
+    for ask in (maximize, minimize, lambda s, o: exceeding_point(s, o, 0)):
+        with pytest.raises(RationalFormatError, match="bool"):
+            ask(system, [(0, True)])
+
+
 # ---------------------------------------------------------------------------
 # One solve per question and system object
 # ---------------------------------------------------------------------------

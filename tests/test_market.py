@@ -5,11 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from procpolar import exact_lp, market
+from procpolar import exact_lp, fuzz, market
 from procpolar.errors import PostconditionError, PreconditionError, RationalFormatError
 from procpolar.fuzz import (
     _sample_measures,
+    check_market_instance,
     deflator_probes_for,
+    instance_rng,
     random_consumption_density,
     random_market,
     random_positive_weights,
@@ -1099,6 +1101,48 @@ def test_sampled_measures_match_reference_draw():
             )
         assert [_ratios(q) for q in got] == [_ratios(q) for q in expected]
         assert ours.getstate() == reference.getstate()
+
+
+def test_probe_bumps_and_budget_steps_match_operator_reference(monkeypatch):
+    """The deflator and wealth probes bump a value by the operators'
+    ``v + 1/50``, and the budget is asked at ``v``, ``v + 1`` and
+    ``v - 1/100`` (the nonnegative ones) for the superhedge value ``v``."""
+    bumps, values, asked = [], [], []
+    with_value, superhedge, budget = (
+        AdaptedProcess.with_value,
+        fuzz.superhedge_value,
+        fuzz.budget_check,
+    )
+
+    def bumped(process, node, value):
+        bumps.append((process.values[node], value))
+        return with_value(process, node, value)
+
+    def valued(m, density):
+        out = superhedge(m, density)
+        values.append(out.value)
+        return out
+
+    def budget_at(m, density, x):
+        asked.append(x)
+        return budget(m, density, x)
+
+    monkeypatch.setattr(AdaptedProcess, "with_value", bumped)
+    monkeypatch.setattr(fuzz, "superhedge_value", valued)
+    monkeypatch.setattr(fuzz, "budget_check", budget_at)
+    for rng, m in _kernel_cases(71, 12):
+        deflator_probes_for(rng, m, 6)
+        wealth_probes_for(rng, m, 6)
+    assert len(bumps) >= 10
+    assert [_ratios((new,)) for _, new in bumps] == [
+        _ratios((old + F(1, 50),)) for old, _ in bumps
+    ]
+    bumps.clear()
+    for index in range(2):
+        check_market_instance(instance_rng("market", 11, index))
+    steps = [(v, v + 1, v - F(1, 100)) for v in values]
+    assert len(values) == 2
+    assert _ratios(asked) == _ratios(x for xs in steps for x in xs if x >= 0)
 
 
 def test_wealth_arithmetic_matches_operator_reference():

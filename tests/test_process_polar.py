@@ -282,6 +282,27 @@ def test_a_process_set_is_freed_without_the_cyclic_collector(gc_off):
     assert ref() is None
 
 
+def test_process_probe_bump_matches_operator_reference(monkeypatch):
+    """A bumped hull probe is its base with one value moved by the
+    operators' ``v + 1/1000``."""
+    bumps = []
+    with_value = AdaptedProcess.with_value
+
+    def bumped(process, node, value):
+        bumps.append((process.values[node], value))
+        return with_value(process, node, value)
+
+    monkeypatch.setattr(AdaptedProcess, "with_value", bumped)
+    rng = random.Random(29)
+    cfg = ProcessFuzzConfig
+    for _ in range(8):
+        c = random_process_set(rng, random_tree(rng, 3, 2), 3)
+        process_probes(rng, c, cfg.probes, cfg.hull_probes)
+    assert len(bumps) >= 5
+    ratios = [(type(v), v.as_integer_ratio()) for _, v in bumps]
+    assert ratios == [(F, (old + F(1, 1000)).as_integer_ratio()) for old, _ in bumps]
+
+
 def test_memoised_oracles_match_fresh_sets():
     rng = random.Random(21)
     cfg = ProcessFuzzConfig

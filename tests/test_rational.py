@@ -1,14 +1,21 @@
 """The rational kernel against the ``Fraction`` constructor and operators.
 
-``fraction`` and ``negate`` set a ``Fraction``'s slots directly, so each
-value they build must be indistinguishable from the constructor's: same
-type, numerator, denominator, hash and repr.  The arithmetic kernels must
-return the value the operators return, normalised the same way.
+``fraction``, ``negate`` and ``complement`` set a ``Fraction``'s slots
+directly, so each value they build must be indistinguishable from the
+constructor's: same type, numerator, denominator, hash and repr.  The
+arithmetic kernels must return the value the operators return, normalised
+the same way, and the kernels that take values apart must follow the one
+type rule: a ``Fraction`` or an ``int``, nothing else.  No other library
+module takes a rational apart or calls a ``Fraction`` operator, which the
+last two tests check in the source and at run time.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from math import lcm
 from pathlib import Path
@@ -17,25 +24,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procpolar.errors import RationalFormatError
+from procpolar import cli
+from procpolar.errors import PreconditionError, RationalFormatError
 from procpolar.rational import (
+    complement,
     dot,
     dot_sides,
     format_rational,
     frac,
     fraction,
+    integers,
+    less,
+    mix,
     negate,
     nonnegative,
+    parts,
     product,
     quotient,
+    scaled,
 )
+from procpolar.tree import EventTree, cond_exp_one_step
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "procpolar"
 
 BIG = 10**30
-integers = st.integers(-BIG, BIG)
-nonzero = integers.filter(bool)
-rationals = st.builds(F, integers, nonzero)
+ints = st.integers(-BIG, BIG)
+nonzero = ints.filter(bool)
+rationals = st.builds(F, ints, nonzero)
+exacts = st.one_of(rationals, ints)  # the values the type rule accepts
 
 
 def _parts(x):
@@ -44,7 +60,7 @@ def _parts(x):
 
 
 @settings(max_examples=2000, deadline=None)
-@given(integers, nonzero)
+@given(ints, nonzero)
 def test_fraction_and_negate_match_the_constructor(n, d):
     expected = F(n, d)
     got = fraction(n, d)
@@ -56,7 +72,7 @@ def test_fraction_and_negate_match_the_constructor(n, d):
     assert got == expected and {got: 1}[expected] == 1
 
 
-@given(integers)
+@given(ints)
 def test_fraction_over_zero_raises_like_the_constructor(n):
     with pytest.raises(ZeroDivisionError):
         F(n, 0)
@@ -101,9 +117,127 @@ def test_format_rational_refuses_floats_bools_and_decimals():
             format_rational(bad)
 
 
+@settings(max_examples=500, deadline=None)
+@given(rationals, rationals, rationals)
+def test_new_kernels_match_the_operators(a, b, c):
+    assert less(a, b) is (a < b) and less(b, a) is (b < a) and not less(a, a)
+    assert _parts(complement(a)) == _parts(1 - a)
+    assert _parts(complement(complement(a))) == _parts(a)
+    assert _parts(mix(a, b, c)) == _parts(a * b + (1 - a) * c)
+    assert _parts(scaled(a, b, c)) == _parts(a * b / c)
+    with pytest.raises(ZeroDivisionError):
+        scaled(a, b, F(0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(exacts, st.lists(exacts, max_size=8))
+def test_parts_and_integers_take_fractions_and_ints_apart(x, values):
+    expected = F(x)
+    n, d = parts(x)
+    assert (n, d) == (expected.numerator, expected.denominator)
+    assert type(n) is int and type(d) is int
+    nums, den = integers(values)
+    assert den == lcm(*(F(v).denominator for v in values))
+    assert [F(n, den) for n in nums] == [F(v) for v in values]
+    assert all(type(n) is int for n in nums) and type(den) is int
+    # a Fraction-only sequence takes the slot path, an int the parts path:
+    # both give the one answer
+    assert integers([F(v) for v in values]) == (nums, den)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1/2", None])
+def test_the_type_rule_refuses_all_but_fractions_and_ints(bad):
+    name = type(bad).__name__
+    with pytest.raises(PreconditionError, match=name):
+        parts(bad)
+    for values in ([bad], [F(1, 2), bad], [bad, 3]):
+        with pytest.raises(PreconditionError, match=name):
+            integers(values)
+
+
 def test_only_the_kernel_reads_fraction_slots():
-    slot = re.compile(r"\b_(?:numerator|denominator)\b")
+    """No module but rational.py reads a Fraction's slots or its numerator
+    and denominator properties."""
+    parts_read = re.compile(
+        r"\b_(?:numerator|denominator)\b|\.(?:numerator|denominator)\b"
+    )
     readers = sorted(
-        path.name for path in PACKAGE.glob("*.py") if slot.search(path.read_text())
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if parts_read.search(path.read_text(encoding="utf-8"))
     )
     assert readers == ["rational.py"]
+
+
+ARITHMETIC = (
+    "__new__",
+    "__add__",
+    "__radd__",
+    "__sub__",
+    "__rsub__",
+    "__mul__",
+    "__rmul__",
+    "__truediv__",
+    "__rtruediv__",
+    "__floordiv__",
+    "__rfloordiv__",
+    "__mod__",
+    "__rmod__",
+    "__divmod__",
+    "__rdivmod__",
+    "__pow__",
+    "__rpow__",
+    "__neg__",
+    "__pos__",
+    "__abs__",
+)
+
+
+def test_the_suites_call_no_fraction_operator_outside_the_kernel(monkeypatch):
+    """Instances of each fuzz suite, run with counting wrappers on the
+    ``Fraction`` constructor, its arithmetic operators and its numerator and
+    denominator properties: no call comes from a library frame other than
+    rational.py's."""
+    calls: dict[tuple[str, str], int] = {}
+    library = str(Path(cli.__file__).parent)  # as the frames name the files
+
+    def record(name: str) -> None:
+        frame = sys._getframe(2)  # the caller of the wrapped operator
+        path = frame.f_code.co_filename
+        if path.startswith(library) and not path.endswith("rational.py"):
+            key = (name, f"{Path(path).name}:{frame.f_lineno}")
+            calls[key] = calls.get(key, 0) + 1
+
+    def counted(name, operator):
+        def wrapper(*args, **kwargs):
+            record(name)
+            return operator(*args, **kwargs)
+
+        return wrapper
+
+    def counted_property(name):
+        slot = f"_{name}"
+
+        def getter(self):
+            record(name)
+            return getattr(self, slot)
+
+        return property(getter)
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(F, name, counted_property(name))
+    # the wrappers are live: a call from this frame is not counted, and one
+    # from the library is, such as those of the tests' operator reference
+    assert F(1, 2) + F(1, 3) == F(5, 6) and F(3, 4).numerator == 3
+    assert calls == {}
+    tree = EventTree.build([None, 0, 0], [None, F(1, 3), F(2, 3)])
+    assert cond_exp_one_step(tree, {1: F(3), 2: F(3, 2)}, 0) == F(2)
+    assert {name for name, _ in calls} >= {"__add__", "__mul__"}
+    calls.clear()
+    for suite, count, seed in (("cbt", 4, 42), ("fbt", 4, 7), ("market", 2, 11)):
+        with redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["fuzz", suite, "--count", str(count), "--seed", str(seed)])
+        assert code == 0, out.getvalue()
+    assert calls == {}
