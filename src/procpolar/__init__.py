@@ -19,7 +19,6 @@ from .exact_lp import (
     LpOutcome,
     LpProblem,
     LpStatus,
-    constraint,
     feasible_interior_point,
     maximize,
     minimize,
@@ -83,7 +82,6 @@ from .rv_polar import (
     RvSet,
     conditional_bipolar_contains,
     conditional_polar_constraints,
-    conditional_polar_contains,
     hull_contains,
     pairwise_max_closure,
     partition_mix,
@@ -94,7 +92,6 @@ from .tree import (
     Partition,
     RandomVariable,
     SampleSpace,
-    cond_exp_one_step,
     cond_exp_partition,
     level_partition,
     level_space,

@@ -54,8 +54,7 @@ answer.
 
 A row or an objective is its terms: :class:`LinearConstraint` and
 :class:`LpProblem` hold ``(column, coefficient)`` pairs in column order
-under one column rule, and only this module knows how they are stored;
-:func:`constraint` builds a row from dense coefficients.
+under one column rule, and only this module knows how they are stored.
 
 The oracles ask the core one of two questions.  The hull side asks
 :func:`feasible_point`: a point of a system, or None when it is empty.
@@ -72,13 +71,15 @@ their denominators, with that lcm.  The substitution check behind
 :meth:`LinearSystem.violations` and :func:`verify_outcome` reads it, and
 so does the standard form.  A point or ray is brought to one common
 denominator ``D``, and each row ``a.x <= b`` is tested as
-``sum(a_j * n_j) <= b * D`` on its integer numerators ``n``.  The check
-reads only a system's rows and bounds and the problem's objective, never
-the standard form or the tableau, so it stays independent of the solver;
-sharing the row's integer form adds no blind spot, since each side would
-compute it with the same function.  The objective is brought to integers
-when its :class:`LpProblem` is built, and the bounds when their system is;
-the outcome memo, the cost row and the check's value read those forms.
+``sum(a_j * n_j) <= b * D`` on its integer numerators ``n``; a ray is
+tested with ``D = 0``, so every row and bound is compared against 0, the
+ray condition.  The check reads only a system's rows and bounds and the
+problem's objective, never the standard form or the tableau, so it stays
+independent of the solver; sharing the row's integer form adds no blind
+spot, since each side would compute it with the same function.  The
+objective is brought to integers when its :class:`LpProblem` is built,
+and the bounds when their system is; the outcome memo, the cost row and
+the check's value read those forms.
 Every value in a row, a bound or an objective must be an ``int`` or a
 ``Fraction`` (:func:`~procpolar.rational.parts`): anything else, a float
 or a bool, is refused with :class:`PreconditionError` when the object
@@ -190,14 +191,6 @@ def _substitute(terms: Iterable[tuple[int, int]], nums: Sequence[int]) -> int:
     return total
 
 
-def _compare(lhs: int, relation: str, rhs: int) -> bool:
-    if relation == LE:
-        return lhs <= rhs
-    if relation == GE:
-        return lhs >= rhs
-    return lhs == rhs
-
-
 def vector(
     num_vars: int, terms: Iterable[tuple[int, Fraction]]
 ) -> tuple[Fraction, ...]:
@@ -208,18 +201,6 @@ def vector(
         # assign the first value: adding it to ZERO costs a dot
         out[j] = a if out[j] is ZERO else dot(((out[j], ONE), (a, ONE)))
     return tuple(out)
-
-
-def constraint(
-    coeffs: Sequence[int | str | Fraction],
-    relation: str,
-    rhs: int | str | Fraction,
-    label: str = "",
-) -> LinearConstraint:
-    """A row from dense coefficients, ``coeffs[j]`` in column ``j``; the
-    columns past ``coeffs`` have coefficient 0."""
-    terms = [(j, a) for j, a in enumerate(map(frac, coeffs)) if a]
-    return LinearConstraint(terms, relation, frac(rhs), label)
 
 
 @dataclass(frozen=True)
@@ -492,13 +473,8 @@ def _verify(
         bad.append("unbounded outcome without a ray")
         return tuple(bad)
     ray, _ = integers(outcome.ray)
-    for i, row in enumerate(sys_.rows):
-        if not _compare(_substitute(row._integer[0], ray), row.relation, 0):
-            bad.append(f"ray escapes {row.label or f'row[{i}]'}")
-    for j, relation, _, _ in sys_._integer_bounds:
-        if not _compare(ray[j], relation, 0):
-            side = "lower" if relation == GE else "upper"
-            bad.append(f"ray exits {side} bound of {sys_.name_of(j)}")
+    # over a denominator of 0 every rhs and bound is 0: the ray's condition
+    bad += (f"ray escapes {v}" for v in sys_._violations(ray, 0))
     gain = _substitute(obj, ray)
     if problem.sense == "max" and gain <= 0:
         bad.append("ray does not increase the objective")
@@ -512,7 +488,7 @@ def _verify(
 # ---------------------------------------------------------------------------
 
 # transforms from original variables to standard-form columns
-_PLAIN = "plain"  # x = u, a shift by a lower bound of 0
+_PLAIN = "plain"  # x = u, a lower bound of 0 (aux None)
 _SHIFT = "shift"  # x = L + u, L nonzero
 _MIRROR = "mirror"  # x = U - u
 _SPLIT = "split"  # x = u+ - u-
@@ -543,7 +519,11 @@ class _Standard:
                         raise _InfeasibleBounds()
                     num, den = parts(dot(((frac(up), ONE), (lo, MINUS_ONE))))
                     widths.append((((ncols, den),), num, den, LE))
-                self.transforms.append((_SHIFT if lo else _PLAIN, ncols, lo))
+                # a plain column keeps None, which _rewrite's `if aux` skips
+                # without a Fraction truth test per term
+                self.transforms.append(
+                    (_SHIFT, ncols, lo) if lo else (_PLAIN, ncols, None)
+                )
                 ncols += 1
             elif up is not None:
                 self.transforms.append((_MIRROR, ncols, frac(up)))

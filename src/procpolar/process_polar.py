@@ -54,7 +54,7 @@ from .processes import (
     increment,
     is_supermartingale,
 )
-from .rational import ONE, ZERO, dot, fraction, negate, product
+from .rational import ONE, ZERO, dot, fraction, negate, product, quotient
 from .rv_polar import RvSet, conditional_bipolar_contains, conditional_polar_constraints
 from .tree import RandomVariable, level_partition, level_space
 
@@ -280,14 +280,12 @@ def envelope_process(
                 if y.values[n] == 0:
                     candidates.append(ZERO)
                     continue
-                total = ZERO
-                for ch in tree.children[n]:
-                    total += (
-                        tree.edge_prob[ch]
-                        * (y.values[ch] / y.values[n])
-                        * best[ch]
-                    )
-                candidates.append(total)
+                # sum of p(ch) * (y(ch) / y(n)) * best(ch), divided once
+                total = dot(
+                    (product(tree.edge_prob[ch], y.values[ch]), best[ch])
+                    for ch in tree.children[n]
+                )
+                candidates.append(quotient(total, y.values[n]))
             best[n] = max(candidates)
     for n in tree.nodes_at(t_from):
         if best[n] > 1:

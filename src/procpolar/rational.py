@@ -6,8 +6,7 @@ single rounded value would silently turn them into approximations.
 
 This is the one module that turns rationals into integers and back: it
 alone builds a ``Fraction`` from its parts, reads its parts and calls its
-arithmetic operators (but for the tests' reference
-:func:`~procpolar.tree.cond_exp_one_step`).  :func:`fraction` is ``Fraction(n, d)`` for two
+arithmetic operators.  :func:`fraction` is ``Fraction(n, d)`` for two
 ints: one ``gcd``, the sign moved to the numerator, and the two slots set
 on a bare ``object.__new__(Fraction)``, which is how the standard
 library's own arithmetic builds its results (``Fraction._from_coprime_ints``

@@ -129,13 +129,6 @@ def conditional_polar_constraints(c: RvSet) -> LinearSystem:
     )
 
 
-def conditional_polar_contains(c: RvSet, g: RandomVariable) -> bool:
-    """Exact substitution of ``g`` into the conditional polar constraints."""
-    if g.space != c.space:
-        raise PreconditionError("candidate lives on a different space")
-    return conditional_polar_constraints(c).satisfied_by(g.values)
-
-
 # ---------------------------------------------------------------------------
 # Hull membership (the primal side)
 # ---------------------------------------------------------------------------

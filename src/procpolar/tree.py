@@ -199,22 +199,6 @@ def validate_tree(tree: EventTree) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def cond_exp_one_step(
-    tree: EventTree, values: Mapping[int, Fraction], node: int
-) -> Fraction:
-    """One-step conditional expectation at ``node``: sum of p(child)*value."""
-    if tree.is_terminal(node):
-        raise PreconditionError(f"node {tree.labels[node]} is terminal")
-    total = ZERO
-    for c in tree.children[node]:
-        if c not in values:
-            raise PreconditionError(
-                f"missing value for child {tree.labels[c]} of {tree.labels[node]}"
-            )
-        total += tree.edge_prob[c] * values[c]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Finite probability spaces, random variables, partitions
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from procpolar.exact_lp import (
     EQ,
     GE,
     LE,
+    LinearConstraint,
     LinearSystem,
     LpOutcome,
     LpProblem,
     LpStatus,
-    constraint,
     exceeding_point,
     feasible_interior_point,
     feasible_point,
@@ -38,6 +38,13 @@ from procpolar.exact_lp import (
     vector,
     verify_outcome,
 )
+
+
+def constraint(coeffs, relation: str, rhs, label: str = "") -> LinearConstraint:
+    """A row from dense coefficients, ``coeffs[j]`` in column ``j``; the
+    columns past ``coeffs`` have coefficient 0."""
+    terms = [(j, F(a)) for j, a in enumerate(coeffs) if a]
+    return LinearConstraint(terms, relation, F(rhs), label)
 
 
 def test_single_cap():
@@ -1138,6 +1145,31 @@ def test_verify_outcome_reports_a_missing_certificate():
         (LpOutcome(unbounded, point=point), "unbounded outcome without a ray"),
     ):
         assert verify_outcome(problem, outcome) == (expected,)
+
+
+def test_verify_outcome_reports_each_escape_of_a_ray():
+    """A ray is checked like a point over a denominator of 0: each row and
+    bound it leaves is reported, alone or together."""
+    system = LinearSystem.make(
+        2,
+        [constraint([1, -1], LE, 0, "r")],
+        lower=[0, None],
+        upper=[None, 3],
+        var_names=("x", "y"),
+    )
+    problem = LpProblem("max", ((0, F(1)),), system)
+    for ray, expected in (
+        ((F(1), F(1)), ("y above upper bound",)),
+        ((F(1), F(0)), ("r",)),
+        ((F(-1), F(-1)), ("x below lower bound",)),
+        ((F(-1), F(-2)), ("r", "x below lower bound")),
+        ((F(1), F(-1, 2)), ("r",)),
+        ((F(0), F(0)), ()),
+    ):
+        outcome = LpOutcome(LpStatus.UNBOUNDED, point=(F(0), F(0)), ray=ray)
+        found = verify_outcome(problem, outcome)
+        escapes = tuple(v for v in found if v.startswith("ray escapes "))
+        assert escapes == tuple(f"ray escapes {e}" for e in expected), ray
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,13 @@ import re
 
 import procpolar.fuzz as fuzz
 from procpolar import market, process_polar
-from procpolar.exact_lp import LE, LinearSystem, constraint
+from procpolar.exact_lp import LE, LinearConstraint, LinearSystem
 if __debug__:
     raise SystemExit("assert statements are on")
 
 def empty_polar(c):
     n = c.tree.num_nodes
-    return LinearSystem.make(n, [constraint([0] * n, LE, -1)])
+    return LinearSystem.make(n, [LinearConstraint((), LE, -1)])
 
 fuzz.hull_contains = lambda c, x: False
 fuzz.polar_constraints = empty_polar

@@ -63,7 +63,6 @@ from procpolar.exact_lp import (
 from procpolar.tree import (
     EventTree,
     RandomVariable,
-    cond_exp_one_step,
     terminal_space,
 )
 
@@ -663,9 +662,13 @@ def test_every_no_carries_a_witness_that_substitutes():
                     assert product.initial > 1
                     kinds["unit-wealth"] += 1
                 else:
-                    values = dict(enumerate(product.values))
+                    # the one-step expectation at the node beats its value
                     n = res.node
-                    assert cond_exp_one_step(tree, values, n) > product.values[n]
+                    expected = sum(
+                        tree.edge_prob[ch] * product.values[ch]
+                        for ch in tree.children[n]
+                    )
+                    assert expected > product.values[n]
                     kinds["defect"] += 1
         for z in wealth_probes_for(rng, m, 3):
             res = wealth_bipolar_contains(m, z)

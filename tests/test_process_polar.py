@@ -222,6 +222,58 @@ def test_envelope_dominates_single_generator_expectations(t2):
                 assert env.values[n] >= vals[n]
 
 
+def _reference_envelope(c, g, t_from, t_to):
+    """``envelope_process``'s values by the ``Fraction`` operators: the best
+    one-step generator increment of the next-step envelope, 1 before
+    ``t_from`` and ``g`` from ``t_to`` on."""
+    tree = c.tree
+    best = {m: g[m] for m in tree.nodes_at(t_to)}
+    for t in range(t_to - 1, t_from - 1, -1):
+        for n in tree.nodes_at(t):
+            best[n] = max(
+                sum(
+                    (
+                        tree.edge_prob[ch] * (y.values[ch] / y.values[n]) * best[ch]
+                        for ch in tree.children[n]
+                    ),
+                    F(0),
+                )
+                if y.values[n] != 0
+                else F(0)
+                for y in c.generators
+            )
+    return tuple(
+        F(1)
+        if tree.time[m] < t_from
+        else best[m]
+        if tree.time[m] <= t_to
+        else g[tree.ancestor_at(m, t_to)]
+        for m in range(tree.num_nodes)
+    )
+
+
+def test_envelope_matches_the_operator_reference():
+    rng = random.Random(26)
+    kinds = {"value": 0, "refused": 0}
+    for _ in range(40):
+        tree = random_tree(rng, 3, rng.randint(1, 3))
+        c = random_process_set(rng, tree, rng.randint(1, 3))
+        t_to = rng.randint(0, tree.horizon)
+        t_from = rng.randint(0, t_to)
+        space = level_space(tree, t_to)
+        values = tuple(F(rng.randint(0, 4), 3) for _ in space.outcomes)
+        g = RandomVariable(space, values)
+        expected = _reference_envelope(c, g, t_from, t_to)
+        if any(expected[n] > 1 for n in tree.nodes_at(t_from)):
+            with pytest.raises(PreconditionError, match="envelope hypothesis"):
+                envelope_process(c, g, t_from, t_to)
+            kinds["refused"] += 1
+        else:
+            assert envelope_process(c, g, t_from, t_to).values == expected
+            kinds["value"] += 1
+    assert min(kinds.values()) >= 5, kinds
+
+
 def test_polar_closure_under_hull_moves():
     rng = random.Random(31)
     for _ in range(10):

@@ -1,12 +1,15 @@
-"""The package exports only what its callers use, and imports only what it uses.
+"""The package keeps only code its callers use, and imports only what it uses.
 
 Read with the standard library's ``ast``, without importing the package:
 
-* every name that ``procpolar/__init__.py`` exports is referenced somewhere
+* every name that ``procpolar/__init__.py`` exports, and every function,
+  class and method defined under ``src/procpolar``, is referenced somewhere
   in ``src/procpolar`` (other than ``__init__``), ``scripts/`` or
   ``suitebench/``, or is named in ``KEPT`` with the reason it stays.  A
   string equal to the name counts as a reference, because
-  ``suitebench/spans.py`` wraps its layers' functions by name;
+  ``suitebench/spans.py`` wraps its layers' functions by name.  Special
+  methods (``__init__``, ``__bool__``, ...) are called by the language and
+  need no reference;
 * no module under ``src/procpolar`` imports a name it never uses.
 """
 
@@ -18,12 +21,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "procpolar"
 
-# exported names no library module, script or benchmark calls, with the
-# reason each one stays public
+# names no library module, script or benchmark calls, with the reason each
+# one stays
 KEPT = {
-    "constraint": "the tests' dense-row helper: a LinearConstraint from a dense row",
-    "cond_exp_one_step": "the reference the tests compare one-step expectations against",
-    "conditional_polar_contains": "the reference the tests check bipolar witnesses against",
     "verify_outcome": "the certificate check the acceptance and LP tests run on outcomes",
     "__version__": "the package version",
 }
@@ -55,22 +55,54 @@ def _references(tree: ast.AST) -> set[str]:
     return out
 
 
-def _callers() -> list[Path]:
-    library = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+def _modules() -> list[Path]:
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _defined() -> dict[str, str]:
+    """Each function, class and method the library defines, but special
+    methods, with the file and line that defines it."""
+    out = {}
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    out.setdefault(name, f"{path.name}:{node.lineno}")
+    return out
+
+
+def _used() -> set[str]:
     others = list((ROOT / "scripts").glob("*.py")) + list((ROOT / "suitebench").glob("*.py"))
-    return sorted(library + others)
+    used = set()
+    for path in _modules() + sorted(others):
+        used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    return used
 
 
 def test_every_export_has_a_caller_or_a_reason():
-    used = set()
-    for path in _callers():
-        used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    used = _used()
     exported = _exported()
     unused = sorted(exported - used - set(KEPT))
     assert not unused, f"exported but never called: {unused}"
-    # a reason for a name that is called, or no longer exported, is stale
-    stale = sorted(name for name in KEPT if name in used or name not in exported)
+    # a reason for a name that is called, or neither exported nor defined,
+    # is stale
+    stale = sorted(
+        name
+        for name in KEPT
+        if name in used or name not in exported | set(_defined())
+    )
     assert not stale, f"KEPT names that need no reason: {stale}"
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    used = _used()
+    unused = sorted(
+        f"{where} {name}"
+        for name, where in _defined().items()
+        if name not in used and name not in KEPT
+    )
+    assert not unused, f"defined but never called: {unused}"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

@@ -43,9 +43,13 @@ from procpolar.rational import (
     quotient,
     scaled,
 )
-from procpolar.tree import EventTree, cond_exp_one_step
+from procpolar.instances import load_instance
+from procpolar.process_polar import envelope_process
+from procpolar.tree import RandomVariable, level_space
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "procpolar"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "procpolar"
+FIXTURES = ROOT / "fixtures"
 
 BIG = 10**30
 ints = st.integers(-BIG, BIG)
@@ -193,8 +197,19 @@ ARITHMETIC = (
 )
 
 
+# every check battery, on the fixtures the CI steps run it on
+CHECKS = (
+    *(("tree", name) for name in ("t1", "t2", "m1", "m2")),
+    *((what, "t1") for what in ("supermartingale", "polar", "bipolar", "fbt")),
+    ("cbt", "t2"),
+    ("market", "m1"),
+    ("budget", "m2", "--x", "1"),
+)
+
+
 def test_the_suites_call_no_fraction_operator_outside_the_kernel(monkeypatch):
-    """Instances of each fuzz suite, run with counting wrappers on the
+    """Instances of each fuzz suite, every check battery and
+    ``envelope_process`` on the fixtures, run with counting wrappers on the
     ``Fraction`` constructor, its arithmetic operators and its numerator and
     denominator properties: no call comes from a library frame other than
     rational.py's."""
@@ -229,15 +244,29 @@ def test_the_suites_call_no_fraction_operator_outside_the_kernel(monkeypatch):
     for name in ("numerator", "denominator"):
         monkeypatch.setattr(F, name, counted_property(name))
     # the wrappers are live: a call from this frame is not counted, and one
-    # from the library is, such as those of the tests' operator reference
+    # from a library frame is, here code compiled under tree.py's file name
     assert F(1, 2) + F(1, 3) == F(5, 6) and F(3, 4).numerator == 3
     assert calls == {}
-    tree = EventTree.build([None, 0, 0], [None, F(1, 3), F(2, 3)])
-    assert cond_exp_one_step(tree, {1: F(3), 2: F(3, 2)}, 0) == F(2)
+    source = "F(1, 3) * 3 + F(2, 3) * F(3, 2)"
+    assert eval(compile(source, str(Path(library, "tree.py")), "eval")) == F(2)
     assert {name for name, _ in calls} >= {"__add__", "__mul__"}
     calls.clear()
-    for suite, count, seed in (("cbt", 4, 42), ("fbt", 4, 7), ("market", 2, 11)):
+    commands = [
+        ["fuzz", suite, "--count", str(count), "--seed", str(seed)]
+        for suite, count, seed in (("cbt", 4, 42), ("fbt", 4, 7), ("market", 2, 11))
+    ]
+    commands += (
+        ["check", what, str(FIXTURES / f"{name}.instance"), *extra]
+        for what, name, *extra in CHECKS
+    )
+    for command in commands:
         with redirect_stdout(io.StringIO()) as out:
-            code = cli.main(["fuzz", suite, "--count", str(count), "--seed", str(seed)])
-        assert code == 0, out.getvalue()
+            assert cli.main(command) == 0, (command, out.getvalue())
+    for name in ("t1", "t2"):
+        c = load_instance(str(FIXTURES / f"{name}.instance")).process_set()
+        for t_to in range(c.tree.horizon + 1):
+            space = level_space(c.tree, t_to)
+            # a payoff in [0, 1] meets the envelope hypothesis
+            g = RandomVariable(space, tuple(F(i % 3, 2) for i in range(space.size)))
+            envelope_process(c, g, 0, t_to)
     assert calls == {}

@@ -26,7 +26,6 @@ from procpolar.rv_polar import (
     _block_polar,
     conditional_bipolar_contains,
     conditional_polar_constraints,
-    conditional_polar_contains,
     hull_contains,
     pairwise_max_closure,
     partition_mix,
@@ -90,9 +89,10 @@ def test_polar_constraints_unit_generator(t1):
 
 def test_polar_membership_examples(four):
     space, part, c = four
-    assert conditional_polar_contains(c, RandomVariable.zero(space))
-    assert conditional_polar_contains(c, RandomVariable(space, (F(2), F(0), F(0), F(0))))
-    assert not conditional_polar_contains(c, RandomVariable(space, (F(0), F(0), F(2), F(0))))
+    polar = conditional_polar_constraints(c)
+    assert polar.satisfied_by(RandomVariable.zero(space).values)
+    assert polar.satisfied_by((F(2), F(0), F(0), F(0)))
+    assert not polar.satisfied_by((F(0), F(0), F(2), F(0)))
 
 
 def test_hull_membership_examples(four):
@@ -119,7 +119,8 @@ def test_bipolar_membership_examples(four):
     out = conditional_bipolar_contains(c, probe)
     assert not out
     # the witness is a polar element whose block average against the probe exceeds 1
-    assert out.witness is not None and conditional_polar_contains(c, out.witness)
+    assert out.witness is not None and out.witness.space == c.space
+    assert conditional_polar_constraints(c).satisfied_by(out.witness.values)
     block = part.blocks[out.failing_block]
     pairing = sum(space.prob(w) * probe[w] * out.witness[w] for w in block)
     assert pairing > part.block_prob(block)
@@ -135,7 +136,8 @@ def test_bipolar_witness_when_polar_is_unbounded(t2):
     probe = RandomVariable(space, (F(0), F(1), F(0), F(0)))
     out = conditional_bipolar_contains(c, probe)
     assert not out
-    assert out.witness is not None and conditional_polar_contains(c, out.witness)
+    assert out.witness is not None and out.witness.space == c.space
+    assert conditional_polar_constraints(c).satisfied_by(out.witness.values)
     block = part.blocks[out.failing_block]
     pairing = sum(space.prob(w) * probe[w] * out.witness[w] for w in block)
     assert pairing > part.block_prob(block)

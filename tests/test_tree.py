@@ -14,7 +14,6 @@ from procpolar.tree import (
     Partition,
     RandomVariable,
     SampleSpace,
-    cond_exp_one_step,
     cond_exp_partition,
     level_partition,
     level_space,
@@ -77,18 +76,6 @@ def test_atoms_out_of_range(t1):
         level_partition(t1, t1.horizon, 5)
     with pytest.raises(PreconditionError):
         level_partition(t1, 5, 0)
-
-
-def test_cond_exp_one_step(t1, t3):
-    assert cond_exp_one_step(t1, {1: F(2), 2: F(0)}, 0) == 1
-    uneven = EventTree.build([None, 0, 0], [None, "1/3", "2/3"])
-    assert cond_exp_one_step(uneven, {1: F(3), 2: F(3)}, 0) == 3
-    assert cond_exp_one_step(t3, {1: F(3), 2: F(0), 3: F(0)}, 0) == 1
-
-
-def test_cond_exp_one_step_missing_child(t1):
-    with pytest.raises(PreconditionError):
-        cond_exp_one_step(t1, {1: F(2)}, 0)
 
 
 def test_path_prob_consistency(t2):
