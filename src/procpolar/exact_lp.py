@@ -105,7 +105,8 @@ objective value and the substitution check both read that form.  It is the
 form of the point returned, so a point that drifted on its way out still
 fails the check, which still reads only the problem and the outcome.
 :func:`verify_outcome` derives the same form from an outcome alone, and
-reports a missing point, value or ray as a violation.
+reports a missing point, value or ray, or a point or ray that is not one
+entry per variable, as a violation.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ from .rational import (
     frac,
     fraction,
     integers,
+    less,
     negate,
     parts,
     quotient,
@@ -433,7 +435,7 @@ def exceeding_point(
         step = ONE if gain > gap else quotient(dot(((gap, ONE), (ONE, ONE))), gain)
         return tuple(dot(((p, ONE), (step, r))) for p, r in zip(out.point, out.ray))
     assert out.value is not None
-    return out.point if out.value > bound else None
+    return out.point if less(bound, out.value) else None
 
 
 def verify_outcome(problem: LpProblem, outcome: LpOutcome) -> tuple[str, ...]:
@@ -442,13 +444,16 @@ def verify_outcome(problem: LpProblem, outcome: LpOutcome) -> tuple[str, ...]:
     Every comparison is in integers: the point (or ray) over one common
     denominator against each row, bound and the objective scaled by the lcm
     of their own denominators.  It reads the problem alone, never the
-    tableau the solver ended at.  A missing certificate is reported, not
-    raised.
+    tableau the solver ended at.  A missing certificate, or a point or ray
+    of the wrong length, is reported, not raised.
     """
     if outcome.status is LpStatus.INFEASIBLE:
         return ()
     if outcome.point is None:
         return (f"{outcome.status.value} outcome without a point",)
+    n = problem.system.num_vars
+    if len(outcome.point) != n:
+        return (f"point has {len(outcome.point)} entries, system has {n}",)
     return _verify(problem, outcome, *integers(outcome.point))
 
 
@@ -471,6 +476,9 @@ def _verify(
     # unbounded: the ray must keep every constraint and improve the objective
     if outcome.ray is None:
         bad.append("unbounded outcome without a ray")
+        return tuple(bad)
+    if len(outcome.ray) != sys_.num_vars:
+        bad.append(f"ray has {len(outcome.ray)} entries, system has {sys_.num_vars}")
         return tuple(bad)
     ray, _ = integers(outcome.ray)
     # over a denominator of 0 every rhs and bound is 0: the ray's condition

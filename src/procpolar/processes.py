@@ -16,9 +16,11 @@ go through :func:`~procpolar.rational.product`, quotients through
 The one-step (super)martingale comparison at a node brings
 ``sum(p(c) * y(c))`` and ``y(n)`` to one common denominator
 (:func:`~procpolar.rational.dot_sides`) and compares integers; the other
-comparisons of values go through :func:`~procpolar.rational.less`.
-The exact supermartingale check runs once per process object: its verdict
-is cached on the process, outside its fields.  Every operation returns a
+comparisons of values go through :func:`~procpolar.rational.less`, and
+the zero tests of the absorbed-zeros check through
+:func:`~procpolar.rational.zero_mask`.  The exact supermartingale check and
+the absorbed-zeros check run once per process object: their verdicts are
+cached on the process, outside its fields.  Every operation returns a
 new process, so each postcondition is still checked on its result afresh.
 
 A fork splice at time ``s`` computes one coefficient pair per time-``s``
@@ -52,6 +54,7 @@ from .rational import (
     product,
     quotient,
     scaled,
+    zero_mask,
 )
 from .tree import EventTree
 
@@ -120,6 +123,17 @@ class AdaptedProcess:
         see it."""
         return all(expected <= value for expected, value in _one_step_sides(self))
 
+    @cached_property
+    def _has_absorbed_zeros(self) -> bool:
+        """The verdict of :func:`has_absorbed_zeros`, kept like
+        :attr:`_is_supermartingale`."""
+        zero = zero_mask(self.values)
+        return not any(
+            zero[par] and not zero[n]
+            for n, par in enumerate(self.tree.parent)
+            if par is not None
+        )
+
 
 def _one_step_sides(y: AdaptedProcess) -> Iterator[tuple[int, int]]:
     """Both sides of the one-step check at each non-terminal node ``n``, as
@@ -167,7 +181,7 @@ def is_supermartingale(y: AdaptedProcess) -> bool:
 
 def is_unit_supermartingale(y: AdaptedProcess) -> bool:
     """Supermartingale with initial value at most 1."""
-    return y.initial <= 1 and is_supermartingale(y)
+    return not less(ONE, y.initial) and is_supermartingale(y)
 
 
 def is_martingale(y: AdaptedProcess) -> bool:
@@ -176,13 +190,9 @@ def is_martingale(y: AdaptedProcess) -> bool:
 
 
 def has_absorbed_zeros(y: AdaptedProcess) -> bool:
-    """True iff a zero value forces zeros on the whole subtree below it."""
-    tree = y.tree
-    for n in range(tree.num_nodes):
-        par = tree.parent[n]
-        if par is not None and y.values[par] == 0 and y.values[n] != 0:
-            return False
-    return True
+    """True iff a zero value forces zeros on the whole subtree below it;
+    checked once per process object."""
+    return y._has_absorbed_zeros
 
 
 def increment(y: AdaptedProcess, s: int, t: int, node_t: int) -> Fraction:

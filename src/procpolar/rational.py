@@ -23,11 +23,13 @@ interpreter the project supports.  :func:`negate` and :func:`complement`
 normalise the result once, where the ``Fraction`` operators normalise
 every product and every partial sum (deferred gcds, Knuth, TAOCP vol. 2,
 sec. 4.5.1); :func:`less` and :func:`dot_sides` compare cross-multiplied
-integers.  They return what the operators return and take Fractions that
-have passed :func:`frac`.  A sum or a difference is a :func:`dot` with
-``ONE`` and ``MINUS_ONE`` weights.  :func:`parts` and :func:`integers` take
-values apart under the exact LP core's type rule: a ``Fraction`` or an
-``int``; anything else is refused with ``PreconditionError``.
+integers, and :func:`nonnegative` and :func:`zero_mask` read the signs of
+numerators, with no ``Fraction`` comparison dispatch.  They return what
+the operators return and take Fractions that have passed :func:`frac`.  A
+sum or a difference is a :func:`dot` with ``ONE`` and ``MINUS_ONE``
+weights.  :func:`parts` and :func:`integers` take values apart under the
+exact LP core's type rule: a ``Fraction`` or an ``int``; anything else is
+refused with ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ def nonnegative(values: Iterable[Fraction]) -> bool:
         if v._numerator < 0:
             return False
     return True
+
+
+def zero_mask(values: Iterable[Fraction]) -> list[bool]:
+    """Whether each value is 0, in order."""
+    return [not v._numerator for v in values]
 
 
 def product(a: Fraction, b: Fraction) -> Fraction:

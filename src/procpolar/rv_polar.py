@@ -20,11 +20,20 @@ Every system is memoised on the :class:`RvSet` with
 conditional polar and the per-block polar the bipolar oracle maximizes
 over, which depend only on the generators, and the per-block hull system,
 keyed by the block and the probe's values on it, since those values are
-its right-hand side.  Probes that agree on a block then ask one system
+in its coefficients.  Probes that agree on a block then ask one system
 object, which answers the question once.  The unconditional cross-checks
 build their systems afresh, and the bipolar one asks the dual of the polar
 LP, so it checks the conditional oracle's LP on the trivial partition
 instead of asking it again.
+
+The hull system writes each dominance row in homogeneous form, ``sum_i
+l_i (h(w) - f_i(w)) <= 0`` beside the convex row ``sum_i l_i = 1``, not
+as ``sum_i l_i f_i(w) >= h(w)``.  The two have the same points on the
+simplex, but a row with rhs 0 starts the simplex on its own slack, so
+phase 1 needs one artificial per block, the convex row's, instead of one
+per outcome.  The unconditional hull cross-check keeps the ``>=`` rows on
+purpose: on the trivial partition it compares two formulations of one
+hull, so a sign slip in either shows.
 
 Everything uses the convention 0/0 = 0.
 """
@@ -49,7 +58,7 @@ from .exact_lp import (
     per_owner,
     vector,
 )
-from .rational import ONE, ZERO, mix, product, quotient
+from .rational import MINUS_ONE, ONE, ZERO, dot, mix, product, quotient
 from .tree import Partition, RandomVariable, SampleSpace, cond_exp_partition
 
 
@@ -170,14 +179,22 @@ def hull_contains(c: RvSet, h: RandomVariable) -> HullMembership:
 @per_owner
 def _block_hull(c: RvSet, bi: int, values: tuple[Fraction, ...]) -> LinearSystem:
     """Convex weights over the generators whose mixture dominates
-    ``values``, a probe's values on block ``bi`` in block order."""
+    ``values``, a probe's values on block ``bi`` in block order.
+
+    Each dominance row is ``sum_i l_i (h(w) - f_i(w)) <= 0``, with the
+    probe's value in the coefficients: on the convex row ``sum_i l_i = 1``
+    it is ``sum_i l_i f_i(w) >= h(w)``, and with rhs 0 its slack starts
+    basic and feasible, so the convex row is the one row phase 1 needs an
+    artificial for."""
     space = c.space
     k = len(c.generators)
     rows = [LinearConstraint(enumerate((ONE,) * k), EQ, ONE, "convex")]
     for w, v in zip(c.partition.blocks[bi], values):
         i = space.index(w)
-        terms = enumerate(f.values[i] for f in c.generators)
-        rows.append(LinearConstraint(terms, GE, v, f"dominate({w})"))
+        terms = enumerate(
+            dot(((v, ONE), (f.values[i], MINUS_ONE))) for f in c.generators
+        )
+        rows.append(LinearConstraint(terms, LE, ZERO, f"dominate({w})"))
     return LinearSystem.make(k, rows, lower=0)
 
 

@@ -1147,6 +1147,40 @@ def test_verify_outcome_reports_a_missing_certificate():
         assert verify_outcome(problem, outcome) == (expected,)
 
 
+def test_verify_outcome_reports_a_certificate_of_the_wrong_length():
+    """A point or ray that is not one entry per variable is a violation of
+    the outcome; a short point is still the caller's fault in
+    ``LinearSystem.violations``."""
+    optimal = _optimal_problem()
+    unbounded = _unbounded_problem()
+    point = (F(0), F(0))
+    for problem, outcome, expected in (
+        (
+            optimal,
+            LpOutcome(LpStatus.OPTIMAL, value=F(0), point=(F(0),)),
+            ("point has 1 entries, system has 2",),
+        ),
+        (
+            optimal,
+            LpOutcome(LpStatus.OPTIMAL, value=F(1), point=(F(1), F(0), F(0))),
+            ("point has 3 entries, system has 2",),
+        ),
+        (
+            unbounded,
+            LpOutcome(LpStatus.UNBOUNDED, point=point, ray=(F(1),)),
+            ("ray has 1 entries, system has 2",),
+        ),
+        (
+            unbounded,
+            LpOutcome(LpStatus.UNBOUNDED, point=(F(1), F(0)), ray=(F(1),)),
+            ("row[0]", "ray has 1 entries, system has 2"),
+        ),
+    ):
+        assert verify_outcome(problem, outcome) == expected
+    with pytest.raises(PreconditionError, match="dimension mismatch"):
+        optimal.system.violations((F(0),))
+
+
 def test_verify_outcome_reports_each_escape_of_a_ray():
     """A ray is checked like a point over a denominator of 0: each row and
     bound it leaves is reported, alone or together."""

@@ -317,6 +317,36 @@ def test_cached_supermartingale_check_matches_reference():
     assert y == twin and hash(y) == hash(twin) and repr(y) == repr(twin)
 
 
+def _reference_has_absorbed_zeros(y: AdaptedProcess) -> bool:
+    """The absorbed-zeros check written out with the operators."""
+    tree = y.tree
+    return not any(
+        par is not None and y.values[par] == 0 and y.values[n] != 0
+        for n, par in enumerate(tree.parent)
+    )
+
+
+def test_cached_zero_and_initial_checks_match_reference():
+    """``has_absorbed_zeros`` (cached per process) and the initial-value
+    test of ``is_unit_supermartingale`` against the operator forms."""
+    rng = random.Random(23)
+    zeros, units = Counter(), Counter()
+    for _ in range(200):
+        tree = random_tree(rng, 3, 3)
+        values = [rng.choice((0, 0, F(1, 2), 1, F(3, 2))) for _ in range(tree.num_nodes)]
+        p = AdaptedProcess(tree, values)
+        expected = _reference_has_absorbed_zeros(p)
+        assert has_absorbed_zeros(p) is expected
+        assert has_absorbed_zeros(p) is expected  # read from the cache
+        unit = p.values[0] <= 1 and _reference_is_supermartingale(p)
+        assert is_unit_supermartingale(p) is unit
+        zeros[expected] += 1
+        units[unit] += 1
+    assert min(zeros[True], zeros[False], units[True], units[False]) >= 20
+    twin = AdaptedProcess(p.tree, p.values)
+    assert p == twin and hash(p) == hash(twin) and repr(p) == repr(twin)
+
+
 def test_martingale_check_matches_reference():
     rng = random.Random(31)
     verdicts = {True: 0, False: 0}

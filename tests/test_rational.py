@@ -42,6 +42,7 @@ from procpolar.rational import (
     product,
     quotient,
     scaled,
+    zero_mask,
 )
 from procpolar.instances import load_instance
 from procpolar.process_polar import envelope_process
@@ -101,6 +102,7 @@ def test_kernels_match_the_operators(a, b, pairs):
     values = [x for pair in pairs for x in pair] + [a]
     assert nonnegative(values) is all(v >= 0 for v in values)
     assert nonnegative(abs(v) for v in values)
+    assert zero_mask(values + [F(0)]) == [v == 0 for v in values] + [True]
 
 
 def test_frac_of_an_int_matches_the_constructor():
@@ -128,7 +130,8 @@ def test_new_kernels_match_the_operators(a, b, c):
     assert _parts(complement(a)) == _parts(1 - a)
     assert _parts(complement(complement(a))) == _parts(a)
     assert _parts(mix(a, b, c)) == _parts(a * b + (1 - a) * c)
-    assert _parts(scaled(a, b, c)) == _parts(a * b / c)
+    if c:  # a zero c raises on both sides, as the case below checks
+        assert _parts(scaled(a, b, c)) == _parts(a * b / c)
     with pytest.raises(ZeroDivisionError):
         scaled(a, b, F(0))
 

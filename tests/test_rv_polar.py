@@ -639,3 +639,55 @@ def test_product_decompose_matches_operator_reference(monkeypatch):
         assert _ratios(h.values) == _ratios(expected_h)
         scaled_up |= any(r > 1 for r in ratios)
     assert scaled_up
+
+
+def test_hull_weights_are_convex_and_dominate_the_probe():
+    """The hull system writes ``sum_i l_i f_i(w) >= h(w)`` as ``sum_i l_i
+    (h(w) - f_i(w)) <= 0`` beside the convex row.  Over 200 seeded sets,
+    with generators that take the value 0, probes equal to a generator and
+    zero probes among the drawn ones: every "yes" carries per-block weights
+    that are >= 0 and sum to 1 and whose mixture meets the ``>=`` rows
+    (checked with the operators), every verdict agrees with the bipolar
+    oracle, each system's rows are the operator differences, and phase 1
+    starts each system with one artificial, the convex row's."""
+    rng = random.Random(61)
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        space = random_space(rng, 6)
+        part = random_partition(rng, space, 3)
+        gens = tuple(
+            RandomVariable(space, tuple(_draw(rng) for _ in space.outcomes))
+            for _ in range(rng.randint(1, 4))
+        )
+        c = RvSet(gens, part)
+        probes = [probe for probe, _ in conditional_probes(rng, c, 4)]
+        probes += [rng.choice(gens), RandomVariable.zero(space)]
+        for probe in probes:
+            verdict = hull_contains(c, probe)
+            assert verdict.member == conditional_bipolar_contains(c, probe).member
+            verdicts[verdict.member] += 1
+            for bi, block in enumerate(part.blocks):
+                values = tuple(probe.values[space.index(w)] for w in block)
+                system = _block_hull(c, bi, values)
+                expected = [([(j, F(1)) for j in range(len(gens))], "=", F(1))]
+                expected += (
+                    (
+                        [(j, v - f.values[space.index(w)]) for j, f in enumerate(gens)],
+                        "<=",
+                        F(0),
+                    )
+                    for w, v in zip(block, values)
+                )
+                assert [(list(r.terms), r.relation, r.rhs) for r in system.rows] == expected
+                assert exact_lp._Standard(system).basis_hint.count(None) == 1
+            if not verdict.member:
+                continue
+            assert len(verdict.block_weights) == len(part.blocks)
+            for block, weights in zip(part.blocks, verdict.block_weights):
+                assert len(weights) == len(gens)
+                assert all(x >= 0 for x in weights) and sum(weights) == 1
+                for w in block:
+                    i = space.index(w)
+                    mixture = sum(x * f.values[i] for x, f in zip(weights, gens))
+                    assert mixture >= probe.values[i]
+    assert min(verdicts.values()) >= 100, verdicts
