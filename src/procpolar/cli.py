@@ -5,6 +5,10 @@ Two commands, both deterministic given (instance, seed):
     procpolar check WHAT INSTANCE [options]   # run one named check battery
     procpolar fuzz SUITE [options]            # run a randomized suite
 
+``WHAT`` is a key of :data:`CHECKS`, the one table of the eight check
+batteries (``fbt`` is ``bipolar`` with generated probes); ``SUITE`` is
+``cbt``, ``fbt`` (the process and polar-closure suites) or ``market``.
+
 Exit codes: 0 all checks pass, 1 a mathematical check failed (with its
 certificate in the report), 2 input error.  The default seed comes from
 the PROCPOLAR_SEED environment variable, read on every call.  ``--format
@@ -48,16 +52,6 @@ from .rational import format_rational, parse_rational
 from .rv_polar import conditional_bipolar_contains, hull_contains
 from .tree import validate_tree
 
-CHECKS = (
-    "tree",
-    "supermartingale",
-    "polar",
-    "bipolar",
-    "cbt",
-    "fbt",
-    "market",
-    "budget",
-)
 SUITES = ("cbt", "fbt", "market")
 
 
@@ -132,10 +126,10 @@ def _resolve_seed(arg_seed) -> int:
 
 
 def _check_tree(inst: Instance, report: Report, args) -> None:
-    result = validate_tree(inst.tree)
-    if result.ok:
+    violations = validate_tree(inst.tree)
+    if not violations:
         report.add("tree", "valid", True)
-    for v in result.violations:
+    for v in violations:
         report.add("tree", "violation", False, v)
 
 
@@ -175,7 +169,9 @@ def _check_polar(inst: Instance, report: Report, args) -> None:
         report.add("polar-closure", f"{args.count} compositions stayed in", True)
 
 
-def _check_bipolar(inst: Instance, report: Report, args, generate: bool) -> None:
+def _check_bipolar(
+    inst: Instance, report: Report, args, generate: bool = False
+) -> None:
     c = inst.process_set()
     probes = [v for _, v in sorted(inst.probe_processes().items())]
     hull = []
@@ -281,11 +277,14 @@ def _check_budget(inst: Instance, report: Report, args) -> None:
         )
 
 
-_CHECK_DISPATCH = {
+# the check batteries, in the order ``procpolar check --help`` lists them
+CHECKS = {
     "tree": _check_tree,
     "supermartingale": _check_supermartingale,
     "polar": _check_polar,
+    "bipolar": _check_bipolar,
     "cbt": _check_cbt,
+    "fbt": functools.partial(_check_bipolar, generate=True),
     "market": _check_market,
     "budget": _check_budget,
 }
@@ -300,12 +299,7 @@ def cmd_check(args) -> int:
     start = time.monotonic()
     if args.what != "tree" and not inst.tree_valid:
         raise InstanceError("instance tree is invalid; run 'check tree' for details")
-    if args.what == "bipolar":
-        _check_bipolar(inst, report, args, generate=False)
-    elif args.what == "fbt":
-        _check_bipolar(inst, report, args, generate=True)
-    else:
-        _CHECK_DISPATCH[args.what](inst, report, args)
+    CHECKS[args.what](inst, report, args)
     report.elapsed = time.monotonic() - start
     return _emit(report, args)
 

@@ -253,7 +253,8 @@ class LinearSystem:
         def expand(bound) -> tuple[Optional[Fraction], ...]:
             if bound is None:
                 return (None,) * num_vars
-            if isinstance(bound, (int, str, Fraction)):
+            scalar = isinstance(bound, (int, str, Fraction))
+            if scalar or not isinstance(bound, Iterable):  # frac refuses a float
                 return (frac(bound),) * num_vars
             return tuple(None if b is None else frac(b) for b in bound)
 

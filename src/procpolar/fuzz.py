@@ -273,9 +273,6 @@ class SuiteResult:
     def total_checks(self) -> int:
         return sum(r.checks for r in self.records)
 
-    def failures(self) -> tuple[InstanceRecord, ...]:
-        return tuple(r for r in self.records if not r.ok)
-
     def summary(self) -> str:
         good = sum(1 for r in self.records if r.ok)
         return (
@@ -372,12 +369,11 @@ def conditional_probes(
     return probes
 
 
-def _sample_polar_rvs(
-    rng: random.Random, c: RvSet, count: int
-) -> list[RandomVariable]:
+def _sample_polar_rvs(rng: random.Random, c: RvSet) -> list[RandomVariable]:
+    """Two elements of the conditional polar, at random objectives' maxima."""
     system = conditional_polar_constraints(c)
     out: list[RandomVariable] = []
-    for _ in range(count):
+    for _ in range(2):
         objective = [
             (j, fraction(rng.randint(-1, 2), 1)) for j in range(system.num_vars)
         ]
@@ -453,7 +449,7 @@ def check_conditional_instance(rng: random.Random) -> tuple[int, str]:
     checks += 2
 
     # polar closure: mixing and downward moves stay in the polar
-    g1, g2 = _sample_polar_rvs(rng, c, 2)
+    g1, g2 = _sample_polar_rvs(rng, c)
     weight = _random_block_weight(rng, part)
     mixed = partition_mix(g1, g2, weight, part)
     system = conditional_polar_constraints(c)
@@ -627,25 +623,21 @@ class MarketFuzzConfig:
     max_assets: ClassVar[int] = 2
 
 
-def _sample_measures(
-    rng: random.Random, m: Market, count: int
-) -> list[tuple[Fraction, ...]]:
+def _sample_measures(rng: random.Random, m: Market) -> list[tuple[Fraction, ...]]:
+    """Two equivalent martingale measures: the interior and a mixed vertex."""
     poly = emm_polytope(m)
     assert poly.interior is not None
-    out = [poly.interior]
-    for _ in range(count - 1):
-        objective = [fraction(rng.randint(-2, 2), 1) for _ in poly.interior]
-        # a vertex of the product: each block maximizes its slice
-        vertex = list(poly.interior)
-        for kids, local in poly.blocks:
-            res = maximize(local, enumerate(objective[ch - 1] for ch in kids))
-            assert res.status is LpStatus.OPTIMAL and res.point is not None
-            for ch, v in zip(kids, res.point):
-                vertex[ch - 1] = v
-        # mix toward the interior to keep the measure equivalent
-        t = fraction(rng.randint(1, 3), 4)
-        out.append(tuple(mix(t, v, i) for v, i in zip(vertex, poly.interior)))
-    return out
+    objective = [fraction(rng.randint(-2, 2), 1) for _ in poly.interior]
+    # a vertex of the product: each block maximizes its slice
+    vertex = list(poly.interior)
+    for kids, local in poly.blocks:
+        res = maximize(local, enumerate(objective[ch - 1] for ch in kids))
+        assert res.status is LpStatus.OPTIMAL and res.point is not None
+        for ch, v in zip(kids, res.point):
+            vertex[ch - 1] = v
+    # mix toward the interior to keep the measure equivalent
+    t = fraction(rng.randint(1, 3), 4)
+    return [poly.interior, tuple(mix(t, v, i) for v, i in zip(vertex, poly.interior))]
 
 
 def deflator_probes_for(
@@ -653,7 +645,7 @@ def deflator_probes_for(
 ) -> list[AdaptedProcess]:
     tree = m.tree
     probes: list[AdaptedProcess] = [AdaptedProcess.constant(tree, 1)]
-    measures = _sample_measures(rng, m, 2)
+    measures = _sample_measures(rng, m)
     for q in measures:
         probes.append(density_process(m, q))
     while len(probes) < count + 3:
@@ -682,7 +674,7 @@ def wealth_probes_for(
 ) -> list[AdaptedProcess]:
     tree = m.tree
     probes: list[AdaptedProcess] = []
-    pairs = sample_consumption_wealth(m, 2, rng)
+    pairs = sample_consumption_wealth(m, rng)
     probes.extend(w for w, _ in pairs)
     wealth = wealth_map(m, False)
     weights = [fraction(rng.randint(-1, 2), 1) for _ in range(tree.num_nodes)]

@@ -190,7 +190,7 @@ def parse_instance(text: str) -> Instance:
     inst = Instance(
         version=1,
         tree=tree,
-        tree_valid=validate_tree(tree).ok,
+        tree_valid=not validate_tree(tree),
         digest=hashlib.sha256(text.encode()).hexdigest(),
     )
 

@@ -140,16 +140,6 @@ class Strategy:
             elif h is None:
                 raise PreconditionError(f"missing holdings at {self.tree.labels[n]}")
 
-    @classmethod
-    def zero(cls, tree: EventTree, d: int) -> "Strategy":
-        return cls(
-            tree,
-            tuple(
-                None if tree.is_terminal(n) else (ZERO,) * d
-                for n in range(tree.num_nodes)
-            ),
-        )
-
     def at(self, node: int) -> tuple[Fraction, ...]:
         h = self.holdings[node]
         if h is None:
@@ -973,14 +963,14 @@ class StructureRecord:
 
 
 def sample_consumption_wealth(
-    m: Market, count: int, rng: random.Random
+    m: Market, rng: random.Random
 ) -> list[tuple[AdaptedProcess, ConsumptionProcess]]:
-    """Vertices of the invest-and-consume polytope at budget 1 under random
-    objectives in the wealth and the cumulative consumption."""
+    """Two vertices of the invest-and-consume polytope at budget 1 under
+    random objectives in the wealth and the cumulative consumption."""
     system = consumption_polytope(m, 1)
     wealth = wealth_map(m, True)
     out: list[tuple[AdaptedProcess, ConsumptionProcess]] = []
-    for _ in range(count):
+    for _ in range(2):
         weights, consumed = [], []
         for _n in range(m.tree.num_nodes):
             weights.append(fraction(rng.randint(-2, 3), 1))
@@ -1015,7 +1005,7 @@ def verify_structure(
       pure investment agree on every probe.
     """
     records: list[StructureRecord] = []
-    pairs = sample_consumption_wealth(m, 2, rng)
+    pairs = sample_consumption_wealth(m, rng)
 
     for yi, y in enumerate(deflator_probes):
         direct = y_enlargement_membership(m, y)

@@ -23,8 +23,9 @@ the absorbed-zeros check run once per process object: their verdicts are
 cached on the process, outside its fields.  Every operation returns a
 new process, so each postcondition is still checked on its result afresh.
 
-A fork splice at time ``s`` computes one coefficient pair per time-``s``
-node ``n``, ``a(n) = y1(n) w(n) / y2(n)`` and ``b(n) = y1(n) (1 - w(n)) /
+A fork splice at time ``s`` takes a weight in [0, 1] for each time-``s``
+node ``n`` (a mapping from node to weight), computes one coefficient pair
+per fork node, ``a(n) = y1(n) w(n) / y2(n)`` and ``b(n) = y1(n) (1 - w(n)) /
 y3(n)`` (0 when the weight or the divisor is 0), and sets every later node
 ``m`` below ``n`` to ``a(n) y2(m) + b(n) y3(m)`` (a ``dot`` of two terms,
 or a ``product`` where a coefficient is 0): the same exact values as the
@@ -163,12 +164,6 @@ class NonIncreasingProcess:
                     f"value increases along the edge into {p.tree.labels[i]}"
                 )
 
-    @classmethod
-    def constant(
-        cls, tree: EventTree, value: int | str | Fraction
-    ) -> "NonIncreasingProcess":
-        return cls(AdaptedProcess.constant(tree, value))
-
     def __getitem__(self, node: int) -> Fraction:
         return self.process.values[node]
 
@@ -237,14 +232,13 @@ def fork_splice(
     y2: AdaptedProcess,
     y3: AdaptedProcess,
     s: int,
-    weights: Mapping[int, int | str | Fraction] | int | str | Fraction,
+    weights: Mapping[int, int | str | Fraction],
 ) -> AdaptedProcess:
     """Splice ``y1``'s past with a weighted mix of the increments of
     ``y2`` and ``y3`` from time ``s`` on.
 
-    ``weights`` assigns each time-``s`` node a value in [0, 1] (a scalar
-    means the same weight everywhere); the result keeps ``y1`` up to time
-    ``s`` and below a time-``s`` node ``n`` equals
+    ``weights`` maps each time-``s`` node to a value in [0, 1]; the result
+    keeps ``y1`` up to time ``s`` and below a time-``s`` node ``n`` equals
     ``y1(n) * (w(n) * inc(y2) + (1-w(n)) * inc(y3))``, computed as
     ``a(n) * y2(m) + b(n) * y3(m)`` with one coefficient pair per fork
     node.  When all three inputs are unit-initial supermartingales the
@@ -256,15 +250,12 @@ def fork_splice(
     if not 0 <= s <= tree.horizon:
         raise PreconditionError(f"splice time {s} outside 0..{tree.horizon}")
     fork_nodes = tree.nodes_at(s)
-    if isinstance(weights, (int, str, Fraction)):
-        wmap = {n: frac(weights) for n in fork_nodes}
-    else:
-        wmap = {n: frac(weights[n]) for n in fork_nodes if n in weights}
-        missing = [n for n in fork_nodes if n not in wmap]
-        if missing:
-            raise PreconditionError(
-                f"missing weights at time-{s} nodes {[tree.labels[n] for n in missing]}"
-            )
+    wmap = {n: frac(weights[n]) for n in fork_nodes if n in weights}
+    missing = [n for n in fork_nodes if n not in wmap]
+    if missing:
+        raise PreconditionError(
+            f"missing weights at time-{s} nodes {[tree.labels[n] for n in missing]}"
+        )
     if not nonnegative(wmap.values()) or any(less(ONE, w) for w in wmap.values()):
         raise PreconditionError("splice weights must lie in [0, 1]")
     for y in (y2, y3):

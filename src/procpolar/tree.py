@@ -13,6 +13,9 @@ On top of the tree live the primitives every other module uses:
 * :class:`RandomVariable` -- a nonnegative rational value per outcome;
 * :class:`Partition` -- a sub-sigma-algebra given by its atoms;
 * one-step and partition-wise conditional expectations, all exact.
+
+:func:`validate_tree` returns the tree's probabilistic defects as a tuple
+of messages, empty for a valid tree.
 """
 
 from __future__ import annotations
@@ -160,17 +163,9 @@ def node_measure(tree: EventTree) -> tuple[Fraction, ...]:
     return tuple(probs)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_tree(tree: EventTree) -> ValidationReport:
-    """Check the probabilistic invariants; violations are data, not errors.
+def validate_tree(tree: EventTree) -> tuple[str, ...]:
+    """Check the probabilistic invariants; violations are data, not errors,
+    and a valid tree has none.
 
     Structural soundness (unique root, consistent times) is already
     guaranteed by :meth:`EventTree.build`; what can still go wrong is the
@@ -196,7 +191,7 @@ def validate_tree(tree: EventTree) -> ValidationReport:
                 f"node {lab}: leaf at time {tree.time[i]} before the horizon "
                 f"{tree.horizon}"
             )
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +271,6 @@ class RandomVariable:
         except KeyError as exc:
             raise PreconditionError(f"missing value for outcome {exc}") from exc
         return cls(space, vals)
-
-    @classmethod
-    def constant(cls, space: SampleSpace, value: int | str | Fraction) -> "RandomVariable":
-        return cls(space, (frac(value),) * space.size)
-
-    @classmethod
-    def zero(cls, space: SampleSpace) -> "RandomVariable":
-        return cls.constant(space, 0)
 
     def __getitem__(self, outcome: int) -> Fraction:
         return self.values[self.space.index(outcome)]

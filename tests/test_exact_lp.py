@@ -819,6 +819,16 @@ def test_floats_are_refused_as_input():
     assert maximize(ints, [(0, 1), (1, 1)]).value == 1
 
 
+def test_make_refuses_a_scalar_float_bound():
+    """A scalar float bound is refused as a float inside a bound list is,
+    not with a TypeError from iterating it."""
+    for bounds in ({"lower": 0.5}, {"upper": 0.5}, {"lower": 0, "upper": 2.5}):
+        with pytest.raises(RationalFormatError, match="float"):
+            LinearSystem.make(2, [], **bounds)
+    system = LinearSystem.make(2, [], lower=0, upper="1/2")
+    assert system.lower == (F(0), F(0)) and system.upper == (F(1, 2), F(1, 2))
+
+
 def test_bools_are_refused_as_input():
     """A bool is an int to Python but not a number to the exact core: in a
     row's terms or rhs, a bound or an objective it is refused with

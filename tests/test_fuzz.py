@@ -48,7 +48,8 @@ for result in (
     print(result.summary())
     print(*sorted({
         re.split(" on |:", check)[0]
-        for record in result.failures()
+        for record in result.records
+        if not record.ok
         for check in record.detail.split("; ")
     }), sep=", ")
     print(*sorted({record.kind for record in result.records}))

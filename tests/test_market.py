@@ -67,8 +67,18 @@ from procpolar.tree import (
 )
 
 
+def _zero_strategy(tree, d):
+    """No holdings of any of ``d`` assets at every non-terminal node."""
+    return Strategy(
+        tree,
+        tuple(
+            None if tree.is_terminal(n) else (F(0),) * d for n in range(tree.num_nodes)
+        ),
+    )
+
+
 def test_wealth_zero_strategy_constant(t1, m1):
-    h = Strategy.zero(t1, 1)
+    h = _zero_strategy(t1, 1)
     assert wealth_values(m1, 5, h, ConsumptionProcess.zero(t1)) == (F(5), F(5), F(5))
 
 
@@ -117,7 +127,7 @@ def test_wealth_consumption_linearity(t1, m1):
 
 def test_zero_capital_with_consumption_inadmissible(t1, m1):
     cons = ConsumptionProcess(AdaptedProcess.from_mapping(t1, {0: 0, 1: 1, 2: 1}))
-    assert not is_admissible(m1, 0, Strategy.zero(t1, 1), cons)
+    assert not is_admissible(m1, 0, _zero_strategy(t1, 1), cons)
 
 
 def test_emm_complete_market(m1):
@@ -545,7 +555,7 @@ def test_wealth_values_subtract_the_consumption_increments(t1, m1):
     # cumulative consumption 0, 1, 2: increments 1 and 2 into u and d, none
     # at the root, so zero holdings from capital 2 leave wealth 2, 1, 0
     cons = ConsumptionProcess(AdaptedProcess.from_mapping(t1, {0: 0, 1: 1, 2: 2}))
-    wealth = wealth_values(m1, 2, Strategy.zero(t1, 1), cons)
+    wealth = wealth_values(m1, 2, _zero_strategy(t1, 1), cons)
     assert wealth == (F(2), F(1), F(0))
 
 
@@ -701,7 +711,8 @@ def test_superhedge_complete_replication(m1, t1):
 
 
 def test_superhedge_zero_claim(m2, t3):
-    claim = RandomVariable.zero(terminal_space(t3))
+    space = terminal_space(t3)
+    claim = RandomVariable(space, (0,) * space.size)
     assert superhedge_value(m2, claim).value == 0
 
 
@@ -759,7 +770,8 @@ def test_density_product_supermartingale(m1):
     # deflated consumption wealth is a supermartingale, exactly
     rng = random.Random(5)
     y = density_process(m1, (F(1, 3), F(2, 3)))
-    for w, cons in sample_consumption_wealth(m1, 6, rng):
+    pairs = [p for _ in range(3) for p in sample_consumption_wealth(m1, rng)]
+    for w, cons in pairs:
         prod = y.pointwise_mul(w)
         assert prod.initial <= 1
         assert is_supermartingale(prod)
@@ -1013,12 +1025,12 @@ def test_market_inputs_on_another_tree_are_rejected(t1, m1):
         budget_check(m1, dens, 1)
     cons = ConsumptionProcess(AdaptedProcess.from_mapping(chain, {0: 0, 1: 0, 2: 1}))
     foreign = Strategy(chain, ((F(0),), (F(0),), None))
-    h = Strategy.zero(t1, 1)
+    h = _zero_strategy(t1, 1)
     for strategy, consumption in (
         (h, cons),
         (foreign, ConsumptionProcess.zero(t1)),
-        (Strategy.zero(t1, 2), ConsumptionProcess.zero(t1)),  # one asset too many
-        (Strategy.zero(t1, 0), ConsumptionProcess.zero(t1)),  # one too few
+        (_zero_strategy(t1, 2), ConsumptionProcess.zero(t1)),  # one asset too many
+        (_zero_strategy(t1, 0), ConsumptionProcess.zero(t1)),  # one too few
     ):
         for check in (wealth_values, is_admissible, wealth_process):
             with pytest.raises(PreconditionError):
@@ -1088,7 +1100,7 @@ def test_sampled_measures_match_reference_draw():
     for rng, m in _kernel_cases(61, 30):
         seed = rng.randrange(2**32)
         ours, reference = random.Random(seed), random.Random(seed)
-        got = _sample_measures(ours, m, 3)
+        got = _sample_measures(ours, m) + _sample_measures(ours, m)[1:]
         poly = emm_polytope(m)
         expected = [poly.interior]
         for _ in range(2):
@@ -1299,7 +1311,8 @@ def test_measure_and_hedge_arithmetic_matches_operator_reference(monkeypatch):
             w - e for w, e in zip(res.wealth.values, res.envelope.values)
         )
         # the argmax measure is a vertex: it may put 0 on an edge
-        for q in _sample_measures(rng, m, 3) + [res.argmax_measure]:
+        measures = _sample_measures(rng, m) + _sample_measures(rng, m)[1:]
+        for q in measures + [res.argmax_measure]:
             expected = [F(1)] * tree.num_nodes
             for n in range(1, tree.num_nodes):
                 expected[n] = expected[tree.parent[n]] * q[n - 1] / tree.edge_prob[n]

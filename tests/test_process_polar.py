@@ -179,7 +179,7 @@ def test_envelope_one_step(t1):
 
 def test_envelope_constant(t1):
     c = ProcessSet.of(AdaptedProcess.constant(t1, 1))
-    g = RandomVariable.constant(level_space(t1, 1), 1)
+    g = RandomVariable(level_space(t1, 1), (1, 1))
     assert envelope_process(c, g, 0, 1) == AdaptedProcess.constant(t1, 1)
 
 
@@ -283,7 +283,9 @@ def test_polar_closure_under_hull_moves():
         pool = sample_polar_elements(c, rng)
         for _ in range(10):
             if rng.random() < 0.5:
-                b = NonIncreasingProcess.constant(tree, F(rng.randint(0, 3), 3))
+                b = NonIncreasingProcess(
+                    AdaptedProcess.constant(tree, F(rng.randint(0, 3), 3))
+                )
                 candidate = rng.choice(pool).pointwise_mul(b.process)
             else:
                 s = rng.randint(0, tree.horizon)

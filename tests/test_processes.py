@@ -152,8 +152,9 @@ def test_increment_cocycle(t2):
 
 def test_solid_multiply_identity_and_scaling(t1):
     y = AdaptedProcess.from_mapping(t1, {0: 1, 1: 2, 2: 0})
-    assert solid_multiply(y, NonIncreasingProcess.constant(t1, 1)) == y
-    half = solid_multiply(y, NonIncreasingProcess.constant(t1, "1/2"))
+    one = NonIncreasingProcess(AdaptedProcess.constant(t1, 1))
+    assert solid_multiply(y, one) == y
+    half = solid_multiply(y, NonIncreasingProcess(AdaptedProcess.constant(t1, "1/2")))
     assert half.values == (F(1, 2), F(1), F(0))
     assert is_unit_supermartingale(half)
 
@@ -211,7 +212,7 @@ def test_fork_splice_self_identity(t2):
     rng = random.Random(1)
     y = random_supermartingale(rng, t2, strictly_positive=True)
     for s in (0, 1, 2):
-        assert fork_splice(y, y, y, s, "1/3") == y
+        assert fork_splice(y, y, y, s, dict.fromkeys(t2.nodes_at(s), "1/3")) == y
 
 
 def test_fork_splice_pure_graft(t2):
@@ -219,7 +220,7 @@ def test_fork_splice_pure_graft(t2):
     y2 = AdaptedProcess.from_mapping(
         t2, {0: 1, 1: 2, 2: 0, 3: 2, 4: 2, 5: 0, 6: 0}
     )
-    spliced = fork_splice(y1, y2, y1, 0, 1)
+    spliced = fork_splice(y1, y2, y1, 0, {0: 1})
     assert spliced == y2  # y1(root)=1 times y2's increments
 
 
@@ -227,14 +228,14 @@ def test_fork_splice_midpoint(t1):
     one = AdaptedProcess.constant(t1, 1)
     y2 = AdaptedProcess.from_mapping(t1, {0: 1, 1: 2, 2: 0})
     y3 = AdaptedProcess.from_mapping(t1, {0: 1, 1: 0, 2: 2})
-    spliced = fork_splice(one, y2, y3, 0, "1/2")
+    spliced = fork_splice(one, y2, y3, 0, {0: "1/2"})
     assert spliced.values == (F(1), F(1), F(1))
 
 
 def test_fork_splice_weight_validation(t1):
     y = AdaptedProcess.constant(t1, 1)
     with pytest.raises(PreconditionError):
-        fork_splice(y, y, y, 0, 2)
+        fork_splice(y, y, y, 0, {0: 2})
     with pytest.raises(PreconditionError):
         fork_splice(y, y, y, 1, {1: F(1, 2)})  # missing weight at node d
 
@@ -250,7 +251,9 @@ def test_fork_splice_unit_class_closure():
         w = {n: F(rng.randint(0, 3), 3) for n in tree.nodes_at(s)}
         out = fork_splice(y1, y2, y3, s, w)  # internal closure check is exact
         assert is_unit_supermartingale(out)
-        b = NonIncreasingProcess.constant(tree, F(rng.randint(0, 4), 4))
+        b = NonIncreasingProcess(
+            AdaptedProcess.constant(tree, F(rng.randint(0, 4), 4))
+        )
         assert is_unit_supermartingale(solid_multiply(out, b))
 
 

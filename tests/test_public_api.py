@@ -7,9 +7,12 @@ Read with the standard library's ``ast``, without importing the package:
   in ``src/procpolar`` (other than ``__init__``), ``scripts/`` or
   ``suitebench/``, or is named in ``KEPT`` with the reason it stays.  A
   string equal to the name counts as a reference, because
-  ``suitebench/spans.py`` wraps its layers' functions by name.  Special
-  methods (``__init__``, ``__bool__``, ...) are called by the language and
-  need no reference;
+  ``suitebench/spans.py`` wraps its layers' functions by name.  A
+  classmethod counts as referenced only through its own class,
+  ``Class.method`` anywhere or ``cls.method`` inside the class, so another
+  class's method of the same name does not keep it.  Special methods
+  (``__init__``, ``__bool__``, ...) are called by the language and need no
+  reference;
 * no module under ``src/procpolar`` imports a name it never uses.
 """
 
@@ -41,13 +44,26 @@ def _exported() -> set[str]:
 
 
 def _references(tree: ast.AST) -> set[str]:
-    """Names loaded, attributes read, names imported and string constants."""
+    """Names loaded, attributes read, names imported and string constants;
+    an attribute read off a name also as ``name.attr``, and off ``cls``
+    inside a class as ``Class.attr``."""
     out = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            out.update(
+                f"{cls.name}.{node.attr}"
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "cls"
+            )
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                out.add(f"{node.value.id}.{node.attr}")
         elif isinstance(node, ast.alias):
             out.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -59,16 +75,32 @@ def _modules() -> list[Path]:
     return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def _is_classmethod(node: ast.AST) -> bool:
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list
+    )
+
+
 def _defined() -> dict[str, str]:
     """Each function, class and method the library defines, but special
-    methods, with the file and line that defines it."""
+    methods, with the file and line that defines it.  A classmethod is
+    named ``Class.method``, everything else by its bare name."""
     out = {}
     for path in _modules():
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        qualified = {
+            node: f"{cls.name}.{node.name}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if _is_classmethod(node)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
                 if not (name.startswith("__") and name.endswith("__")):
-                    out.setdefault(name, f"{path.name}:{node.lineno}")
+                    where = f"{path.name}:{node.lineno}"
+                    out.setdefault(qualified.get(node, name), where)
     return out
 
 
