@@ -6,8 +6,9 @@ Two commands, both deterministic given (instance, seed):
     procpolar fuzz SUITE [options]            # run a randomized suite
 
 ``WHAT`` is a key of :data:`CHECKS`, the one table of the eight check
-batteries (``fbt`` is ``bipolar`` with generated probes); ``SUITE`` is
-``cbt``, ``fbt`` (the process and polar-closure suites) or ``market``.
+batteries (``fbt`` is ``bipolar`` with generated probes); ``SUITE`` is a
+key of :data:`SUITES`, the one table of the suites: ``cbt``, ``fbt`` (the
+process and polar-closure suites) or ``market``.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (with its
 certificate in the report), 2 input error.  The default seed comes from
@@ -51,8 +52,6 @@ from .process_polar import polar_constraints, verify_process_bipolar
 from .rational import format_rational, parse_rational
 from .rv_polar import conditional_bipolar_contains, hull_contains
 from .tree import validate_tree
-
-SUITES = ("cbt", "fbt", "market")
 
 
 @dataclass
@@ -304,23 +303,33 @@ def cmd_check(args) -> int:
     return _emit(report, args)
 
 
+def _closure_config(count: int, seed: int) -> PolarClosureConfig:
+    """One polar-closure instance per four process instances, at least one."""
+    return PolarClosureConfig(instances=max(1, count // 4), seed=seed)
+
+
+# the suites, in the order ``procpolar fuzz --help`` lists them: each runs
+# its (runner, config) pairs in order, every config built from --count and
+# the seed
+SUITES = {
+    "cbt": ((run_conditional_suite, ConditionalFuzzConfig),),
+    "fbt": (
+        (run_process_suite, ProcessFuzzConfig),
+        (run_polar_closure_suite, _closure_config),
+    ),
+    "market": ((run_market_suite, MarketFuzzConfig),),
+}
+
+
 def cmd_fuzz(args) -> int:
     if args.count < 1:
         raise InstanceError("--count must be at least 1")
     seed = _resolve_seed(args.seed)
     report = Report(f"fuzz {args.suite}", "-", seed)
     start = time.monotonic()
-    if args.suite == "cbt":
-        results = [run_conditional_suite(ConditionalFuzzConfig(count=args.count, seed=seed))]
-    elif args.suite == "fbt":
-        results = [
-            run_process_suite(ProcessFuzzConfig(count=args.count, seed=seed)),
-            run_polar_closure_suite(
-                PolarClosureConfig(instances=max(1, args.count // 4), seed=seed)
-            ),
-        ]
-    else:
-        results = [run_market_suite(MarketFuzzConfig(count=args.count, seed=seed))]
+    results = [
+        run(config(count=args.count, seed=seed)) for run, config in SUITES[args.suite]
+    ]
     for res in results:
         for rec in res.records:
             report.add(

@@ -88,13 +88,14 @@ holding it is built.
 A solve makes one integer pass into the tableau and one out.  Going in,
 each row's integer form is carried to the u-columns in integers: a
 column with a lower bound of 0 passes its term through, an upper-bounded
-column negates it, and a free column splits it.  A nonzero lower or upper
-bound moves ``a*bound`` into the rhs; the row is then multiplied by the
-new rhs's denominator and divided by the gcd of its scale and every
-entry, which is again the row times the lcm of its denominators, the
-scale and the duplicate key above.  The cost row is the objective's
-integer form carried the same way, a positive multiple of the
-lcm-scaled rewritten objective; Bland's rule reads only its signs, and the
+column negates it, and a free column splits it; when every column has a
+lower bound of 0, each row's integer form goes in as it is.  A nonzero
+lower or upper bound moves ``a*bound`` into the rhs; the row is then
+multiplied by the new rhs's denominator and divided by the gcd of its
+scale and every entry, which is again the row times the lcm of its
+denominators, the scale and the duplicate key above.  The cost row is
+the objective's integer form carried the same way, a positive multiple
+of the lcm-scaled rewritten objective; Bland's rule reads only its signs, and the
 value is taken from the point, so the multiple changes nothing.  A zero
 objective builds no cost row.  Coming out, the point is read from the
 tableau as ``Fraction`` values built by
@@ -131,6 +132,7 @@ from .rational import (
     negate,
     parts,
     quotient,
+    zero_mask,
 )
 
 LE = "<="
@@ -513,33 +515,46 @@ class _Standard:
     integer coefficients with the rhs appended.  Each row is built from the
     integer form its :class:`LinearConstraint` caches for the substitution
     check (see :meth:`_rewrite`), never from its ``Fraction`` coefficients.
+    When every column is plain (``x = u``, a lower bound of 0), that form
+    is already the row over the u-columns, since :meth:`_rewrite` passes
+    every term through and shifts nothing: each row is taken as it is, and
+    the point and ray are the u-columns' own values.
     """
 
     def __init__(self, sys_: LinearSystem):
         self.transforms: list[tuple] = []
         widths = []  # u_j <= up - lo, times the denominator of up - lo
         ncols = 0
-        # each bound has passed parts, so frac makes an int bound a Fraction
-        for lo, up in zip(sys_.lower, sys_.upper):
+        # each bound has passed parts, so frac makes an int bound a Fraction;
+        # a missing lower bound stands in as ZERO, whose zero test nothing reads
+        lower = [None if lo is None else frac(lo) for lo in sys_.lower]
+        zero = zero_mask([ZERO if lo is None else lo for lo in lower])
+        # every column plain: u = x, so each row's integer form is already
+        # its u-column form, which _rewrite would return unchanged
+        plain = True
+        for lo, up, lo_zero in zip(lower, sys_.upper, zero):
             if lo is not None:
-                lo = frac(lo)
                 if up is not None:
                     if up < lo:
                         raise _InfeasibleBounds()
                     num, den = parts(dot(((frac(up), ONE), (lo, MINUS_ONE))))
                     widths.append((((ncols, den),), num, den, LE))
-                # a plain column keeps None, which _rewrite's `if aux` skips
-                # without a Fraction truth test per term
-                self.transforms.append(
-                    (_SHIFT, ncols, lo) if lo else (_PLAIN, ncols, None)
-                )
+                if lo_zero:  # a plain column keeps None, which _rewrite skips
+                    self.transforms.append((_PLAIN, ncols, None))
+                else:
+                    self.transforms.append((_SHIFT, ncols, lo))
+                    plain = False
                 ncols += 1
             elif up is not None:
                 self.transforms.append((_MIRROR, ncols, frac(up)))
+                plain = False
                 ncols += 1
             else:
                 self.transforms.append((_SPLIT, ncols, ncols + 1))
+                plain = False
                 ncols += 2
+        self.ncols = ncols
+        self.plain = plain
 
         # rewrite rows over the u-columns; fold bound rows for shifted uppers
         rows: list[tuple[tuple[tuple[int, int], ...], int, int, str]] = []
@@ -547,7 +562,8 @@ class _Standard:
         for row in sys_.rows:
             # the scale is in the key: (1/2, 1/2) <= 1/2 and (1, 1) <= 1
             # are two rows of the rational system
-            key = (*self._rewrite(*row._integer), row.relation)
+            form = row._integer if plain else self._rewrite(*row._integer)
+            key = (*form, row.relation)
             if key in seen:
                 continue  # duplicate constraint: the one presolve step
             seen.add(key)
@@ -631,7 +647,7 @@ class _Standard:
                 out.append((aux, -a))
                 continue
             out.append((col, -a if kind == _MIRROR else a))
-            if aux:
+            if aux is not None:  # a mirror by 0 adds 0 to the shift below
                 shifts.append((a, aux))
         if not shifts:
             return tuple(out), rhs, scale
@@ -648,8 +664,11 @@ class _Standard:
         )
 
     def to_original_point(self, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """The original point of ``u``; a zero offset or a zero negative
-        side of a split column costs no arithmetic."""
+        """The original point of ``u``; a plain column, a zero offset or a
+        zero negative side of a split column costs no arithmetic."""
+        if self.plain:
+            return tuple(u[: self.ncols])
+        zero = zero_mask(u)
         out = []
         for kind, col, aux in self.transforms:
             x = u[col]
@@ -660,11 +679,12 @@ class _Standard:
             elif kind == _MIRROR:
                 out.append(dot(((aux, ONE), (x, MINUS_ONE))))
             else:
-                neg = u[aux]
-                out.append(dot(((x, ONE), (neg, MINUS_ONE))) if neg else x)
+                out.append(x if zero[aux] else dot(((x, ONE), (u[aux], MINUS_ONE))))
         return tuple(out)
 
     def to_original_ray(self, du: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        if self.plain:
+            return tuple(du[: self.ncols])
         out = []
         for kind, col, aux in self.transforms:
             if kind == _MIRROR:

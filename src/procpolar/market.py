@@ -69,6 +69,7 @@ from .rational import (
     negate,
     product,
     scaled,
+    zero_mask,
 )
 from .tree import EventTree, RandomVariable, terminal_space
 
@@ -405,9 +406,10 @@ class WealthMap:
         in column order: the map's transpose, each edge's terms weighing the
         weights summed over the subtree below it, so no path form is composed."""
         below = _subtree_sums(self.tree, weights)
+        zero = zero_mask(below)
         pairs: dict[int, list[tuple[Fraction, Fraction]]] = {0: [(below[0], ONE)]}
         for n in range(1, len(below)):
-            if below[n]:
+            if not zero[n]:
                 for j, a in self.edges[n]:
                     pairs.setdefault(j, []).append((a, below[n]))
         if consumed:
@@ -422,9 +424,10 @@ class WealthMap:
         """The wealth, strategy and consumption held by a point of a system
         over the map."""
         tree = self.tree
+        zero = zero_mask(point)
         wealth = [point[0]]
         for n in range(1, tree.num_nodes):
-            gains = ((a, point[j]) for j, a in self.edges[n] if point[j])
+            gains = ((a, point[j]) for j, a in self.edges[n] if not zero[j])
             wealth.append(dot(((wealth[tree.parent[n]], ONE), *gains)))
         cumulative = [ZERO] * tree.num_nodes
         for n, c in enumerate(self.consumption, 1):

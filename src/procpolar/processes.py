@@ -17,19 +17,20 @@ The one-step (super)martingale comparison at a node brings
 ``sum(p(c) * y(c))`` and ``y(n)`` to one common denominator
 (:func:`~procpolar.rational.dot_sides`) and compares integers; the other
 comparisons of values go through :func:`~procpolar.rational.less`, and
-the zero tests of the absorbed-zeros check through
-:func:`~procpolar.rational.zero_mask`.  The exact supermartingale check and
-the absorbed-zeros check run once per process object: their verdicts are
-cached on the process, outside its fields.  Every operation returns a
-new process, so each postcondition is still checked on its result afresh.
+the zero tests of the absorbed-zeros check and of the fork splice
+through :func:`~procpolar.rational.zero_mask`.  The exact supermartingale
+check and the absorbed-zeros check run once per process object: their
+verdicts are cached on the process, outside its fields.  Every operation
+returns a new process, so each postcondition is still checked on its
+result afresh.
 
 A fork splice at time ``s`` takes a weight in [0, 1] for each time-``s``
 node ``n`` (a mapping from node to weight), computes one coefficient pair
 per fork node, ``a(n) = y1(n) w(n) / y2(n)`` and ``b(n) = y1(n) (1 - w(n)) /
-y3(n)`` (0 when the weight or the divisor is 0), and sets every later node
-``m`` below ``n`` to ``a(n) y2(m) + b(n) y3(m)`` (a ``dot`` of two terms,
-or a ``product`` where a coefficient is 0): the same exact values as the
-increment form, in one pass down the tree.
+y3(n)`` (0 when the weight, ``y1(n)`` or the divisor is 0), and sets every
+later node ``m`` below ``n`` to ``a(n) y2(m) + b(n) y3(m)`` (a ``dot`` of
+two terms, or a ``product`` where a coefficient is 0): the same exact
+values as the increment form, in one pass down the tree.
 """
 
 from __future__ import annotations
@@ -88,9 +89,6 @@ class AdaptedProcess:
     @classmethod
     def constant(cls, tree: EventTree, value: int | str | Fraction) -> "AdaptedProcess":
         return cls(tree, (frac(value),) * tree.num_nodes)
-
-    def __getitem__(self, node: int) -> Fraction:
-        return self.values[node]
 
     @property
     def initial(self) -> Fraction:
@@ -163,9 +161,6 @@ class NonIncreasingProcess:
                 raise PreconditionError(
                     f"value increases along the edge into {p.tree.labels[i]}"
                 )
-
-    def __getitem__(self, node: int) -> Fraction:
-        return self.process.values[node]
 
 
 def is_supermartingale(y: AdaptedProcess) -> bool:
@@ -262,11 +257,16 @@ def fork_splice(
         if not has_absorbed_zeros(y):
             raise PreconditionError("splice branches must have absorbed zeros")
 
-    # A coefficient whose weight or divisor is 0 is 0: below a zero divisor
-    # the subtree is zero (absorbed zeros), and 0/0 = 0.
+    # A coefficient whose weight, dividend or divisor is 0 is 0: below a
+    # zero divisor the subtree is zero (absorbed zeros), and 0/0 = 0.  The
+    # zero tests are read once per input, and each coefficient carries its
+    # own below its fork node.
     v1, v2, v3 = y1.values, y2.values, y3.values
+    z1, z2, z3 = zero_mask(v1), zero_mask(v2), zero_mask(v3)
     vals = list(v1)
-    coefs: list[tuple[Fraction, Fraction]] = [(ZERO, ZERO)] * tree.num_nodes
+    coefs: list[tuple[Fraction, Fraction, bool, bool]] = [
+        (ZERO, ZERO, True, True)
+    ] * tree.num_nodes
     for m in range(tree.num_nodes):
         t = tree.time[m]
         if t < s:
@@ -274,15 +274,20 @@ def fork_splice(
         if t == s:
             w = wmap[m]
             rest = complement(w)
+            w_zero, rest_zero = zero_mask((w, rest))
+            a_zero = w_zero or z1[m] or z2[m]
+            b_zero = rest_zero or z1[m] or z3[m]
             coefs[m] = (
-                scaled(v1[m], w, v2[m]) if w and v2[m] else ZERO,
-                scaled(v1[m], rest, v3[m]) if rest and v3[m] else ZERO,
+                ZERO if a_zero else scaled(v1[m], w, v2[m]),
+                ZERO if b_zero else scaled(v1[m], rest, v3[m]),
+                a_zero,
+                b_zero,
             )
             continue
-        a, b = coefs[m] = coefs[tree.parent[m]]
-        if not b:
+        a, b, a_zero, b_zero = coefs[m] = coefs[tree.parent[m]]
+        if b_zero:
             vals[m] = product(a, v2[m])
-        elif not a:
+        elif a_zero:
             vals[m] = product(b, v3[m])
         else:
             vals[m] = dot(((a, v2[m]), (b, v3[m])))

@@ -18,16 +18,19 @@ positive denominator) that ``Fraction(n, d)`` would hold;
 interpreter the project supports.  :func:`negate` and :func:`complement`
 (``-x`` and ``1 - x``) need no ``gcd``.
 
-:func:`product`, :func:`quotient`, :func:`scaled`, :func:`mix` and
-:func:`dot` compute on the numerators and denominators as integers and
-normalise the result once, where the ``Fraction`` operators normalise
-every product and every partial sum (deferred gcds, Knuth, TAOCP vol. 2,
-sec. 4.5.1); :func:`less` and :func:`dot_sides` compare cross-multiplied
-integers, and :func:`nonnegative` and :func:`zero_mask` read the signs of
-numerators, with no ``Fraction`` comparison dispatch.  They return what
-the operators return and take Fractions that have passed :func:`frac`.  A
-sum or a difference is a :func:`dot` with ``ONE`` and ``MINUS_ONE``
-weights.  :func:`parts` and :func:`integers` take values apart under the
+:func:`product`, :func:`quotient`, :func:`scaled`, :func:`mix`,
+:func:`differences` and :func:`dot` compute on the numerators and
+denominators as integers and normalise the result once, where the
+``Fraction`` operators normalise every product and every partial sum
+(deferred gcds, Knuth, TAOCP vol. 2, sec. 4.5.1); :func:`differences`
+takes its first side as the integer numerator and denominator that
+:func:`integers` gives, so a value already in that form is never built
+into a ``Fraction``.  :func:`less` and :func:`dot_sides` compare
+cross-multiplied integers, and :func:`nonnegative` and :func:`zero_mask`
+read the signs of numerators, with no ``Fraction`` comparison or truth
+test dispatch.  They return what the operators return and take
+Fractions that have passed :func:`frac`.  A sum or a difference is a
+:func:`dot` with ``ONE`` and ``MINUS_ONE`` weights.  :func:`parts` and :func:`integers` take values apart under the
 exact LP core's type rule: a ``Fraction`` or an ``int``; anything else is
 refused with ``PreconditionError``.
 """
@@ -170,6 +173,24 @@ def mix(w: Fraction, a: Fraction, b: Fraction) -> Fraction:
     an, ad = a._numerator, a._denominator
     bn, bd = b._numerator, b._denominator
     return fraction(wn * an * bd + (wd - wn) * bn * ad, wd * ad * bd)
+
+
+def differences(n: int, d: int, xs: Iterable[Fraction]) -> list[Fraction]:
+    """``n / d - x`` for each ``x`` in order, for ints ``n`` and ``d > 0``:
+    one cross product and one ``gcd`` each, the first side read as the
+    integers :func:`integers` gives, never as a ``Fraction``."""
+    if d <= 0:
+        raise PreconditionError(f"differences over a denominator of {d}")
+    out = []
+    for x in xs:
+        q = x._denominator
+        num, den = n * q - x._numerator * d, d * q
+        g = gcd(num, den)  # den > 0, so g > 0 and no sign moves
+        y = _new(Fraction)
+        y._numerator = num // g
+        y._denominator = den // g
+        out.append(y)
+    return out
 
 
 def quotient(a: Fraction, b: Fraction) -> Fraction:

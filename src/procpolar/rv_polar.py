@@ -20,11 +20,19 @@ Every system is memoised on the :class:`RvSet` with
 conditional polar and the per-block polar the bipolar oracle maximizes
 over, which depend only on the generators, and the per-block hull system,
 keyed by the block and the probe's values on it, since those values are
-in its coefficients.  Probes that agree on a block then ask one system
-object, which answers the question once.  The unconditional cross-checks
-build their systems afresh, and the bipolar one asks the dual of the polar
-LP, so it checks the conditional oracle's LP on the trivial partition
-instead of asking it again.
+in its coefficients.  The key is the values' integer form, their
+numerators over the lcm of their denominators
+(:func:`~procpolar.rational.integers`), which is one tuple of ints for
+equal values, so a lookup hashes ints.  Probes that agree on a block then
+ask one system object, which answers the question once.  What the hull
+systems of one set share is prepared once, also on the set: the convex
+row, and per block its outcome indices, the labels of its dominance rows
+and the generators' values on each outcome.  A system is then built in
+one pass, each coefficient ``h(w) - f_i(w)`` one integer cross product
+of the probe's integer form with the prepared value.  The unconditional
+cross-checks build their systems afresh, and the bipolar one asks the dual
+of the polar LP, so it checks the conditional oracle's LP on the trivial
+partition instead of asking it again.
 
 The hull system writes each dominance row in homogeneous form, ``sum_i
 l_i (h(w) - f_i(w)) <= 0`` beside the convex row ``sum_i l_i = 1``, not
@@ -58,7 +66,7 @@ from .exact_lp import (
     per_owner,
     vector,
 )
-from .rational import MINUS_ONE, ONE, ZERO, dot, mix, product, quotient
+from .rational import ONE, ZERO, differences, integers, mix, product, quotient
 from .tree import Partition, RandomVariable, SampleSpace, cond_exp_partition
 
 
@@ -165,37 +173,60 @@ def hull_contains(c: RvSet, h: RandomVariable) -> HullMembership:
     """
     if h.space != c.space:
         raise PreconditionError("candidate lives on a different space")
-    space = c.space
+    values = h.values
     weights: list[tuple[Fraction, ...]] = []
-    for bi, block in enumerate(c.partition.blocks):
-        values = tuple(h.values[space.index(w)] for w in block)
-        point = feasible_point(_block_hull(c, bi, values))
+    for bi, (idx, _) in enumerate(_hull_blocks(c)[1]):
+        nums, den = integers([values[i] for i in idx])
+        point = feasible_point(_block_hull(c, bi, tuple(nums), den))
         if point is None:
             return HullMembership(False, failing_block=bi)
         weights.append(point)
     return HullMembership(True, block_weights=tuple(weights))
 
 
+# a block's outcome indices and, per outcome, a dominance row's label and
+# the generators' values there
+_HullBlock = tuple[tuple[int, ...], tuple[tuple[str, tuple[Fraction, ...]], ...]]
+
+
 @per_owner
-def _block_hull(c: RvSet, bi: int, values: tuple[Fraction, ...]) -> LinearSystem:
-    """Convex weights over the generators whose mixture dominates
-    ``values``, a probe's values on block ``bi`` in block order.
+def _hull_blocks(c: RvSet) -> tuple[LinearConstraint, tuple[_HullBlock, ...]]:
+    """What every hull system of ``c`` shares: the convex row ``sum_i l_i =
+    1``, and per block its outcome indices and, per outcome, the label of
+    its dominance row and the generators' values there."""
+    space = c.space
+    k = len(c.generators)
+    convex = LinearConstraint(enumerate((ONE,) * k), EQ, ONE, "convex")
+    blocks = []
+    for block in c.partition.blocks:
+        idx = tuple(map(space.index, block))
+        columns = tuple(
+            (f"dominate({w})", tuple(f.values[i] for f in c.generators))
+            for w, i in zip(block, idx)
+        )
+        blocks.append((idx, columns))
+    return convex, tuple(blocks)
+
+
+@per_owner
+def _block_hull(c: RvSet, bi: int, nums: tuple[int, ...], den: int) -> LinearSystem:
+    """Convex weights over the generators whose mixture dominates a
+    probe's values on block ``bi``, given in block order as their integer
+    form: the numerators ``nums`` over their lcm ``den``.
 
     Each dominance row is ``sum_i l_i (h(w) - f_i(w)) <= 0``, with the
     probe's value in the coefficients: on the convex row ``sum_i l_i = 1``
     it is ``sum_i l_i f_i(w) >= h(w)``, and with rhs 0 its slack starts
     basic and feasible, so the convex row is the one row phase 1 needs an
-    artificial for."""
-    space = c.space
-    k = len(c.generators)
-    rows = [LinearConstraint(enumerate((ONE,) * k), EQ, ONE, "convex")]
-    for w, v in zip(c.partition.blocks[bi], values):
-        i = space.index(w)
-        terms = enumerate(
-            dot(((v, ONE), (f.values[i], MINUS_ONE))) for f in c.generators
-        )
-        rows.append(LinearConstraint(terms, LE, ZERO, f"dominate({w})"))
-    return LinearSystem.make(k, rows, lower=0)
+    artificial for.  The convex row, the labels and the generators' values
+    come prepared from :func:`_hull_blocks`; each coefficient ``h(w) -
+    f_i(w)`` is one :func:`~procpolar.rational.differences` entry."""
+    convex, blocks = _hull_blocks(c)
+    rows = [convex]
+    for n, (label, column) in zip(nums, blocks[bi][1]):
+        terms = enumerate(differences(n, den, column))
+        rows.append(LinearConstraint(terms, LE, ZERO, label))
+    return LinearSystem.make(len(c.generators), rows, lower=0)
 
 
 # ---------------------------------------------------------------------------

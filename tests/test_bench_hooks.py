@@ -57,7 +57,8 @@ def test_tracer_reads_the_systems_of_real_solves():
     lifted = market.lifted_deflator_system(m)
     space = fuzz.random_space(rng)
     c = fuzz.random_rvset(rng, space, fuzz.random_partition(rng, space))
-    hull = rv_polar._block_hull(c, 0, (F(1, 2),) * len(c.partition.blocks[0]))
+    # the probe 1/2 on every outcome of block 0, in its integer form
+    hull = rv_polar._block_hull(c, 0, (1,) * len(c.partition.blocks[0]), 2)
     for problem in (
         exact_lp.LpProblem("max", ((0, F(3, 2)),), lifted),
         exact_lp.LpProblem("min", (), hull),

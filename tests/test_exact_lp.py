@@ -678,6 +678,25 @@ def test_standard_form_matches_the_fraction_rewrite_on_the_corpus():
         _assert_standard_matches_reference(problem)
 
 
+def test_the_corpus_has_all_plain_systems_with_repeated_rows_of_two_scales():
+    """With every column plain, ``_Standard`` takes each row's integer form
+    as it is, without ``_rewrite``.  The corpus checks that against the
+    reference on systems whose rows have more than one scale and whose
+    duplicate rows are dropped by that key."""
+    found = 0
+    for problem in lp_corpus(random.Random(20070049), 300):
+        system = problem.system
+        try:
+            plain = exact_lp._Standard(system).plain
+        except exact_lp._InfeasibleBounds:
+            continue
+        keys = [(*row._integer, row.relation) for row in system.rows]
+        if plain and len(set(keys)) < len(keys) and len({k[2] for k in keys}) > 1:
+            _assert_standard_matches_reference(problem)
+            found += 1
+    assert found >= 3
+
+
 def test_standard_form_matches_the_fraction_rewrite_on_the_suites(monkeypatch):
     """Every problem the seeded cbt, fbt and market instances solve."""
     solved = _count_solves(monkeypatch)

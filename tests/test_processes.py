@@ -386,11 +386,12 @@ def test_fork_splice_matches_increment_reference():
                 cases["s = 0" if s == 0 else "s = horizon"] += 1
             else:
                 cases["0 < s < horizon"] += 1
+            v1, v2, v3 = y1.values, y2.values, y3.values
             for n, w in weights.items():
                 cases["w = 0" if w == 0 else "w = 1" if w == 1 else "0 < w < 1"] += 1
-                if y1[n] and ((w and not y2[n]) or (w != 1 and not y3[n])):
+                if v1[n] and ((w and not v2[n]) or (w != 1 and not v3[n])):
                     cases["weighted zero branch at a fork node"] += 1
-                if not (y2[n] and y3[n]) and any(
+                if not (v2[n] and v3[n]) and any(
                     tree.time[m] > s and tree.ancestor_at(m, s) == n
                     for m in range(tree.num_nodes)
                 ):

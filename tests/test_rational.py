@@ -28,6 +28,7 @@ from procpolar import cli
 from procpolar.errors import PreconditionError, RationalFormatError
 from procpolar.rational import (
     complement,
+    differences,
     dot,
     dot_sides,
     format_rational,
@@ -100,6 +101,12 @@ def test_kernels_match_the_operators(a, b, pairs):
     expected, value = dot_sides(pairs, a)
     assert F(expected, common) == dot(pairs) and F(value, common) == a
     values = [x for pair in pairs for x in pair] + [a]
+    # a over a multiple of its parts, as integers gives a value among others
+    k = abs(b.numerator) + 1
+    got = differences(a.numerator * k, a.denominator * k, values)
+    assert [_parts(x) for x in got] == [_parts(a - x) for x in values]
+    with pytest.raises(PreconditionError):
+        differences(a.numerator, -a.denominator, values)
     assert nonnegative(values) is all(v >= 0 for v in values)
     assert nonnegative(abs(v) for v in values)
     assert zero_mask(values + [F(0)]) == [v == 0 for v in values] + [True]
@@ -213,9 +220,10 @@ CHECKS = (
 def test_the_suites_call_no_fraction_operator_outside_the_kernel(monkeypatch):
     """Instances of each fuzz suite, every check battery and
     ``envelope_process`` on the fixtures, run with counting wrappers on the
-    ``Fraction`` constructor, its arithmetic operators and its numerator and
-    denominator properties: no call comes from a library frame other than
-    rational.py's."""
+    ``Fraction`` constructor, its arithmetic operators, its truth test and
+    its numerator and denominator properties: no call comes from a library
+    frame other than rational.py's.  A zero test goes through
+    :func:`zero_mask`."""
     calls: dict[tuple[str, str], int] = {}
     library = str(Path(cli.__file__).parent)  # as the frames name the files
 
@@ -242,7 +250,7 @@ def test_the_suites_call_no_fraction_operator_outside_the_kernel(monkeypatch):
 
         return property(getter)
 
-    for name in ARITHMETIC:
+    for name in (*ARITHMETIC, "__bool__"):
         monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
     for name in ("numerator", "denominator"):
         monkeypatch.setattr(F, name, counted_property(name))
@@ -250,9 +258,9 @@ def test_the_suites_call_no_fraction_operator_outside_the_kernel(monkeypatch):
     # from a library frame is, here code compiled under tree.py's file name
     assert F(1, 2) + F(1, 3) == F(5, 6) and F(3, 4).numerator == 3
     assert calls == {}
-    source = "F(1, 3) * 3 + F(2, 3) * F(3, 2)"
+    source = "F(1, 3) * 3 + F(2, 3) * F(3, 2) if F(1, 3) else None"
     assert eval(compile(source, str(Path(library, "tree.py")), "eval")) == F(2)
-    assert {name for name, _ in calls} >= {"__add__", "__mul__"}
+    assert {name for name, _ in calls} >= {"__add__", "__mul__", "__bool__"}
     calls.clear()
     commands = [
         ["fuzz", suite, "--count", str(count), "--seed", str(seed)]

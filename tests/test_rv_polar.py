@@ -33,6 +33,7 @@ from procpolar.rv_polar import (
     unconditional_bipolar_contains,
     unconditional_hull_contains,
 )
+from procpolar.rational import integers
 from procpolar.tree import Partition, RandomVariable, SampleSpace, terminal_space
 
 
@@ -364,13 +365,13 @@ def test_hull_systems_are_memoised_on_the_rv_set(four):
     c = RvSet(fixed.generators, part)  # not held by the fixture, so it can die
     before = (repr(c), hash(c))
     probe = RandomVariable(space, (F(1), F(1, 2), F(2), F(1)))
-    on_block = (F(1), F(1, 2))
+    on_block = ((2, 1), 2)  # the integer form of (1, 1/2)
     # one system object per block and probe values on the block
-    assert _block_hull(c, 0, on_block) is _block_hull(c, 0, on_block)
-    assert _block_hull(c, 0, on_block) is not _block_hull(c, 0, (F(1), F(1)))
-    assert _block_hull(c, 1, on_block) is not _block_hull(c, 0, on_block)
-    assert _block_hull(fixed, 0, on_block) is not _block_hull(c, 0, on_block)
-    assert _block_hull(fixed, 0, on_block) == _block_hull(c, 0, on_block)
+    assert _block_hull(c, 0, *on_block) is _block_hull(c, 0, *on_block)
+    assert _block_hull(c, 0, *on_block) is not _block_hull(c, 0, (1, 1), 1)
+    assert _block_hull(c, 1, *on_block) is not _block_hull(c, 0, *on_block)
+    assert _block_hull(fixed, 0, *on_block) is not _block_hull(c, 0, *on_block)
+    assert _block_hull(fixed, 0, *on_block) == _block_hull(c, 0, *on_block)
     verdict = hull_contains(c, probe)
     assert verdict.member
     # a probe that agrees on block 0 asks the same system: the same weights
@@ -670,7 +671,8 @@ def test_hull_weights_are_convex_and_dominate_the_probe():
             verdicts[verdict.member] += 1
             for bi, block in enumerate(part.blocks):
                 values = tuple(probe.values[space.index(w)] for w in block)
-                system = _block_hull(c, bi, values)
+                nums, den = integers(values)
+                system = _block_hull(c, bi, tuple(nums), den)
                 expected = [([(j, F(1)) for j in range(len(gens))], "=", F(1))]
                 expected += (
                     (
