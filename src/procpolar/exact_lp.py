@@ -67,7 +67,8 @@ confirms.
 
 Each row is brought to integers once, when the :class:`LinearConstraint`
 is built: its integer form, the nonzero terms and the rhs times the lcm of
-their denominators, with that lcm.  The substitution check behind
+their denominators, with that lcm, from
+:func:`~procpolar.rational.integer_form`.  The substitution check behind
 :meth:`LinearSystem.violations` and :func:`verify_outcome` reads it, and
 so does the standard form.  A point or ray is brought to one common
 denominator ``D``, and each row ``a.x <= b`` is tested as
@@ -78,8 +79,13 @@ problem's objective, never the standard form or the tableau, so it stays
 independent of the solver; sharing the row's integer form adds no blind
 spot, since each side would compute it with the same function.  The
 objective is brought to integers when its :class:`LpProblem` is built,
-and the bounds when their system is; the outcome memo, the cost row and
-the check's value read those forms.
+by the same kernel, and the bounds when their system is; the outcome
+memo, the cost row and the check's value read those forms.  A system
+also classifies its bounds once, when it is built: it is plain when every
+column has a lower bound of 0 and no upper bound, as every hull, polar
+and process system is.  The check then tests its bounds in one pass that
+every numerator is at least 0 (a ray's too), with the messages, in the
+order, that the bound-by-bound pass gives.
 Every value in a row, a bound or an objective must be an ``int`` or a
 ``Fraction`` (:func:`~procpolar.rational.parts`): anything else, a float
 or a bool, is refused with :class:`PreconditionError` when the object
@@ -88,10 +94,11 @@ holding it is built.
 A solve makes one integer pass into the tableau and one out.  Going in,
 each row's integer form is carried to the u-columns in integers: a
 column with a lower bound of 0 passes its term through, an upper-bounded
-column negates it, and a free column splits it; when every column has a
-lower bound of 0, each row's integer form goes in as it is.  A nonzero
-lower or upper bound moves ``a*bound`` into the rhs; the row is then
-multiplied by the new rhs's denominator and divided by the gcd of its
+column negates it, and a free column splits it; a plain system reads no
+bound at all: with no column transform and no width row, each row's
+integer form goes in as it is.  A nonzero lower or upper bound moves
+``a*bound`` into the rhs; the row is then multiplied by the new rhs's
+denominator and divided by the gcd of its
 scale and every entry, which is again the row times the lcm of its
 denominators, the scale and the duplicate key above.  The cost row is
 the objective's integer form carried the same way, a positive multiple
@@ -127,6 +134,7 @@ from .rational import (
     dot,
     frac,
     fraction,
+    integer_form,
     integers,
     less,
     negate,
@@ -159,24 +167,12 @@ class LinearConstraint:
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
         # the one integer form of the row, kept in the instance dict, out of
         # equality, hashing and repr: see the module docstring
-        object.__setattr__(self, "_integer", _integral(self.terms, self.rhs))
+        object.__setattr__(self, "_integer", integer_form(self.terms, self.rhs))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The nonzero coefficients, in column order."""
         return tuple(a for _, a in self.terms if a)
-
-
-def _integral(
-    terms: Sequence[tuple[int, Fraction]], rhs: Fraction
-) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    """A row times the lcm of its denominators: nonzero terms, rhs, scale.
-
-    Every value must be an ``int`` or a ``Fraction``; a float or a bool
-    is refused here, when the row or objective is built."""
-    nums, scale = integers([rhs, *[a for _, a in terms]])
-    # a zero has numerator 0, so only the nonzero terms stay
-    return tuple([(t[0], v) for t, v in zip(terms, nums[1:]) if v]), nums[0], scale
 
 
 def _check_columns(terms: Sequence[tuple[int, Fraction]], n: int, owner: str) -> None:
@@ -232,13 +228,17 @@ class LinearSystem:
         if self.var_names is not None and len(self.var_names) != self.num_vars:
             raise PreconditionError("var_names must match the variable count")
         # kept like LinearConstraint._integer: each bound as the row x_j * den
-        # relation num, lower first; and the outcome memo of _ask
+        # relation num, lower first; whether every column is plain, with a
+        # lower bound of 0 and no upper bound; and the outcome memo of _ask
         bounds = []
         for j, (lo, up) in enumerate(zip(self.lower, self.upper)):
-            for b, relation in ((lo, GE), (up, LE)):
-                if b is not None:
-                    bounds.append((j, relation, *parts(b)))
+            if lo is not None:
+                bounds.append((j, GE, *parts(lo)))
+            if up is not None:
+                bounds.append((j, LE, *parts(up)))
+        plain = bounds == [(j, GE, 0, 1) for j in range(n)]
         object.__setattr__(self, "_integer_bounds", tuple(bounds))
+        object.__setattr__(self, "_plain", plain)
         object.__setattr__(self, "_outcomes", {})
 
     @classmethod
@@ -293,6 +293,11 @@ class LinearSystem:
                 else lhs < rhs if relation == GE else lhs != rhs
             ):
                 out.append(row.label or f"row[{i}]")
+        if self._plain:  # every bound is x_j >= 0, in column order
+            for j, v in enumerate(nums):
+                if v < 0:
+                    out.append(f"{self.name_of(j)} below lower bound")
+            return tuple(out)
         for j, relation, num, bden in self._integer_bounds:
             if relation == GE:
                 if nums[j] * bden < num * den:
@@ -355,7 +360,7 @@ class LpProblem:
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
         _check_columns(self.terms, self.system.num_vars, "objective")
         # its nonzero integer terms and their lcm, kept like a row's _integer
-        terms, _, scale = _integral(self.terms, ZERO)
+        terms, _, scale = integer_form(self.terms, ZERO)
         object.__setattr__(self, "_integer_objective", (terms, scale))
 
     @property
@@ -515,46 +520,21 @@ class _Standard:
     integer coefficients with the rhs appended.  Each row is built from the
     integer form its :class:`LinearConstraint` caches for the substitution
     check (see :meth:`_rewrite`), never from its ``Fraction`` coefficients.
-    When every column is plain (``x = u``, a lower bound of 0), that form
-    is already the row over the u-columns, since :meth:`_rewrite` passes
-    every term through and shifts nothing: each row is taken as it is, and
-    the point and ray are the u-columns' own values.
+    A plain system (every column ``x = u`` with a lower bound of 0 and no
+    upper bound, :attr:`LinearSystem._plain`) reads no bound at all: it
+    has no column transform and no width row, its rows' integer forms are
+    already the rows over the u-columns, which :meth:`_rewrite` would
+    return unchanged, so each is taken as it is, :meth:`cost` takes the
+    objective's integer terms as they are, and the point and ray are the
+    u-columns' own values.
     """
 
     def __init__(self, sys_: LinearSystem):
         self.transforms: list[tuple] = []
-        widths = []  # u_j <= up - lo, times the denominator of up - lo
-        ncols = 0
-        # each bound has passed parts, so frac makes an int bound a Fraction;
-        # a missing lower bound stands in as ZERO, whose zero test nothing reads
-        lower = [None if lo is None else frac(lo) for lo in sys_.lower]
-        zero = zero_mask([ZERO if lo is None else lo for lo in lower])
-        # every column plain: u = x, so each row's integer form is already
-        # its u-column form, which _rewrite would return unchanged
-        plain = True
-        for lo, up, lo_zero in zip(lower, sys_.upper, zero):
-            if lo is not None:
-                if up is not None:
-                    if up < lo:
-                        raise _InfeasibleBounds()
-                    num, den = parts(dot(((frac(up), ONE), (lo, MINUS_ONE))))
-                    widths.append((((ncols, den),), num, den, LE))
-                if lo_zero:  # a plain column keeps None, which _rewrite skips
-                    self.transforms.append((_PLAIN, ncols, None))
-                else:
-                    self.transforms.append((_SHIFT, ncols, lo))
-                    plain = False
-                ncols += 1
-            elif up is not None:
-                self.transforms.append((_MIRROR, ncols, frac(up)))
-                plain = False
-                ncols += 1
-            else:
-                self.transforms.append((_SPLIT, ncols, ncols + 1))
-                plain = False
-                ncols += 2
-        self.ncols = ncols
-        self.plain = plain
+        self.ncols = sys_.num_vars
+        self.plain = plain = sys_._plain
+        widths = [] if plain else self._columns(sys_)
+        ncols = self.ncols
 
         # rewrite rows over the u-columns; fold bound rows for shifted uppers
         rows: list[tuple[tuple[tuple[int, int], ...], int, int, str]] = []
@@ -604,6 +584,37 @@ class _Standard:
             self.basis_hint.append(hint)
         self.ncols_total = total
 
+    def _columns(self, sys_: LinearSystem) -> list[tuple]:
+        """Fill in the transform of each column and the u-column count,
+        and return the width rows ``u_j <= up - lo`` of the columns with
+        both bounds, each times the denominator of ``up - lo``."""
+        widths = []
+        ncols = 0
+        # each bound has passed parts, so frac makes an int bound a Fraction;
+        # a missing lower bound stands in as ZERO, whose zero test nothing reads
+        lower = [None if lo is None else frac(lo) for lo in sys_.lower]
+        zero = zero_mask([ZERO if lo is None else lo for lo in lower])
+        for lo, up, lo_zero in zip(lower, sys_.upper, zero):
+            if lo is not None:
+                if up is not None:
+                    if up < lo:
+                        raise _InfeasibleBounds()
+                    num, den = parts(dot(((frac(up), ONE), (lo, MINUS_ONE))))
+                    widths.append((((ncols, den),), num, den, LE))
+                if lo_zero:  # a plain column keeps None, which _rewrite skips
+                    self.transforms.append((_PLAIN, ncols, None))
+                else:
+                    self.transforms.append((_SHIFT, ncols, lo))
+                ncols += 1
+            elif up is not None:
+                self.transforms.append((_MIRROR, ncols, frac(up)))
+                ncols += 1
+            else:
+                self.transforms.append((_SPLIT, ncols, ncols + 1))
+                ncols += 2
+        self.ncols = ncols
+        return widths
+
     def cost(self, problem: LpProblem) -> list[int]:
         """An integer cost row of ``problem``'s objective, to be minimized.
 
@@ -614,6 +625,10 @@ class _Standard:
         outcome."""
         sign = -1 if problem.sense == "max" else 1
         out = [0] * self.ncols_total
+        if self.plain:
+            for j, c in problem._integer_objective[0]:
+                out[j] = sign * c
+            return out
         for j, c in problem._integer_objective[0]:
             kind, col, aux = self.transforms[j]
             if kind == _MIRROR:

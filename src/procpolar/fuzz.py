@@ -335,10 +335,9 @@ def _hull_mixture(rng: random.Random, c: RvSet, scale: Fraction) -> RandomVariab
     """Per-block convex mixture of generators, scaled; scale 1 sits on the
     upper envelope."""
     vals = [ZERO] * c.space.size
-    for block in c.partition.blocks:
+    for idx in c.partition.block_indices:
         w = random_positive_weights(rng, len(c.generators))
-        for outcome in block:
-            i = c.space.index(outcome)
+        for i in idx:
             vals[i] = product(
                 scale, dot((wi, g.values[i]) for wi, g in zip(w, c.generators))
             )
@@ -392,10 +391,10 @@ def _random_block_constant(
     rng: random.Random, part: Partition, max_num: int = 2, max_den: int = 2
 ) -> RandomVariable:
     vals = [ZERO] * part.space.size
-    for block in part.blocks:
+    for idx in part.block_indices:
         v = random_fraction(rng, max_num, max_den)
-        for w in block:
-            vals[part.space.index(w)] = v
+        for i in idx:
+            vals[i] = v
     return RandomVariable(part.space, tuple(vals))
 
 

@@ -13,16 +13,25 @@ go through :func:`~procpolar.rational.product`, quotients through
 :func:`~procpolar.rational.quotient`, sums of products through
 :func:`~procpolar.rational.dot` and fork coefficients through
 :func:`~procpolar.rational.scaled`, so each result is normalised once.
-The one-step (super)martingale comparison at a node brings
-``sum(p(c) * y(c))`` and ``y(n)`` to one common denominator
-(:func:`~procpolar.rational.dot_sides`) and compares integers; the other
-comparisons of values go through :func:`~procpolar.rational.less`, and
-the zero tests of the absorbed-zeros check and of the fork splice
-through :func:`~procpolar.rational.zero_mask`.  The exact supermartingale
-check and the absorbed-zeros check run once per process object: their
-verdicts are cached on the process, outside its fields.  Every operation
-returns a new process, so each postcondition is still checked on its
-result afresh.
+Every check of a process compares integers.  A process brings its values
+to integer numerators ``N`` over one common denominator ``D`` once, at
+its first check (:func:`~procpolar.rational.integers`), and its tree keeps
+each non-terminal node's edge probabilities as integers ``P(c)`` over
+their lcm ``L(n)`` (:attr:`~procpolar.tree.EventTree.child_weights`).
+The one-step (super)martingale check at ``n`` compares ``sum(P(c) N(c))``
+with ``L(n) N(n)``: both are the two sides times ``L(n) D > 0``.  The
+zero tests of the absorbed-zeros check and of the fork splice read ``N``,
+and the splice weights are checked against [0, 1] in their own integer
+form.  Single comparisons (a start against 1, and the edges of a
+nonincreasing process, whose integer form nothing else reads) go through
+:func:`~procpolar.rational.less`, which cross-multiplies one pair at a
+time: a nonincreasing process's denominators grow along each path, so one
+common denominator for all of them costs more than the comparisons it
+would save.  The exact supermartingale check and the
+absorbed-zeros check run once per process object: their verdicts, like
+the integer form, are kept on the process, outside its fields.  Every
+operation returns a new process, so each postcondition is still checked
+on its result afresh.
 
 A fork splice at time ``s`` takes a weight in [0, 1] for each time-``s``
 node ``n`` (a mapping from node to weight), computes one coefficient pair
@@ -39,7 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import PostconditionError, PreconditionError
 from .rational import (
@@ -47,16 +56,15 @@ from .rational import (
     ZERO,
     complement,
     dot,
-    dot_sides,
     frac,
     frac_tuple,
     fraction,
+    integers,
     less,
     nonnegative,
     product,
     quotient,
     scaled,
-    zero_mask,
 )
 from .tree import EventTree
 
@@ -116,33 +124,45 @@ class AdaptedProcess:
         return AdaptedProcess(self.tree, tuple(vals))
 
     @cached_property
+    def _integers(self) -> tuple[list[int], int]:
+        """The values as integer numerators ``N`` over one common
+        denominator ``D``, which every check below reads.  It is built at
+        the first check, and lives in the instance dict, not in a field, so
+        equality, hashing and repr never see it."""
+        return integers(self.values)
+
+    @cached_property
     def _is_supermartingale(self) -> bool:
         """The verdict of :func:`is_supermartingale`.  It lives in the
         instance dict, not in a field, so equality, hashing and repr never
         see it."""
-        return all(expected <= value for expected, value in _one_step_sides(self))
+        return min(_one_step_gaps(self), default=0) >= 0
 
     @cached_property
     def _has_absorbed_zeros(self) -> bool:
         """The verdict of :func:`has_absorbed_zeros`, kept like
         :attr:`_is_supermartingale`."""
-        zero = zero_mask(self.values)
-        return not any(
-            zero[par] and not zero[n]
-            for n, par in enumerate(self.tree.parent)
-            if par is not None
-        )
+        nums = self._integers[0]
+        for n, par in enumerate(self.tree.parent):
+            if par is not None and nums[n] and not nums[par]:
+                return False
+        return True
 
 
-def _one_step_sides(y: AdaptedProcess) -> Iterator[tuple[int, int]]:
-    """Both sides of the one-step check at each non-terminal node ``n``, as
-    integers over one common denominator ``L`` of that node: ``E / L`` is
-    ``sum(p(c) * y(c))`` over the children ``c`` of ``n`` and ``v / L`` is
-    ``y(n)``.  Comparing ``E`` with ``v`` compares the two rationals."""
-    tree = y.tree
-    probs, vals = tree.edge_prob, y.values
-    for n in tree.non_terminal_nodes():
-        yield dot_sides([(probs[c], vals[c]) for c in tree.children[n]], vals[n])
+def _one_step_gaps(y: AdaptedProcess) -> list[int]:
+    """``y(n) - E[y | n]`` at each non-terminal node ``n``, times ``L(n) D``
+    (a positive integer): ``L(n) N(n) - sum(P(c) N(c))`` over the children
+    ``c`` of ``n``, with ``P`` and ``L`` from
+    :attr:`~procpolar.tree.EventTree.child_weights` and ``N / D`` the
+    process's integer form.  Its sign is the sign of the rational gap."""
+    nums = y._integers[0]
+    gaps = []
+    for n, weights, common in y.tree.child_weights:
+        gap = common * nums[n]
+        for c, p in weights:
+            gap -= p * nums[c]
+        gaps.append(gap)
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -176,7 +196,7 @@ def is_unit_supermartingale(y: AdaptedProcess) -> bool:
 
 def is_martingale(y: AdaptedProcess) -> bool:
     """Exact one-step equality at every non-terminal node."""
-    return all(expected == value for expected, value in _one_step_sides(y))
+    return not any(_one_step_gaps(y))
 
 
 def has_absorbed_zeros(y: AdaptedProcess) -> bool:
@@ -251,7 +271,9 @@ def fork_splice(
         raise PreconditionError(
             f"missing weights at time-{s} nodes {[tree.labels[n] for n in missing]}"
         )
-    if not nonnegative(wmap.values()) or any(less(ONE, w) for w in wmap.values()):
+    ws = [wmap[n] for n in fork_nodes]
+    wnums, wden = integers(ws)  # a level is never empty
+    if min(wnums) < 0 or max(wnums) > wden:
         raise PreconditionError("splice weights must lie in [0, 1]")
     for y in (y2, y3):
         if not has_absorbed_zeros(y):
@@ -259,38 +281,33 @@ def fork_splice(
 
     # A coefficient whose weight, dividend or divisor is 0 is 0: below a
     # zero divisor the subtree is zero (absorbed zeros), and 0/0 = 0.  The
-    # zero tests are read once per input, and each coefficient carries its
-    # own below its fork node.
+    # zero tests read the integer numerators of the weights and of each
+    # input, and each coefficient carries its own below its fork node.
     v1, v2, v3 = y1.values, y2.values, y3.values
-    z1, z2, z3 = zero_mask(v1), zero_mask(v2), zero_mask(v3)
+    n1, n2, n3 = y1._integers[0], y2._integers[0], y3._integers[0]
     vals = list(v1)
     coefs: list[tuple[Fraction, Fraction, bool, bool]] = [
         (ZERO, ZERO, True, True)
     ] * tree.num_nodes
-    for m in range(tree.num_nodes):
-        t = tree.time[m]
-        if t < s:
-            continue
-        if t == s:
-            w = wmap[m]
-            rest = complement(w)
-            w_zero, rest_zero = zero_mask((w, rest))
-            a_zero = w_zero or z1[m] or z2[m]
-            b_zero = rest_zero or z1[m] or z3[m]
-            coefs[m] = (
-                ZERO if a_zero else scaled(v1[m], w, v2[m]),
-                ZERO if b_zero else scaled(v1[m], rest, v3[m]),
-                a_zero,
-                b_zero,
-            )
-            continue
-        a, b, a_zero, b_zero = coefs[m] = coefs[tree.parent[m]]
-        if b_zero:
-            vals[m] = product(a, v2[m])
-        elif a_zero:
-            vals[m] = product(b, v3[m])
-        else:
-            vals[m] = dot(((a, v2[m]), (b, v3[m])))
+    for m, w, wn in zip(fork_nodes, ws, wnums):
+        a_zero = not (wn and n1[m] and n2[m])
+        b_zero = wn == wden or not (n1[m] and n3[m])
+        coefs[m] = (
+            ZERO if a_zero else scaled(v1[m], w, v2[m]),
+            ZERO if b_zero else scaled(v1[m], complement(w), v3[m]),
+            a_zero,
+            b_zero,
+        )
+    parent = tree.parent
+    for t in range(s + 1, tree.horizon + 1):
+        for m in tree.nodes_at(t):  # a parent's coefficients come first
+            a, b, a_zero, b_zero = coefs[m] = coefs[parent[m]]
+            if b_zero:
+                vals[m] = product(a, v2[m])
+            elif a_zero:
+                vals[m] = product(b, v3[m])
+            else:
+                vals[m] = dot(((a, v2[m]), (b, v3[m])))
     result = AdaptedProcess(tree, tuple(vals))
     if all(map(is_unit_supermartingale, (y1, y2, y3))):
         if not is_unit_supermartingale(result):

@@ -25,14 +25,22 @@ denominators as integers and normalise the result once, where the
 (deferred gcds, Knuth, TAOCP vol. 2, sec. 4.5.1); :func:`differences`
 takes its first side as the integer numerator and denominator that
 :func:`integers` gives, so a value already in that form is never built
-into a ``Fraction``.  :func:`less` and :func:`dot_sides` compare
-cross-multiplied integers, and :func:`nonnegative` and :func:`zero_mask`
-read the signs of numerators, with no ``Fraction`` comparison or truth
-test dispatch.  They return what the operators return and take
-Fractions that have passed :func:`frac`.  A sum or a difference is a
-:func:`dot` with ``ONE`` and ``MINUS_ONE`` weights.  :func:`parts` and :func:`integers` take values apart under the
-exact LP core's type rule: a ``Fraction`` or an ``int``; anything else is
-refused with ``PreconditionError``.
+into a ``Fraction``.  :func:`less` compares cross-multiplied integers,
+and :func:`nonnegative` and :func:`zero_mask` read the signs of
+numerators, with no ``Fraction`` comparison or truth test dispatch.  They
+return what the operators return and take Fractions that have passed
+:func:`frac`.  A sum or a difference is a :func:`dot` with ``ONE`` and
+``MINUS_ONE`` weights.
+
+:func:`parts`, :func:`integers` and :func:`integer_form` take values
+apart under the exact LP core's type rule: a ``Fraction`` or an ``int``;
+anything else is refused with ``PreconditionError``.  :func:`integers`
+brings a sequence to integer numerators over the lcm of its
+denominators; a caller that compares such values, or sums of their
+products, compares those integers instead (the one-step checks of
+:mod:`procpolar.processes` do).  :func:`integer_form` brings a row or an
+objective to integers with no intermediate list: the lcm of the
+denominators, then the scaled numerators of the nonzero terms.
 """
 
 from __future__ import annotations
@@ -212,24 +220,6 @@ def dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
     return fraction(num, den)
 
 
-def dot_sides(
-    pairs: Iterable[tuple[Fraction, Fraction]], value: Fraction
-) -> tuple[int, int]:
-    """``dot(pairs)`` and ``value`` as two integers over one common
-    denominator, the lcm of ``value``'s and every product's: comparing the
-    integers compares the two rationals."""
-    terms = [
-        (a._numerator * b._numerator, a._denominator * b._denominator)
-        for a, b in pairs
-    ]
-    den = value._denominator
-    common = lcm(den, *(d for _, d in terms))
-    return (
-        sum(n * (common // d) for n, d in terms),
-        value._numerator * (common // den),
-    )
-
-
 def parts(value: int | Fraction) -> tuple[int, int]:
     """The numerator and denominator of a ``Fraction`` or an ``int``; a
     bool is not a number here, however Python counts it."""
@@ -246,9 +236,39 @@ def integers(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """The numerators of ``values`` over the lcm of their denominators (1
     when there are none), and that lcm; each value as :func:`parts` reads it."""
     try:  # the common case, Fractions only, reads the slots directly
-        den = lcm(*[x._denominator for x in values])
+        den = 1
+        for x in values:  # an lcm only where a denominator does not divide
+            if den % x._denominator:
+                den = lcm(den, x._denominator)
         return [x._numerator * (den // x._denominator) for x in values], den
     except AttributeError:  # an int, or a value parts refuses
         pairs = [parts(x) for x in values]
         den = lcm(*[d for _, d in pairs])
         return [n * (den // d) for n, d in pairs], den
+
+
+def integer_form(
+    terms: Sequence[tuple[int, int | Fraction]], rhs: int | Fraction
+) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """A row ``sum(a * x[j] for j, a in terms) relation rhs`` times the lcm
+    of its denominators: its nonzero ``(j, integer)`` terms in the given
+    order, its integer rhs and that lcm.
+
+    Two passes over the terms: the lcm of the denominators, taken only
+    where a denominator does not already divide it, then the scaled
+    numerators of the nonzero terms.  A value is taken as :func:`parts`
+    reads it, so a float or a bool is refused with ``PreconditionError``."""
+    try:  # the common case, Fractions only, reads the slots directly
+        den = rhs._denominator
+        for _, a in terms:
+            if den % a._denominator:
+                den = lcm(den, a._denominator)
+        nonzero = [
+            (j, a._numerator * (den // a._denominator))
+            for j, a in terms
+            if a._numerator
+        ]
+        return tuple(nonzero), rhs._numerator * (den // rhs._denominator), den
+    except AttributeError:  # an int, or a value parts refuses
+        nums, den = integers([rhs, *[a for _, a in terms]])
+        return tuple([(t[0], v) for t, v in zip(terms, nums[1:]) if v]), nums[0], den

@@ -122,22 +122,16 @@ def conditional_polar_constraints(c: RvSet) -> LinearSystem:
     of the product by the block probability.  Generators suffice: mixing,
     solidity and closure all preserve these inequalities.
     """
-    space = c.space
+    space, part = c.space, c.partition
+    blocks = [
+        (idx, part.block_prob(block))
+        for block, idx in zip(part.blocks, part.block_indices)
+    ]
     rows: list[LinearConstraint] = []
     for gi, f in enumerate(c.generators):
-        for bi, block in enumerate(c.partition.blocks):
-            terms = (
-                (i, product(space.probs[i], f.values[i]))
-                for i in map(space.index, block)
-            )
-            rows.append(
-                LinearConstraint(
-                    terms,
-                    LE,
-                    c.partition.block_prob(block),
-                    f"gen[{gi}]*block[{bi}]",
-                )
-            )
+        for bi, (idx, pb) in enumerate(blocks):
+            terms = ((i, product(space.probs[i], f.values[i])) for i in idx)
+            rows.append(LinearConstraint(terms, LE, pb, f"gen[{gi}]*block[{bi}]"))
     return LinearSystem.make(
         space.size,
         rows,
@@ -194,12 +188,10 @@ def _hull_blocks(c: RvSet) -> tuple[LinearConstraint, tuple[_HullBlock, ...]]:
     """What every hull system of ``c`` shares: the convex row ``sum_i l_i =
     1``, and per block its outcome indices and, per outcome, the label of
     its dominance row and the generators' values there."""
-    space = c.space
     k = len(c.generators)
     convex = LinearConstraint(enumerate((ONE,) * k), EQ, ONE, "convex")
     blocks = []
-    for block in c.partition.blocks:
-        idx = tuple(map(space.index, block))
+    for block, idx in zip(c.partition.blocks, c.partition.block_indices):
         columns = tuple(
             (f"dominate({w})", tuple(f.values[i] for f in c.generators))
             for w, i in zip(block, idx)
@@ -274,9 +266,8 @@ def _block_polar(c: RvSet, bi: int) -> tuple[tuple[int, ...], Fraction, LinearSy
     restricted to its coordinates: one row per generator bounding the
     block average of the product by the block probability."""
     space = c.space
-    block = c.partition.blocks[bi]
-    idx = tuple(space.index(w) for w in block)
-    pb = c.partition.block_prob(block)
+    idx = c.partition.block_indices[bi]
+    pb = c.partition.block_prob(c.partition.blocks[bi])
     rows = [
         LinearConstraint(
             enumerate(product(space.probs[i], f.values[i]) for i in idx),
@@ -318,8 +309,7 @@ def product_decompose(
     ngen = len(c.generators)
     k_vals = [ZERO] * space.size
     h_vals = [ZERO] * space.size
-    for block in c.partition.blocks:
-        idx = [space.index(w) for w in block]
+    for idx in c.partition.block_indices:
         lval = ball_elem.values[idx[0]]
         if lval == 0:
             continue  # k = 0, h = 0 on this block (0/0 = 0)

@@ -16,12 +16,26 @@ On top of the tree live the primitives every other module uses:
 
 :func:`validate_tree` returns the tree's probabilistic defects as a tuple
 of messages, empty for a valid tree.
+
+Trees and partitions are immutable, so the structure each one implies is
+computed once, at its first use, and kept in the instance dict with
+``functools.cached_property``, out of equality, hashing and repr (as
+:attr:`~procpolar.exact_lp.LinearSystem._phase1` is).  A tree prepares
+its levels (:meth:`EventTree.nodes_at`, :meth:`EventTree.terminal_nodes`),
+its non-terminal nodes, its node measure (:func:`node_measure`) and, per
+non-terminal node, its children's edge probabilities as integers over
+their lcm (:attr:`EventTree.child_weights`), which the one-step checks of
+:mod:`procpolar.processes` compare in integers.  A partition prepares each
+block's outcome indices (:attr:`Partition.block_indices`) and probability
+(:meth:`Partition.block_prob`), which measurability, block averages and
+the conditional-polar systems read instead of looking each outcome up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError
@@ -32,6 +46,7 @@ from .rational import (
     format_rational,
     frac,
     frac_tuple,
+    integers,
     nonnegative,
     product,
     quotient,
@@ -124,18 +139,54 @@ class EventTree:
         return len(self.parent)
 
     def nodes_at(self, t: int) -> tuple[int, ...]:
-        return tuple(i for i in range(self.num_nodes) if self.time[i] == t)
+        """The time-``t`` nodes in index order; none outside ``0..horizon``."""
+        return self._levels[t] if 0 <= t <= self.horizon else ()
 
     def terminal_nodes(self) -> tuple[int, ...]:
-        return self.nodes_at(self.horizon)
+        return self._levels[self.horizon]
 
     def is_terminal(self, node: int) -> bool:
         return self.time[node] == self.horizon
 
     def non_terminal_nodes(self) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(self.num_nodes) if self.time[i] < self.horizon
-        )
+        return self._non_terminal
+
+    # -- prepared structure: computed once per tree, kept in the instance
+    # dict, out of equality, hashing and repr
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[int, ...], ...]:
+        """The nodes of each time ``0..horizon``, in index order."""
+        levels: list[list[int]] = [[] for _ in range(self.horizon + 1)]
+        for i, t in enumerate(self.time):
+            levels[t].append(i)
+        return tuple(map(tuple, levels))
+
+    @cached_property
+    def _non_terminal(self) -> tuple[int, ...]:
+        return tuple(i for i, t in enumerate(self.time) if t < self.horizon)
+
+    @cached_property
+    def _measure(self) -> tuple[Fraction, ...]:
+        """The value of :func:`node_measure`."""
+        probs = [ONE] * self.num_nodes
+        for i, p in enumerate(self.parent):
+            if p is not None:
+                probs[i] = product(probs[p], self.edge_prob[i])
+        return tuple(probs)
+
+    @cached_property
+    def child_weights(self) -> tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]:
+        """Per non-terminal node ``n``, in index order: ``n``, each child
+        ``c`` with its edge probability as an integer ``P(c)`` over the lcm
+        ``L(n)`` of theirs, and ``L(n)``.  ``sum(P(c) * y(c)) / L(n)`` is
+        the one-step expectation ``E[y | n]``."""
+        out = []
+        for n in self._non_terminal:
+            kids = self.children[n]
+            nums, common = integers([self.edge_prob[c] for c in kids])
+            out.append((n, tuple(zip(kids, nums)), common))
+        return tuple(out)
 
     def ancestor_at(self, node: int, t: int) -> int:
         """The unique ancestor of ``node`` at time ``t`` (possibly itself)."""
@@ -154,13 +205,9 @@ class EventTree:
 
 def node_measure(tree: EventTree) -> tuple[Fraction, ...]:
     """Path probabilities under the reference measure, one per node: the
-    product of one-step probabilities along the path from the root."""
-    probs = [ONE] * tree.num_nodes
-    for i in range(tree.num_nodes):
-        p = tree.parent[i]
-        if p is not None:
-            probs[i] = product(probs[p], tree.edge_prob[i])
-    return tuple(probs)
+    product of one-step probabilities along the path from the root,
+    computed once per tree."""
+    return tree._measure
 
 
 def validate_tree(tree: EventTree) -> tuple[str, ...]:
@@ -338,16 +385,33 @@ class Partition:
     def trivial(cls, space: SampleSpace) -> "Partition":
         return cls(space, (tuple(space.outcomes),))
 
+    @cached_property
+    def block_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Each block's outcome indices in the space, in block order;
+        computed once per partition and kept in the instance dict, out of
+        equality, hashing and repr, as the block probabilities are."""
+        index = self.space.index
+        return tuple(tuple(map(index, block)) for block in self.blocks)
+
+    @cached_property
+    def _block_probs(self) -> dict[tuple[int, ...], Fraction]:
+        probs = self.space.probs
+        return {
+            block: dot((probs[i], ONE) for i in idx)
+            for block, idx in zip(self.blocks, self.block_indices)
+        }
+
     def block_prob(self, block: tuple[int, ...]) -> Fraction:
-        return dot((self.space.prob(w), ONE) for w in block)
+        """The probability of ``block``, one of :attr:`blocks`."""
+        return self._block_probs[block]
 
     def is_measurable(self, rv: RandomVariable) -> bool:
         """True iff ``rv`` is constant on every block."""
         if rv.space != self.space:
             return False
-        for block in self.blocks:
-            vals = {rv[w] for w in block}
-            if len(vals) > 1:
+        vals = rv.values
+        for idx in self.block_indices:
+            if len({vals[i] for i in idx}) > 1:
                 return False
         return True
 
@@ -371,11 +435,10 @@ def cond_exp_partition(rv: RandomVariable, g: Partition) -> RandomVariable:
     """
     if rv.space != g.space:
         raise PreconditionError("random variable and partition disagree on the space")
+    probs, vals = rv.space.probs, rv.values
     out = [ZERO] * rv.space.size
-    for block in g.blocks:
-        pb = g.block_prob(block)
-        mass = dot((rv.space.prob(w), rv[w]) for w in block)
-        avg = quotient(mass, pb)
-        for w in block:
-            out[rv.space.index(w)] = avg
+    for block, idx in zip(g.blocks, g.block_indices):
+        avg = quotient(dot((probs[i], vals[i]) for i in idx), g.block_prob(block))
+        for i in idx:
+            out[i] = avg
     return RandomVariable(rv.space, tuple(out))

@@ -1080,6 +1080,78 @@ def test_violations_agree_with_fraction_reference():
     assert seen == {"r", "c", "below lower bound", "above upper bound"}
 
 
+def _reference_ray_escapes(system: LinearSystem, ray) -> tuple[str, ...]:
+    """The rows and bounds a ray leaves, by plain ``Fraction`` substitution:
+    each row and bound is compared against 0."""
+    out = []
+    for i, row in enumerate(system.rows):
+        lhs = sum((F(a) * r for a, r in zip(_dense(row, len(ray)), ray)), F(0))
+        if not {LE: lhs <= 0, GE: lhs >= 0, EQ: lhs == 0}[row.relation]:
+            out.append(f"ray escapes {row.label or f'row[{i}]'}")
+    for j, r in enumerate(ray):
+        if system.lower[j] is not None and r < 0:
+            out.append(f"ray escapes {system.name_of(j)} below lower bound")
+        if system.upper[j] is not None and r > 0:
+            out.append(f"ray escapes {system.name_of(j)} above upper bound")
+    return tuple(out)
+
+
+def _violation_kind(message: str) -> tuple[str, str]:
+    """Whether a violation is the point's or the ray's, and of a row, a
+    lower bound or an upper bound."""
+    body = message.removeprefix("ray escapes ")
+    where = "point" if body == message else "ray"
+    for kind in ("lower", "upper"):
+        if body.endswith(f"{kind} bound"):
+            return where, kind
+    return where, "row"
+
+
+def test_plain_and_bounded_systems_report_every_violation_in_order():
+    """A plain system (every lower bound 0, no upper bound) checks its
+    bounds in one nonnegativity pass; it reports the same messages, in the
+    same order, as a bounded system and as the Fraction reference, for
+    points and for rays, in ``violations`` and in ``verify_outcome``."""
+    rng = random.Random(71)
+    seen: dict[bool, set] = {True: set(), False: set()}
+    for _ in range(100):
+        bounded, points = _reference_case(rng)
+        n = bounded.num_vars
+        plain = LinearSystem.make(n, bounded.rows, lower=0, var_names=bounded.var_names)
+        for system in (plain, bounded):
+            is_plain = system.upper == (None,) * n and all(lo == 0 for lo in system.lower)
+            assert system._plain is is_plain
+            objective = [(j, _signed_q(rng)) for j in range(n) if rng.random() < 0.7]
+            for sense in ("max", "min"):
+                problem = LpProblem(sense, objective, system)
+                for point in points:
+                    expected = _reference_violations(system, point)
+                    assert system.violations(point) == expected
+                    value = sum((c * point[j] for j, c in objective), F(0))
+                    off = rng.random() < 0.3
+                    out = LpOutcome(
+                        LpStatus.OPTIMAL,
+                        value=value + (F(1, P) if off else 0),
+                        point=tuple(point),
+                    )
+                    wrong = ("reported value differs from objective at the point",)
+                    assert verify_outcome(problem, out) == expected + (wrong if off else ())
+                    ray = [rng.choice((F(0), F(1), F(-1, 3), _signed_q(rng))) for _ in range(n)]
+                    gain = sum((c * ray[j] for j, c in objective), F(0))
+                    escapes = _reference_ray_escapes(system, ray)
+                    improves = gain > 0 if sense == "max" else gain < 0
+                    direction = "increase" if sense == "max" else "decrease"
+                    stuck = (f"ray does not {direction} the objective",)
+                    out = LpOutcome(LpStatus.UNBOUNDED, point=tuple(point), ray=tuple(ray))
+                    assert verify_outcome(problem, out) == (
+                        expected + escapes + (() if improves else stuck)
+                    )
+                    seen[is_plain].update(map(_violation_kind, expected + escapes))
+    rows_and_lower = {(x, k) for x in ("point", "ray") for k in ("row", "lower")}
+    assert seen[True] == rows_and_lower, seen
+    assert seen[False] == rows_and_lower | {("point", "upper"), ("ray", "upper")}, seen
+
+
 def _corrupted(problem: LpProblem, out):
     """Outcomes that ``verify_outcome`` must reject, made from a correct
     one: a coordinate moved 1/P off a tight row, the value moved by 1/P,

@@ -445,3 +445,63 @@ def test_process_calculus_matches_operator_reference():
                 num, den = y.values[m], y.values[tree.ancestor_at(m, s)]
                 expected = F(1) if s == t else num / den if den else F(0)
                 assert increment(y, s, t, m) == expected
+
+
+def _single_child_tree(rng: random.Random):
+    """A random tree of depth 1-3 in which some node has exactly one child:
+    there the one-step expectation is the child's value itself."""
+    while True:
+        tree = random_tree(rng, 3, 3)
+        if any(len(tree.children[n]) == 1 for n in tree.non_terminal_nodes()):
+            return tree
+
+
+def test_integer_one_step_checks_match_reference():
+    """The one-step checks read each process's integer form and each
+    tree's integer edge weights; against the operator forms they give the
+    same verdicts, on trees with single-child nodes and on processes with
+    zero values."""
+    rng = random.Random(53)
+    verdicts: Counter = Counter()
+    for _ in range(200):
+        tree = _single_child_tree(rng)
+        y = random_supermartingale(rng, tree, martingale=rng.random() < 0.5)
+        b = random_nonincreasing_process(rng, tree).process
+        n = rng.randrange(tree.num_nodes)
+        t = tree.time[n]
+        # b with its values from n on set to 0: nonincreasing, absorbed zeros
+        cut = [
+            F(0) if tree.time[m] >= t and tree.ancestor_at(m, t) == n else v
+            for m, v in enumerate(b.values)
+        ]
+        candidates = [
+            y,
+            y.with_value(n, y.values[n] + F(1, 1000)),
+            y.with_value(n, F(0)),
+            y.pointwise_mul(b),
+            AdaptedProcess(tree, cut),
+            b.with_value(n, b.values[n] * 2),
+            AdaptedProcess(tree, [rng.choice((0, F(1, 3), 1)) for _ in cut]),
+        ]
+        for p in candidates:
+            checks = {
+                "supermartingale": (is_supermartingale, _reference_is_supermartingale),
+                "martingale": (is_martingale, _reference_is_martingale),
+                "absorbed zeros": (has_absorbed_zeros, _reference_has_absorbed_zeros),
+            }
+            for name, (check, reference) in checks.items():
+                expected = reference(p)
+                assert check(p) is expected, (name, p)
+                verdicts[name, expected] += 1
+            expected = _reference_nonincreasing_message(p)
+            if expected is None:
+                assert NonIncreasingProcess(p).process == p
+            else:
+                with pytest.raises(PreconditionError) as err:
+                    NonIncreasingProcess(p)
+                assert str(err.value) == expected
+            verdicts["nonincreasing", expected is None] += 1
+            verdicts["zero value"] += any(v == 0 for v in p.values)
+    assert verdicts["zero value"] >= 200, verdicts
+    for name in ("supermartingale", "martingale", "absorbed zeros", "nonincreasing"):
+        assert min(verdicts[name, True], verdicts[name, False]) >= 50, verdicts

@@ -26,14 +26,15 @@ from hypothesis import strategies as st
 
 from procpolar import cli
 from procpolar.errors import PreconditionError, RationalFormatError
+from procpolar.exact_lp import LE, LinearConstraint, LinearSystem, LpProblem
 from procpolar.rational import (
     complement,
     differences,
     dot,
-    dot_sides,
     format_rational,
     frac,
     fraction,
+    integer_form,
     integers,
     less,
     mix,
@@ -58,6 +59,14 @@ ints = st.integers(-BIG, BIG)
 nonzero = ints.filter(bool)
 rationals = st.builds(F, ints, nonzero)
 exacts = st.one_of(rationals, ints)  # the values the type rule accepts
+
+
+def _reference_integer_form(terms, rhs):
+    """A row times the lcm of its denominators, by the operators: its
+    nonzero terms, its rhs and that lcm."""
+    scale = lcm(F(rhs).denominator, *(F(a).denominator for _, a in terms))
+    nonzero = tuple((j, int(a * scale)) for j, a in terms if a != 0)
+    return nonzero, int(rhs * scale), scale
 
 
 def _parts(x):
@@ -96,10 +105,20 @@ def test_kernels_match_the_operators(a, b, pairs):
         with pytest.raises(ZeroDivisionError):
             quotient(a, b)
     assert _parts(dot(pairs)) == _parts(sum((x * y for x, y in pairs), F(0)))
-    # both sides over the lcm of a's and every product's denominators
-    common = lcm(a.denominator, *(x.denominator * y.denominator for x, y in pairs))
-    expected, value = dot_sides(pairs, a)
-    assert F(expected, common) == dot(pairs) and F(value, common) == a
+    # rows of the pairs' values, negative ones and zeros among them, as
+    # Fractions, as ints and with no terms at all
+    firsts = [(j, x) for j, (x, _) in enumerate(pairs)]
+    for terms, rhs in (
+        (firsts, a),
+        (firsts + [(len(pairs), F(0))], -a),
+        ([(j, x * y) for j, (x, y) in enumerate(pairs)], b),
+        ([(j, x.numerator) for j, x in firsts] + [(len(pairs), 0)], a.numerator),
+        ([], a),
+        ([], 0),
+    ):
+        form = integer_form(terms, rhs)
+        assert form == _reference_integer_form(terms, rhs)
+        assert all(type(v) is int for _, v in form[0]) and type(form[1]) is int
     values = [x for pair in pairs for x in pair] + [a]
     # a over a multiple of its parts, as integers gives a value among others
     k = abs(b.numerator) + 1
@@ -167,6 +186,26 @@ def test_the_type_rule_refuses_all_but_fractions_and_ints(bad):
     for values in ([bad], [F(1, 2), bad], [bad, 3]):
         with pytest.raises(PreconditionError, match=name):
             integers(values)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1/2", None])
+def test_integer_form_refuses_what_parts_refuses(bad):
+    """A float, a bool or anything else that is not a Fraction or an int,
+    as a term or as the rhs, is refused with the error :func:`parts` gives,
+    and so is a row or an objective holding one when it is built."""
+    with pytest.raises(PreconditionError) as expected:
+        parts(bad)
+    message = re.escape(str(expected.value))
+    for terms, rhs in (([(0, bad)], F(1)), ([(0, F(1, 2)), (1, bad)], 0), ([], bad)):
+        with pytest.raises(PreconditionError, match=message):
+            integer_form(terms, rhs)
+    with pytest.raises(PreconditionError, match=message):
+        LinearConstraint(((0, F(1)), (1, bad)), LE, F(1))
+    with pytest.raises(PreconditionError, match=message):
+        LinearConstraint(((0, F(1)),), LE, bad)
+    system = LinearSystem(2, (), (F(0), F(0)), (None, None))
+    with pytest.raises(PreconditionError, match=message):
+        LpProblem("max", ((0, F(1)), (1, bad)), system)
 
 
 def test_only_the_kernel_reads_fraction_slots():

@@ -274,3 +274,59 @@ def test_space_and_conditional_expectation_match_operator_reference():
             v.as_integer_ratio() for v in expected
         ]
     assert accepted == {True, False}
+
+
+def test_prepared_structure_matches_the_scans():
+    """What a tree and a partition prepare once against the scans and
+    operator sums it replaces: the levels for every time from -1 to
+    horizon + 1, the non-terminal and terminal nodes, the node measure and
+    the integer edge weights of each node; each block's indices and
+    probability, measurability and block averages.  None of it shows in
+    equality, hashing or repr."""
+    rng = random.Random(59)
+    single, measurable = 0, {True: 0, False: 0}
+    for _ in range(150):
+        tree = random_tree(rng, 4, 3)
+        n = tree.num_nodes
+        for t in range(-1, tree.horizon + 2):
+            assert tree.nodes_at(t) == tuple(i for i in range(n) if tree.time[i] == t)
+        scan = tuple(i for i in range(n) if tree.time[i] < tree.horizon)
+        assert tree.non_terminal_nodes() == scan
+        assert tree.terminal_nodes() == tree.nodes_at(tree.horizon)
+        measure = [F(1)] * n
+        for i in range(1, n):
+            measure[i] = measure[tree.parent[i]] * tree.edge_prob[i]
+        assert list(node_measure(tree)) == measure
+        assert [node for node, _, _ in tree.child_weights] == list(scan)
+        for node, weights, common in tree.child_weights:
+            assert [c for c, _ in weights] == list(tree.children[node])
+            assert [F(p, common) for _, p in weights] == [
+                tree.edge_prob[c] for c in tree.children[node]
+            ]
+            assert gcd(common, *(p for _, p in weights)) == 1
+            single += len(weights) == 1
+        twin = EventTree.build(tree.parent, tree.edge_prob)
+        assert twin == tree and hash(twin) == hash(tree) and repr(twin) == repr(tree)
+
+        space = random_space(rng, 6)
+        part = random_partition(rng, space)
+        rv = random_rv(rng, space)
+        flat = RandomVariable(space, tuple(F(i % 2) for i in range(space.size)))
+        assert part.block_indices == tuple(
+            tuple(space.outcomes.index(w) for w in block) for block in part.blocks
+        )
+        expected = [F(0)] * space.size
+        for block in part.blocks:
+            pb = sum((space.probs[space.outcomes.index(w)] for w in block), F(0))
+            assert part.block_prob(block) == pb
+            mass = sum((space.prob(w) * rv[w] for w in block), F(0))
+            for w in block:
+                expected[space.outcomes.index(w)] = mass / pb
+        assert list(cond_exp_partition(rv, part).values) == expected
+        for x in (rv, flat, cond_exp_partition(rv, part)):
+            constant = all(len({x[w] for w in block}) == 1 for block in part.blocks)
+            assert part.is_measurable(x) is constant
+            measurable[constant] += 1
+        again = Partition.from_blocks(space, part.blocks)
+        assert again == part and hash(again) == hash(part) and repr(again) == repr(part)
+    assert single >= 50 and min(measurable.values()) >= 50, (single, measurable)
