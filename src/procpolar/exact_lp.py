@@ -81,11 +81,11 @@ spot, since each side would compute it with the same function.  The
 objective is brought to integers when its :class:`LpProblem` is built,
 by the same kernel, and the bounds when their system is; the outcome
 memo, the cost row and the check's value read those forms.  A system
-also classifies its bounds once, when it is built: it is plain when every
-column has a lower bound of 0 and no upper bound, as every hull, polar
-and process system is.  The check then tests its bounds in one pass that
-every numerator is at least 0 (a ray's too), with the messages, in the
-order, that the bound-by-bound pass gives.
+also classifies its bounds once, in the pass that brings them to
+integers: it is plain when every column has a lower bound of 0 and no
+upper bound, as every hull, polar and process system is.  Only the
+standard form reads this (below); the check tests a plain system's
+bounds like any other's.
 Every value in a row, a bound or an objective must be an ``int`` or a
 ``Fraction`` (:func:`~procpolar.rational.parts`): anything else, a float
 or a bool, is refused with :class:`PreconditionError` when the object
@@ -95,10 +95,10 @@ A solve makes one integer pass into the tableau and one out.  Going in,
 each row's integer form is carried to the u-columns in integers: a
 column with a lower bound of 0 passes its term through, an upper-bounded
 column negates it, and a free column splits it; a plain system reads no
-bound at all: with no column transform and no width row, each row's
-integer form goes in as it is.  A nonzero lower or upper bound moves
-``a*bound`` into the rhs; the row is then multiplied by the new rhs's
-denominator and divided by the gcd of its
+bound at all: its columns all pass through, it has no width row, and
+each row's integer form goes in as it is.  A nonzero lower or upper
+bound moves ``a*bound`` into the rhs; the row is then multiplied by the
+new rhs's denominator and divided by the gcd of its
 scale and every entry, which is again the row times the lcm of its
 denominators, the scale and the duplicate key above.  The cost row is
 the objective's integer form carried the same way, a positive multiple
@@ -122,7 +122,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -231,12 +231,17 @@ class LinearSystem:
         # relation num, lower first; whether every column is plain, with a
         # lower bound of 0 and no upper bound; and the outcome memo of _ask
         bounds = []
+        plain = True
         for j, (lo, up) in enumerate(zip(self.lower, self.upper)):
-            if lo is not None:
-                bounds.append((j, GE, *parts(lo)))
+            if lo is None:
+                plain = False
+            else:
+                num, den = parts(lo)
+                bounds.append((j, GE, num, den))
+                plain = plain and not num
             if up is not None:
                 bounds.append((j, LE, *parts(up)))
-        plain = bounds == [(j, GE, 0, 1) for j in range(n)]
+                plain = False
         object.__setattr__(self, "_integer_bounds", tuple(bounds))
         object.__setattr__(self, "_plain", plain)
         object.__setattr__(self, "_outcomes", {})
@@ -293,11 +298,6 @@ class LinearSystem:
                 else lhs < rhs if relation == GE else lhs != rhs
             ):
                 out.append(row.label or f"row[{i}]")
-        if self._plain:  # every bound is x_j >= 0, in column order
-            for j, v in enumerate(nums):
-                if v < 0:
-                    out.append(f"{self.name_of(j)} below lower bound")
-            return tuple(out)
         for j, relation, num, bden in self._integer_bounds:
             if relation == GE:
                 if nums[j] * bden < num * den:
@@ -510,6 +510,13 @@ _MIRROR = "mirror"  # x = U - u
 _SPLIT = "split"  # x = u+ - u-
 
 
+@lru_cache(maxsize=None)
+def _plain_transforms(n: int) -> tuple[tuple, ...]:
+    """The transforms of ``n`` plain columns, shared by every plain system
+    of that width."""
+    return tuple((_PLAIN, j, None) for j in range(n))
+
+
 class _Standard:
     """A u = b, u >= 0 in integers, plus the map back to original vars;
     :meth:`cost` gives the c of min c.u for an objective.
@@ -522,18 +529,23 @@ class _Standard:
     check (see :meth:`_rewrite`), never from its ``Fraction`` coefficients.
     A plain system (every column ``x = u`` with a lower bound of 0 and no
     upper bound, :attr:`LinearSystem._plain`) reads no bound at all: it
-    has no column transform and no width row, its rows' integer forms are
-    already the rows over the u-columns, which :meth:`_rewrite` would
-    return unchanged, so each is taken as it is, :meth:`cost` takes the
-    objective's integer terms as they are, and the point and ray are the
-    u-columns' own values.
+    has no width row, and it shares its column transforms, each one
+    ``x = u``, with every plain system of its width
+    (:func:`_plain_transforms`).
+    Its rows' integer forms are already the rows over the u-columns, which
+    :meth:`_rewrite` would return unchanged, so each is taken as it is, and
+    its point is the u-columns' own values.
     """
 
     def __init__(self, sys_: LinearSystem):
-        self.transforms: list[tuple] = []
         self.ncols = sys_.num_vars
         self.plain = plain = sys_._plain
-        widths = [] if plain else self._columns(sys_)
+        if plain:
+            self.transforms = _plain_transforms(self.ncols)
+            widths = []
+        else:
+            self.transforms = []
+            widths = self._columns(sys_)
         ncols = self.ncols
 
         # rewrite rows over the u-columns; fold bound rows for shifted uppers
@@ -625,10 +637,6 @@ class _Standard:
         outcome."""
         sign = -1 if problem.sense == "max" else 1
         out = [0] * self.ncols_total
-        if self.plain:
-            for j, c in problem._integer_objective[0]:
-                out[j] = sign * c
-            return out
         for j, c in problem._integer_objective[0]:
             kind, col, aux = self.transforms[j]
             if kind == _MIRROR:
@@ -698,8 +706,6 @@ class _Standard:
         return tuple(out)
 
     def to_original_ray(self, du: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.plain:
-            return tuple(du[: self.ncols])
         out = []
         for kind, col, aux in self.transforms:
             if kind == _MIRROR:

@@ -123,10 +123,7 @@ def conditional_polar_constraints(c: RvSet) -> LinearSystem:
     solidity and closure all preserve these inequalities.
     """
     space, part = c.space, c.partition
-    blocks = [
-        (idx, part.block_prob(block))
-        for block, idx in zip(part.blocks, part.block_indices)
-    ]
+    blocks = list(zip(part.block_indices, part.block_probs))
     rows: list[LinearConstraint] = []
     for gi, f in enumerate(c.generators):
         for bi, (idx, pb) in enumerate(blocks):
@@ -267,7 +264,7 @@ def _block_polar(c: RvSet, bi: int) -> tuple[tuple[int, ...], Fraction, LinearSy
     block average of the product by the block probability."""
     space = c.space
     idx = c.partition.block_indices[bi]
-    pb = c.partition.block_prob(c.partition.blocks[bi])
+    pb = c.partition.block_probs[bi]
     rows = [
         LinearConstraint(
             enumerate(product(space.probs[i], f.values[i]) for i in idx),

@@ -27,7 +27,7 @@ non-terminal node, its children's edge probabilities as integers over
 their lcm (:attr:`EventTree.child_weights`), which the one-step checks of
 :mod:`procpolar.processes` compare in integers.  A partition prepares each
 block's outcome indices (:attr:`Partition.block_indices`) and probability
-(:meth:`Partition.block_prob`), which measurability, block averages and
+(:attr:`Partition.block_probs`), which measurability, block averages and
 the conditional-polar systems read instead of looking each outcome up.
 """
 
@@ -394,16 +394,15 @@ class Partition:
         return tuple(tuple(map(index, block)) for block in self.blocks)
 
     @cached_property
-    def _block_probs(self) -> dict[tuple[int, ...], Fraction]:
-        probs = self.space.probs
-        return {
-            block: dot((probs[i], ONE) for i in idx)
-            for block, idx in zip(self.blocks, self.block_indices)
-        }
+    def block_probs(self) -> tuple[Fraction, ...]:
+        """Each block's :meth:`block_prob`, in block order, lined up with
+        :attr:`block_indices`; computed once, as they are."""
+        return tuple(map(self.block_prob, self.blocks))
 
-    def block_prob(self, block: tuple[int, ...]) -> Fraction:
-        """The probability of ``block``, one of :attr:`blocks`."""
-        return self._block_probs[block]
+    def block_prob(self, block: Iterable[int]) -> Fraction:
+        """The probability of any set of outcomes: a block, in any order,
+        a part of one or a union of several."""
+        return dot((self.space.prob(w), ONE) for w in block)
 
     def is_measurable(self, rv: RandomVariable) -> bool:
         """True iff ``rv`` is constant on every block."""
@@ -437,8 +436,8 @@ def cond_exp_partition(rv: RandomVariable, g: Partition) -> RandomVariable:
         raise PreconditionError("random variable and partition disagree on the space")
     probs, vals = rv.space.probs, rv.values
     out = [ZERO] * rv.space.size
-    for block, idx in zip(g.blocks, g.block_indices):
-        avg = quotient(dot((probs[i], vals[i]) for i in idx), g.block_prob(block))
+    for idx, pb in zip(g.block_indices, g.block_probs):
+        avg = quotient(dot((probs[i], vals[i]) for i in idx), pb)
         for i in idx:
             out[i] = avg
     return RandomVariable(rv.space, tuple(out))

@@ -1108,10 +1108,10 @@ def _violation_kind(message: str) -> tuple[str, str]:
 
 
 def test_plain_and_bounded_systems_report_every_violation_in_order():
-    """A plain system (every lower bound 0, no upper bound) checks its
-    bounds in one nonnegativity pass; it reports the same messages, in the
-    same order, as a bounded system and as the Fraction reference, for
-    points and for rays, in ``violations`` and in ``verify_outcome``."""
+    """A plain system (every lower bound 0, no upper bound) is classified
+    as plain, and it reports the same messages, in the same order, as a
+    bounded system and as the Fraction reference, for points and for rays,
+    in ``violations`` and in ``verify_outcome``."""
     rng = random.Random(71)
     seen: dict[bool, set] = {True: set(), False: set()}
     for _ in range(100):

@@ -316,9 +316,9 @@ def test_prepared_structure_matches_the_scans():
             tuple(space.outcomes.index(w) for w in block) for block in part.blocks
         )
         expected = [F(0)] * space.size
-        for block in part.blocks:
+        for k, block in enumerate(part.blocks):
             pb = sum((space.probs[space.outcomes.index(w)] for w in block), F(0))
-            assert part.block_prob(block) == pb
+            assert part.block_prob(block) == part.block_probs[k] == pb
             mass = sum((space.prob(w) * rv[w] for w in block), F(0))
             for w in block:
                 expected[space.outcomes.index(w)] = mass / pb
@@ -330,3 +330,20 @@ def test_prepared_structure_matches_the_scans():
         again = Partition.from_blocks(space, part.blocks)
         assert again == part and hash(again) == hash(part) and repr(again) == repr(part)
     assert single >= 50 and min(measurable.values()) >= 50, (single, measurable)
+
+
+def test_block_prob_takes_any_set_of_outcomes():
+    rng = random.Random(53)
+    space = random_space(rng, 6)
+    ws = list(space.outcomes)
+    part = Partition.from_blocks(space, [ws[3:], ws[2::-1]])
+    assert part.blocks == (tuple(ws[:3]), tuple(ws[3:]))
+
+    def reference(outcomes):
+        return sum((space.prob(w) for w in outcomes), F(0))
+
+    assert part.block_prob(tuple(reversed(ws[3:]))) == reference(ws[3:])
+    assert part.block_prob(ws[2::-1]) == part.block_probs[0] == reference(ws[:3])
+    assert part.block_prob((ws[1],)) == space.prob(ws[1])
+    assert part.block_prob(ws[::-1]) == 1
+    assert part.block_prob(()) == 0
